@@ -48,9 +48,6 @@ class BernoulliMeasure:
         probs = tuple(as_fraction(v) for v in values)
         return cls(alphabet or Alphabet.of_size(len(probs)), probs)
 
-    def prob(self, symbol: int) -> Fraction:
-        return self.probs[symbol]
-
     def top_two(self) -> tuple[int, int]:
         """Indices of the most probable and second most probable symbols,
         breaking ties by symbol order."""
@@ -141,9 +138,6 @@ class MarkovChain:
     @property
     def second_eigenvalue(self) -> Fraction:
         return self.matrix[0][0] + self.matrix[1][1] - 1
-
-    def transition(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
 
     def product_measure(self) -> BernoulliMeasure:
         """The Bernoulli measure this chain degenerates to when its rows are

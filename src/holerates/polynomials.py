@@ -147,12 +147,6 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def coeff_strings(self) -> list[str]:
         """Coefficients as 'num/den' strings, index = degree."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]

@@ -1,23 +1,36 @@
-"""Certified smallest-positive-root isolation and escape rates.
+"""Certified smallest-positive-root enclosures and escape rates.
 
-Root counts come from exact Sturm sequences over the integers (denominators
-cleared, content stripped), so "smallest" is unconditional.  Two fast paths
-keep the common cases cheap without giving up certification:
+Each root is held by one private enclosure: the polynomial's integer core
+(known rational roots divided out, content stripped), its Sturm chain, built
+only when a count needs it, and a bisection state that is refined in place
+and never restarted.  A :class:`RootResult` is a frozen snapshot of that
+state; ``refine``, ``compare`` and ``compare_with_rational`` narrow the
+shared state further and never change a snapshot a caller already holds.
 
-* a supplied exact rational root candidate that checks out is deflated away
-  by synthetic division, so the remaining isolation never fights it;
-* a polynomial whose coefficient signs show at most one variation has, by
-  Descartes' rule, exactly that many positive roots, so plain sign bisection
-  is already certified.
+Root counts come from exact Sturm sequences over the integers, so
+"smallest" is unconditional.  Two fast paths keep the common cases cheap
+without giving up certification:
 
-Everything else goes through Sturm counts, including even-multiplicity
-roots, which never produce a sign change.
+* a rational root that is known in advance (a supplied candidate such as
+  1/p) or hit exactly by a probe is divided out by synthetic division, and
+  pinned as the answer when the rest of the core has no root below it;
+* a core whose coefficient signs show at most one variation has, by
+  Descartes' rule, exactly that many positive roots, each simple, so a sign
+  test replaces the Sturm count.
+
+The bracket comes from the probes 2, 4, 8, ...; bisection then switches to
+plain sign tests once the interval holds a single root of odd multiplicity.
+Even-multiplicity roots, which never produce a sign change, are found by
+the counts.  Two roots are equal exactly when both enclosures isolate a
+single root and the gcd of the two cores has a root in their overlap;
+otherwise the enclosures are refined until they separate, which the
+Mahler-Mignotte root separation bound guarantees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -27,9 +40,6 @@ from .polynomials import RationalPolynomial
 from .polynomials import survival_denominator as _survival_denominator
 
 DEFAULT_TOL = Fraction(1, 10**14)
-EQUALITY_TOL = Fraction(1, 10**30)
-BRACKET_CAP = 1 << 20
-_REFINE_STEP = 1 << 10
 
 
 def _frac_log(x: Fraction) -> float:
@@ -44,26 +54,14 @@ def _frac_log(x: Fraction) -> float:
 
 def _int_coeffs(poly: RationalPolynomial) -> list[int]:
     """Scale to integer coefficients with content 1; sign pattern preserved."""
-    if poly.is_zero():
-        return []
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-    ints = [int(c * lcm) for c in poly.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints]
+    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
+    return _primitive([int(c * lcm) for c in poly.coeffs])
 
 
 def _primitive(ints: list[int]) -> list[int]:
     while ints and ints[-1] == 0:
         ints.pop()
-    if not ints:
-        return []
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     return [v // g for v in ints]
 
 
@@ -137,8 +135,7 @@ def _variations_at_inf(chain: list[list[int]]) -> int:
 def descartes_variations(poly: RationalPolynomial) -> int:
     """Number of sign changes in the coefficient sequence: an upper bound on
     the number of positive roots, exact when 0 or 1."""
-    signs = [(c > 0) - (c < 0) for c in poly.coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations([(c > 0) - (c < 0) for c in poly.coeffs])
 
 
 def count_positive_roots(poly: RationalPolynomial) -> int:
@@ -167,6 +164,148 @@ def count_roots_between(poly: RationalPolynomial, a: Fraction, b: Fraction) -> i
 
 
 # --------------------------------------------------------------------------
+# the enclosure
+# --------------------------------------------------------------------------
+
+
+class _Enclosure:
+    """The smallest positive root of ``poly``, refined in place.
+
+    The root is ``exact`` once known as a rational.  Until then it is the
+    smallest positive root of the integer core ``ints`` and lies in the open
+    interval (lo, hi), and the core has no root in (0, lo].  ``cap`` is the
+    smallest rational root divided out of the core; the root lies below it.
+    """
+
+    def __init__(self, poly: RationalPolynomial, candidates: tuple = ()) -> None:
+        self.poly = poly
+        self.candidates = tuple(candidates)
+        self.exact: Fraction | None = None
+        self.cap: Fraction | None = None
+        self.lo = Fraction(0)
+        self.hi: Fraction | None = None
+        self._set_core(poly)
+        self._lo_sign = 1
+        self._single = False  # (lo, hi) holds one root, of odd multiplicity
+        roots = [c for c in {as_fraction(c) for c in candidates} if c > 0 and self.sign(c) == 0]
+        if roots:
+            self._deflate(roots)
+        if self.exact is None and self.count_upto(None) == 0:
+            raise NoPositiveRootError(f"{poly!r} has no positive root")
+        probe = Fraction(2)
+        while self.exact is None and self.hi is None:
+            if self.sign(probe) == 0:
+                self._hit(probe)
+            elif self.count_upto(probe):
+                self.hi = probe
+            probe *= 2
+
+    def _set_core(self, core: RationalPolynomial) -> None:
+        ints = _int_coeffs(core)
+        if ints[0] < 0:
+            ints = [-c for c in ints]
+        self.core, self.ints, self._chain = core, ints, None
+        self._descartes = descartes_variations(core)
+
+    @property
+    def chain(self) -> list[list[int]]:
+        if self._chain is None:
+            self._chain = _sturm_chain(self.ints)
+        return self._chain
+
+    def sign(self, x: Fraction) -> int:
+        return _sign_at(self.ints, x.numerator, x.denominator)
+
+    def count_upto(self, x: Fraction | None) -> int:
+        """Distinct roots of the core in (0, x], or in (0, inf) for None;
+        x must not be a root of the core."""
+        if self._descartes <= 1:
+            return self._descartes if x is None else int(self.sign(x) < 0)
+        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x)
+        return _variations_at(self.chain, Fraction(0)) - top
+
+    def _deflate(self, roots: list[Fraction]) -> None:
+        """Divide the rational roots out of the core and lower the cap to
+        the smallest of them; the cap is the root when the rest of the core
+        has no root below it."""
+        core = self.core
+        for x in roots:
+            while core.eval(x) == 0:
+                core = core.deflate_root(x)
+        self._set_core(core)
+        self.cap = min(roots if self.cap is None else [self.cap, *roots])
+        if self.count_upto(self.cap) == 0:
+            self.exact = self.cap
+
+    def _hit(self, x: Fraction) -> None:
+        """The probe x is a root of the core: pin it, or make it hi."""
+        self._deflate([x])
+        if self.exact is None:
+            self.hi = x
+
+    def step(self) -> None:
+        mid = (self.lo + self.hi) / 2
+        s = self.sign(mid)
+        if s == 0:
+            self._hit(mid)
+            return
+        if self._single:
+            below = self._lo_sign * s < 0
+        else:
+            count = self.count_upto(mid)
+            below = count > 0
+            self._single = count == 1 and self._lo_sign * s < 0
+        if below:
+            self.hi = mid
+        else:
+            self.lo, self._lo_sign = mid, s
+
+    def refine(self, tol: Fraction) -> None:
+        """Bisect until the relative width is at most tol and the interval
+        lies below the cap."""
+        while self.exact is None and not (
+            self.lo > 0
+            and self.hi - self.lo <= tol * self.lo
+            and (self.cap is None or self.hi <= self.cap)
+        ):
+            self.step()
+
+    def isolates(self) -> bool:
+        """True when (lo, hi) holds no root of the core but the smallest."""
+        return self._single or self.count_upto(self.hi) == 1
+
+    def compare_with(self, value: Fraction) -> int:
+        """Certified sign of (root - value)."""
+        if self.exact is None:
+            if value <= self.lo:
+                return 1
+            if value >= self.hi:
+                return -1
+            if self.sign(value) != 0:
+                return -1 if self.count_upto(value) else 1
+            self._deflate([value])
+            if self.exact is None:
+                return -1
+        return (self.exact > value) - (self.exact < value)
+
+    def snapshot(self) -> "RootResult":
+        lower, upper = (self.exact, self.exact) if self.exact is not None else (self.lo, self.hi)
+        return RootResult(self.poly, lower, upper, self.candidates, self)
+
+
+def _common_root(a: _Enclosure, b: _Enclosure) -> bool:
+    """True when the cores share a root in the overlap of the intervals,
+    counted by a Sturm chain on their gcd."""
+    f, g = a.ints, b.ints
+    while g:
+        f, g = g, _neg_prem_primitive(f, g)
+    if len(f) < 2:
+        return False
+    chain = _sturm_chain(f)
+    return _variations_at(chain, max(a.lo, b.lo)) > _variations_at(chain, min(a.hi, b.hi))
+
+
+# --------------------------------------------------------------------------
 # results
 # --------------------------------------------------------------------------
 
@@ -181,6 +320,7 @@ class RootResult:
     lower: Fraction
     upper: Fraction
     candidates: tuple[Fraction, ...] = ()
+    _enclosure: _Enclosure | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.lower <= self.upper:
@@ -210,136 +350,14 @@ class RootResult:
     def rel_width(self) -> Fraction:
         return (self.upper - self.lower) / self.lower
 
+    def _state(self) -> _Enclosure:
+        """The shared enclosure; a snapshot built by hand gets a new one."""
+        return self._enclosure or _Enclosure(self.poly, self.candidates)
+
 
 # --------------------------------------------------------------------------
-# isolation
+# isolation, refinement and comparison
 # --------------------------------------------------------------------------
-
-
-def _exact_result(poly: RationalPolynomial, root: Fraction, candidates) -> RootResult:
-    return RootResult(poly, root, root, tuple(candidates))
-
-
-def _grow_bracket(start: Fraction = Fraction(2)):
-    """Yield increasing probes 2, 4, 8, ... until the hard cap."""
-    hi = start
-    while hi <= BRACKET_CAP:
-        yield hi
-        hi *= 2
-
-
-class _Isolator:
-    """Bisection state for the smallest positive root of a core polynomial
-    that has no rational roots the caller knows about."""
-
-    def __init__(self, core: RationalPolynomial):
-        self.core = core
-        self.ints = _int_coeffs(core)
-        self._chain: list[list[int]] | None = None
-        self.exact_root: Fraction | None = None
-        self.lo = Fraction(0)
-        self.hi: Fraction | None = None
-        self._sign_mode = False
-
-    @property
-    def chain(self) -> list[list[int]]:
-        if self._chain is None:
-            self._chain = _sturm_chain(self.ints)
-        return self._chain
-
-    def sign(self, x: Fraction) -> int:
-        return _sign_at(self.ints, x.numerator, x.denominator)
-
-    def count_upto(self, x: Fraction) -> int:
-        """Distinct roots in (0, x]; x must not be a root."""
-        return _variations_at(self.chain, Fraction(0)) - _variations_at(self.chain, x)
-
-    def positive_roots(self) -> int:
-        var = descartes_variations(self.core)
-        if var <= 1:
-            return var
-        return _variations_at(self.chain, Fraction(0)) - _variations_at_inf(self.chain)
-
-    def _handle_exact_hit(self, x: Fraction) -> bool:
-        """x is a root of core.  Mark exact if nothing lies below it."""
-        deflated = self.core
-        while deflated.eval(x) == 0:
-            deflated = deflated.deflate_root(x)
-        if deflated.degree <= 0 or count_roots_between(deflated, Fraction(0), x) == 0:
-            # careful: count_roots_between uses open interval (0, x)
-            self.exact_root = x
-            return True
-        self.hi = x
-        return False
-
-    def find_bracket(self) -> None:
-        """Establish lo = 0 < hi with at least one root in (lo, hi]."""
-        one_root = descartes_variations(self.core) == 1
-        for probe in _grow_bracket():
-            s = self.sign(probe)
-            if s == 0:
-                if self._handle_exact_hit(probe):
-                    return
-                return  # hi set by _handle_exact_hit
-            if one_root:
-                if s < 0:
-                    self.hi = probe
-                    return
-            else:
-                if self.count_upto(probe) >= 1:
-                    self.hi = probe
-                    return
-        raise NoPositiveRootError(
-            f"no root found below the bracket cap {BRACKET_CAP}"
-        )
-
-    def step(self) -> None:
-        assert self.hi is not None
-        mid = (self.lo + self.hi) / 2
-        s = self.sign(mid)
-        if s == 0:
-            self._handle_exact_hit(mid)
-            return
-        if self._sign_mode or (self.lo > 0 and self.sign(self.lo) * s < 0):
-            # a sign change brackets the root; plain bisection from here on
-            self._sign_mode = True
-            if self.sign(self.lo) * s < 0:
-                self.hi = mid
-            else:
-                self.lo = mid
-            return
-        if self.count_upto(mid) >= 1:
-            self.hi = mid
-        else:
-            self.lo = mid
-
-    def run(self, tol: Fraction) -> tuple[Fraction, Fraction] | Fraction:
-        if self.positive_roots() == 0:
-            raise NoPositiveRootError("polynomial has no positive roots")
-        self.find_bracket()
-        while self.exact_root is None:
-            if self.lo > 0 and (self.hi - self.lo) <= tol * self.lo:
-                break
-            self.step()
-        if self.exact_root is not None:
-            return self.exact_root
-        return self.lo, self.hi
-
-
-def _isolate_core(core: RationalPolynomial, tol: Fraction):
-    """Smallest positive root of ``core`` (no known rational roots): either
-    an exact Fraction, an enclosure pair, or None when no positive root."""
-    if core.degree <= 0:
-        return None
-    if core.eval(Fraction(0)) < 0:
-        core = -core
-    if descartes_variations(core) == 0:
-        return None
-    iso = _Isolator(core)
-    try:
-        return iso.run(tol)
-    except NoPositiveRootError:
-        return None
 
 
 def smallest_positive_root(
@@ -361,72 +379,53 @@ def smallest_positive_root(
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-
-    cand = sorted({as_fraction(c) for c in candidates if as_fraction(c) > 0})
-    exact_roots = [c for c in cand if poly.eval(c) == 0]
-    core = poly
-    for c in exact_roots:
-        while core.eval(c) == 0:
-            core = core.deflate_root(c)
-    cmin = exact_roots[0] if exact_roots else None
-
-    located = _isolate_core(core, tol)
-    if located is None:
-        if cmin is None:
-            raise NoPositiveRootError(f"{poly!r} has no positive root")
-        return _exact_result(poly, cmin, candidates)
-    if isinstance(located, Fraction):
-        root = located if cmin is None else min(located, cmin)
-        return _exact_result(poly, root, candidates)
-
-    lo, hi = located
-    if cmin is not None:
-        # Disambiguate against the candidate: narrow until cmin is outside.
-        iso = _Isolator(core)
-        iso.lo, iso.hi = lo, hi
-        iso._sign_mode = iso.lo > 0 and iso.sign(iso.lo) * iso.sign(iso.hi) < 0
-        while iso.exact_root is None and iso.lo < cmin < iso.hi:
-            iso.step()
-        if iso.exact_root is not None:
-            root = min(iso.exact_root, cmin)
-            return _exact_result(poly, root, candidates)
-        lo, hi = iso.lo, iso.hi
-        if cmin <= lo:
-            return _exact_result(poly, cmin, candidates)
-    return RootResult(poly, lo, hi, tuple(candidates))
+    enclosure = _Enclosure(poly, candidates)
+    enclosure.refine(tol)
+    return enclosure.snapshot()
 
 
 def refine(result: RootResult, tol: Fraction) -> RootResult:
-    """A (possibly) tighter enclosure of the same root."""
+    """A (possibly) tighter enclosure of the same root, narrowed in place
+    from the shared state."""
     tol = as_fraction(tol)
     if result.exact or result.rel_width() <= tol:
         return result
-    return smallest_positive_root(result.poly, tol, result.candidates)
+    enclosure = result._state()
+    enclosure.refine(tol)
+    return enclosure.snapshot()
 
 
-def compare(a: RootResult, b: RootResult, equality_tol: Fraction = EQUALITY_TOL) -> int:
-    """-1, 0, +1 ordering of two certified roots.
+def compare(a: RootResult, b: RootResult) -> int:
+    """-1, 0, +1 ordering of two certified roots, decided exactly.
 
-    Refines overlapping enclosures until they separate; two roots whose
-    enclosures still overlap at relative width ``equality_tol`` are declared
-    equal.  Identical polynomials compare equal immediately.
+    Identical polynomials compare equal immediately.  Overlapping roots are
+    equal when both enclosures isolate a single root and the gcd of the two
+    cores has a root in the overlap; otherwise both are bisected until they
+    separate.
     """
+    if a.upper < b.lower:
+        return -1
+    if b.upper < a.lower:
+        return 1
+    if a.poly == b.poly:
+        return 0
+    ea, eb = a._state(), b._state()
+    tie_checked = False
     while True:
-        if a.upper < b.lower:
+        if ea.exact is not None:
+            return -eb.compare_with(ea.exact)
+        if eb.exact is not None:
+            return ea.compare_with(eb.exact)
+        if ea.hi <= eb.lo:
             return -1
-        if b.upper < a.lower:
+        if eb.hi <= ea.lo:
             return 1
-        if a.poly == b.poly:
-            return 0
-        if a.exact and b.exact:
-            return 0  # overlapping points are the same point
-        width = max(a.rel_width(), b.rel_width())
-        if width <= equality_tol:
-            return 0
-        target = min(a.rel_width(), b.rel_width(), Fraction(1)) / _REFINE_STEP
-        target = max(target, equality_tol / 2)
-        a = refine(a, target)
-        b = refine(b, target)
+        if not tie_checked and ea.isolates() and eb.isolates():
+            if _common_root(ea, eb):
+                return 0
+            tie_checked = True
+        ea.step()
+        eb.step()
 
 
 # --------------------------------------------------------------------------
@@ -449,14 +448,14 @@ def rate_from_denominator(
     """Escape rate from a prebuilt survival denominator; the enclosure is
     refined until it certifies z0 > 1."""
     result = smallest_positive_root(poly, as_fraction(tol), _root_candidates(measure))
-    guard = 0
-    while result.lower <= 1:
-        if result.exact:
-            raise AssertionError(f"escape-rate root {result.lower} <= 1")
-        guard += 1
-        if guard > 64:
-            raise AssertionError("cannot separate the root from 1")
-        result = refine(result, result.rel_width() / _REFINE_STEP)
+    if result.lower <= 1:
+        # tau(1) = mu > 0 and no root of the core in (0, 1] certify z0 > 1
+        # once, so the narrowing below ends.
+        enclosure = result._state()
+        if result.exact or poly.eval(Fraction(1)) == 0 or enclosure.count_upto(Fraction(1)):
+            raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
+        while result.lower <= 1:
+            result = refine(result, result.rel_width() / 1024)
     return result
 
 
@@ -473,23 +472,7 @@ def escape_rate(
 
 def compare_with_rational(result: RootResult, value: Fraction | int | str) -> int:
     """Certified sign of (enclosed root - value) for an exact rational value."""
-    value = as_fraction(value)
-    if value <= 0:
-        return 1
-    if result.exact:
-        return (result.lower > value) - (result.lower < value)
-    if result.poly.eval(value) == 0:
-        deflated = result.poly
-        while deflated.eval(value) == 0:
-            deflated = deflated.deflate_root(value)
-        if deflated.degree <= 0 or count_roots_between(deflated, Fraction(0), value) == 0:
-            return 0  # value is the smallest positive root itself
-    while True:
-        if result.upper < value:
-            return -1
-        if result.lower > value:
-            return 1
-        result = refine(result, result.rel_width() / _REFINE_STEP)
+    return result._state().compare_with(as_fraction(value))
 
 
 # --------------------------------------------------------------------------

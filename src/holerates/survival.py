@@ -36,24 +36,10 @@ from .polynomials import (
     weighted_autocorrelation,
 )
 from .roots import _frac_log
-from .words import Word
+from .words import Word, failure_function
 
 _LOOP_LIMIT = 1 << 9
 _ENUM_CAP = 1 << 21
-
-
-def failure_function(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """fail[k] = length of the longest proper border of the length-k prefix."""
-    r = len(letters)
-    fail = [0] * (r + 1)
-    k = 0
-    for i in range(1, r):
-        while k and letters[i] != letters[k]:
-            k = fail[k]
-        if letters[i] == letters[k]:
-            k += 1
-        fail[i + 1] = k
-    return tuple(fail)
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,32 @@ def occurrence_count(word: Word, symbol: int, start: int, stop: int) -> int:
     return sum(1 for i in range(start, stop) if word.letters[i] == symbol)
 
 
+def failure_function(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """fail[k] = length of the longest proper border of the length-k prefix."""
+    r = len(letters)
+    fail = [0] * (r + 1)
+    k = 0
+    for i in range(1, r):
+        while k and letters[i] != letters[k]:
+            k = fail[k]
+        if letters[i] == letters[k]:
+            k += 1
+        fail[i + 1] = k
+    return tuple(fail)
+
+
 def autocorrelation(word: Word) -> tuple[int, ...]:
     """The 0/1 border vector: bit i is 1 iff the suffix starting at i equals
-    the prefix of the same length.  Bit 0 is always 1."""
-    w = word.letters
-    n = len(w)
-    return tuple(1 if w[i:] == w[: n - i] else 0 for i in range(n))
+    the prefix of the same length.  Bit 0 is always 1.  The borders are the
+    chain of failure links from the whole word, longest first."""
+    n = len(word)
+    fail = failure_function(word.letters)
+    bits = [1] + [0] * (n - 1)
+    border = fail[n]
+    while border:
+        bits[n - border] = 1
+        border = fail[border]
+    return tuple(bits)
 
 
 def is_unbordered(word: Word) -> bool:

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 from holerates.cli import main
 
@@ -48,6 +49,25 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--word", "ab")
         assert code == 1
         assert "exactly one" in err
+
+    def test_root_far_above_two_to_the_twenty(self, capsys):
+        # tau(z) = 1 - z/500000000: the root is 5e8
+        code, out, _ = run(
+            capsys,
+            "rate", "--word", "a",
+            "--bernoulli", "499999999/500000000,1/1000000000,1/1000000000",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert Fraction(payload["z0_lower"]) <= 500000000 <= Fraction(payload["z0_upper"])
+
+    def test_tiny_hole_measure_root_above_one(self, capsys):
+        # hole measure 1e-216: z0 - 1 is far below any fixed refinement depth
+        code, out, _ = run(
+            capsys, "rate", "--word", "b" * 24, "--bernoulli", "999999999/1000000000,1/1000000000"
+        )
+        assert code == 0
+        assert Fraction(json.loads(out)["z0_lower"]) > 1
 
     def test_float_probability_rejected(self, capsys):
         code, _, err = run(capsys, "rate", "--word", "ab", "--bernoulli", "0.6,0.4")

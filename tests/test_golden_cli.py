@@ -1,0 +1,47 @@
+"""Byte-for-byte CLI output against files under ``tests/golden/``.
+
+The files hold stdout of the commands below as printed before the root
+layer became one refinable enclosure; that change, and any later one that
+only touches how roots are found, must leave every byte as it was.  Rewrite
+them (``python tests/test_golden_cli.py``) only for an intended change of
+output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from holerates.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: A fixed pseudo-random word of length 60.
+RANDOM60 = "abbbaabbbaabbbbaaabbaabaababaaabbabbabbbbbbabaaaaaaababbaaba"
+
+CASES = {}
+for _name, _word in (("a59b", "a" * 59 + "b"), ("aab20", "aab" * 20), ("random60", RANDOM60)):
+    CASES[f"rate_{_name}_bernoulli"] = ["rate", "--word", _word, "--bernoulli", "7/10,3/10"]
+    CASES[f"rate_{_name}_markov"] = ["rate", "--word", _word, "--markov", "3/4,1/4,1/3,2/3"]
+CASES["scan_r6"] = ["scan", "--r", "6", "--p", "7/10"]
+CASES["markov_scan_r5"] = ["markov-scan", "--r", "5", "--markov", "2/5,3/5,1/3,2/3"]
+CASES["max_r5"] = ["max", "--r", "5", "--p", "0.8"]
+CASES["bounds"] = ["bounds", "--p", "9/10", "--r", "2:12"]
+CASES["oracle_aabbaa"] = ["oracle", "--word", "aabbaa", "--bernoulli", "7/10,3/10"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    # read as bytes: the CSV writer ends lines with \r\n
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_bytes().decode()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for name, argv in CASES.items():
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            main(argv)
+        (GOLDEN / f"{name}.out").write_bytes(buffer.getvalue().encode())

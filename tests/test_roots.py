@@ -12,6 +12,7 @@ from holerates.polynomials import (
     unbordered_denominator,
 )
 from holerates.roots import (
+    RootResult,
     compare,
     compare_with_rational,
     count_positive_roots,
@@ -205,6 +206,53 @@ class TestCompare:
         tighter = refine(result, Fraction(1, 10**24))
         assert result.lower <= tighter.lower <= tighter.upper <= result.upper
         assert tighter.rel_width() <= Fraction(1, 10**24)
+
+
+class TestNoFalseCertificates:
+    def test_multiple_roots_in_the_bracket(self):
+        # three simple roots at 11/10, 12/10, 13/10: a sign change on the
+        # bracket does not isolate the smallest one
+        cubic = poly(1)
+        for root in (Fraction(11, 10), Fraction(12, 10), Fraction(13, 10)):
+            cubic = cubic * poly(-root, 1)
+        result = smallest_positive_root(cubic)
+        assert result.lower <= Fraction(11, 10) <= result.upper
+
+    def test_close_roots_are_not_a_tie(self):
+        # the two rates differ far below relative width 1e-30
+        longer = escape_rate(Word.parse("a" * 59 + "b", AB), HALF)
+        cycled = escape_rate(Word.parse("a" + "b" * 58 + "a", AB), HALF)
+        assert compare(longer, cycled) == 1
+        assert compare(cycled, longer) == -1
+
+    def test_equal_irrational_roots_of_different_polynomials(self):
+        root2 = poly(-2, 0, 1)
+        first = smallest_positive_root(root2 * poly(-3, 1))
+        second = smallest_positive_root(root2 * root2 * poly(5, -1))
+        assert first.poly != second.poly
+        assert compare(first, second) == 0
+        nearby = smallest_positive_root(poly(-2 - Fraction(1, 10**40), 0, 1))
+        assert compare(first, nearby) == -1
+
+    def test_compare_leaves_snapshots_unchanged(self):
+        longer = escape_rate(Word.parse("a" * 59 + "b", AB), HALF)
+        cycled = escape_rate(Word.parse("a" + "b" * 58 + "a", AB), HALF)
+        before = [(r.lower, r.upper) for r in (longer, cycled)]
+        compare(longer, cycled)
+        assert [(r.lower, r.upper) for r in (longer, cycled)] == before
+
+    def test_compare_with_a_larger_root_inside_the_enclosure(self):
+        # roots sqrt(2) and 29/20; a loose enclosure of sqrt(2) contains 29/20
+        result = smallest_positive_root(poly(-2, 0, 1) * poly(-29, 20), tol=Fraction(1, 2))
+        assert result.lower < Fraction(29, 20) < result.upper
+        assert compare_with_rational(result, Fraction(29, 20)) == -1
+        assert compare_with_rational(result, Fraction(7, 5)) == 1
+        assert compare_with_rational(result, Fraction(10, 7)) == -1
+
+    def test_snapshot_without_shared_state(self):
+        result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        assert compare_with_rational(result, Fraction(7, 5)) == 1
+        assert compare(result, smallest_positive_root(poly(-2, 0, 1) * poly(-3, 1))) == 0
 
 
 class TestCriticalValues:
