@@ -8,6 +8,12 @@ winner is decided exactly by where p sits relative to 1 - 1/r and
 1 - 1/(r+1); this module computes the regime, certifies the rate, and
 exposes the rigorous upper/lower bounds, brute-force cross-checks,
 ordering tables, and Markov-chain scans built on top of it.
+
+Every scan over all words of a length (families, brute-force maxima,
+ordering tables) walks the words once and groups them into correlation
+classes: words whose keys (border shifts, and symbol or transition counts of
+the word and of each border's overhang) agree have one survival
+denominator, measure and border pattern, so each is computed once per class.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .measures import (
     MarkovChain,
     as_fraction,
     hole_measure,
-    is_allowed,
     markov_weights,
 )
 from .polynomials import survival_denominator
@@ -41,9 +46,117 @@ from .words import (
     DEFAULT_ENUMERATION_CAP,
     Word,
     enumerate_words,
-    is_unbordered,
-    minimal_period,
+    failure_function,
 )
+
+
+# --------------------------------------------------------------------------
+# correlation classes
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class _HoleClass:
+    """Words of one length with equal class keys, hence one survival
+    denominator, one measure (and cycle weight), one border pattern.
+    ``words`` are in enumeration order; the first stands for the class."""
+
+    words: list[Word]
+    measure: Fraction
+    cycle_weight: Fraction | None  # set for Markov chains only
+    unbordered: bool
+    min_period: int
+
+
+def _border_lengths(fail: tuple[int, ...]) -> list[int]:
+    """Lengths of the proper borders of the whole word, longest first."""
+    out = []
+    b = fail[-1]
+    while b:
+        out.append(b)
+        b = fail[b]
+    return out
+
+
+def _bernoulli_key(letters: tuple[int, ...], borders: list[int], size: int) -> tuple:
+    # Under a product measure the denominator is mu z^r + (1 - z) sum_j w_j z^j,
+    # with w_j the measure of the last j letters for each border shift j: the
+    # symbol counts of the word and of those overhangs fix it.
+    r = len(letters)
+    counts = tuple(letters.count(a) for a in range(size))
+    overhangs = tuple(
+        (r - b, tuple(letters[b:].count(a) for a in range(size))) for b in borders
+    )
+    return counts, overhangs
+
+
+def _markov_key(letters: tuple[int, ...], borders: list[int]) -> tuple:
+    # Under a chain the weights are products of transitions: all of the
+    # word's for the path weight (the endpoints add the wrap-around for the
+    # cycle weight and the stationary factor for the measure), and the last j
+    # for the overhang of border shift j.  Allowedness reads the counts too.
+    r = len(letters)
+    steps = [2 * x + y for x, y in zip(letters, letters[1:])]
+    counts = tuple(steps.count(t) for t in range(4))
+    overhangs = tuple((r - b, tuple(steps[b - 1 :].count(t) for t in range(4))) for b in borders)
+    return letters[0], letters[-1], counts, overhangs
+
+
+def _hole_classes(
+    r: int, measure: BernoulliMeasure | MarkovChain, cap: int
+) -> list[_HoleClass]:
+    """Every word of length r (every allowed word, for a chain) in one pass,
+    grouped by class key, classes in order of their first word.  The key
+    comes from one failure-function pass; measures and border data are
+    computed once per class, from its first word."""
+    markov = isinstance(measure, MarkovChain)
+    if markov:
+        forbidden = [t for t in range(4) if measure.matrix[t >> 1][t & 1] == 0]
+    size = measure.alphabet.size
+    classes: dict[tuple, _HoleClass | None] = {}
+    for w in enumerate_words(measure.alphabet, r, cap):
+        fail = failure_function(w.letters)
+        borders = _border_lengths(fail)
+        if markov:
+            key = _markov_key(w.letters, borders)
+        else:
+            key = _bernoulli_key(w.letters, borders, size)
+        if key in classes:
+            hole_class = classes[key]
+            if hole_class is not None:
+                hole_class.words.append(w)
+            continue
+        if markov:
+            if any(key[2][t] for t in forbidden):
+                classes[key] = None
+                continue
+            weights = markov_weights(w, measure)
+            mu, cw = weights.measure, weights.cycle_weight
+        else:
+            mu, cw = hole_measure(w, measure), None
+        classes[key] = _HoleClass([w], mu, cw, fail[r] == 0, r - fail[r])
+    return [c for c in classes.values() if c is not None]
+
+
+def _class_rates(
+    classes: list[_HoleClass], measure: BernoulliMeasure | MarkovChain, tol: Fraction
+) -> list[RootResult]:
+    """The certified rate of each class; classes whose denominators agree
+    share one root isolation (and one snapshot)."""
+    cache: dict[tuple, RootResult] = {}
+    rates = []
+    for hole_class in classes:
+        poly = survival_denominator(hole_class.words[0], measure)
+        res = cache.get(poly.coeffs)
+        if res is None:
+            res = cache[poly.coeffs] = rate_from_denominator(poly, measure, tol)
+        rates.append(res)
+    return rates
+
+
+def _in_order(classes: list[_HoleClass]) -> tuple[Word, ...]:
+    """The words of the given classes, in enumeration order."""
+    return tuple(sorted((w for c in classes for w in c.words), key=lambda w: w.letters))
 
 
 class Regime(Enum):
@@ -100,27 +213,16 @@ def families(
     """Scan all words of length r and collect both extremal families."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    best_unbordered: Fraction | None = None
-    best_any: Fraction | None = None
-    unbordered_words: list[Word] = []
-    top_words: list[Word] = []
-    for w in enumerate_words(measure.alphabet, r, cap):
-        mu = hole_measure(w, measure)
-        if best_any is None or mu > best_any:
-            best_any, top_words = mu, [w]
-        elif mu == best_any:
-            top_words.append(w)
-        if is_unbordered(w):
-            if best_unbordered is None or mu > best_unbordered:
-                best_unbordered, unbordered_words = mu, [w]
-            elif mu == best_unbordered:
-                unbordered_words.append(w)
-    assert best_unbordered is not None and best_any is not None
+    classes = _hole_classes(r, measure, cap)
+    top_measure = max(c.measure for c in classes)
+    unbordered_measure = max(c.measure for c in classes if c.unbordered)
     return HoleFamilies(
-        max_unbordered=tuple(unbordered_words),
-        max_measure=tuple(top_words),
-        unbordered_measure=best_unbordered,
-        top_measure=best_any,
+        max_unbordered=_in_order(
+            [c for c in classes if c.unbordered and c.measure == unbordered_measure]
+        ),
+        max_measure=_in_order([c for c in classes if c.measure == top_measure]),
+        unbordered_measure=unbordered_measure,
+        top_measure=top_measure,
     )
 
 
@@ -196,27 +298,20 @@ def brute_force_gamma_max(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[RootResult, tuple[Word, ...]]:
     """Certified maximum of the escape rate over every word of length r,
-    with the full argmax set.  Words sharing a survival denominator share
-    one root isolation."""
-    cache: dict[tuple, RootResult] = {}
+    with the full argmax set in enumeration order.  The maximum is taken
+    over correlation classes, one denominator and one root per class; the
+    result is the snapshot of the first enumerated argmax word."""
+    classes = _hole_classes(r, measure, cap)
     best: RootResult | None = None
-    witnesses: list[Word] = []
-    for w in enumerate_words(measure.alphabet, r, cap):
-        poly = survival_denominator(w, measure)
-        res = cache.get(poly.coeffs)
-        if res is None:
-            res = rate_from_denominator(poly, measure, tol)
-            cache[poly.coeffs] = res
-        if best is None:
-            best, witnesses = res, [w]
-            continue
-        order = compare(res, best)
+    top: list[_HoleClass] = []
+    for hole_class, res in zip(classes, _class_rates(classes, measure, tol)):
+        order = 1 if best is None else compare(res, best)
         if order > 0:
-            best, witnesses = res, [w]
+            best, top = res, [hole_class]
         elif order == 0:
-            witnesses.append(w)
+            top.append(hole_class)
     assert best is not None
-    return best, tuple(witnesses)
+    return best, _in_order(top)
 
 
 # --------------------------------------------------------------------------
@@ -291,33 +386,19 @@ class OrderingRow:
     rank: int
 
 
-def _sorted_rows(
-    entries: list[tuple[Word, Fraction, Fraction | None, RootResult]]
-) -> list[OrderingRow]:
-    def order(a, b) -> int:
-        by_rate = compare(b[3], a[3])  # descending gamma
-        if by_rate:
-            return by_rate
-        return -1 if a[0].letters < b[0].letters else 1
-
-    entries = sorted(entries, key=cmp_to_key(order))
-    rows: list[OrderingRow] = []
-    rank = 1
-    for i, (w, mu, cw, res) in enumerate(entries):
-        if i > 0 and compare(res, entries[i - 1][3]) != 0:
-            rank = i + 1
-        rows.append(
-            OrderingRow(
-                word=w,
-                measure=mu,
-                cycle_weight=cw,
-                gamma=res,
-                unbordered=is_unbordered(w),
-                min_period=minimal_period(w),
-                rank=rank,
-            )
-        )
-    return rows
+def _descending_groups(rates: list[RootResult]) -> list[int]:
+    """For each rate, the index of its value among the distinct values,
+    largest first.  The distinct roots are sorted once and adjacent ties
+    grouped; ``compare`` is exact, so equal roots end up adjacent."""
+    distinct = list({id(res): res for res in rates}.values())
+    distinct.sort(key=cmp_to_key(lambda a, b: compare(b, a)))
+    group_of: dict[int, int] = {}
+    group = -1
+    for i, res in enumerate(distinct):
+        if i == 0 or compare(res, distinct[i - 1]) != 0:
+            group += 1
+        group_of[id(res)] = group
+    return [group_of[id(res)] for res in rates]
 
 
 def ordering_table(
@@ -327,25 +408,36 @@ def ordering_table(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[OrderingRow]:
     """Every hole of length r (every allowed hole, for a chain), sorted by
-    certified escape rate, largest first.  Interval-equal rates share a rank."""
-    markov = isinstance(measure, MarkovChain)
-    cache: dict[tuple, RootResult] = {}
-    entries = []
-    for w in enumerate_words(measure.alphabet, r, cap):
-        if markov:
-            if not is_allowed(w, measure):
-                continue
-            weights = markov_weights(w, measure)
-            mu, cw = weights.measure, weights.cycle_weight
-        else:
-            mu, cw = hole_measure(w, measure), None
-        poly = survival_denominator(w, measure)
-        res = cache.get(poly.coeffs)
-        if res is None:
-            res = rate_from_denominator(poly, measure, tol)
-            cache[poly.coeffs] = res
-        entries.append((w, mu, cw, res))
-    return _sorted_rows(entries)
+    certified escape rate, largest first, ties by letters.  Equal rates share
+    a rank: the position of the first row with that rate.
+
+    The scan runs per correlation class: one denominator per class, one
+    root per distinct denominator, one sort of the distinct roots."""
+    classes = _hole_classes(r, measure, cap)
+    rates = _class_rates(classes, measure, tol)
+    groups = _descending_groups(rates)
+    entries = sorted(
+        ((groups[i], w.letters, w, i) for i, c in enumerate(classes) for w in c.words),
+        key=lambda entry: entry[:2],
+    )
+    rows: list[OrderingRow] = []
+    rank = 1
+    for position, (group, _, w, i) in enumerate(entries):
+        if position and group != entries[position - 1][0]:
+            rank = position + 1
+        c = classes[i]
+        rows.append(
+            OrderingRow(
+                word=w,
+                measure=c.measure,
+                cycle_weight=c.cycle_weight,
+                gamma=rates[i],
+                unbordered=c.unbordered,
+                min_period=c.min_period,
+                rank=rank,
+            )
+        )
+    return rows
 
 
 def rate_difference_sign(
@@ -491,6 +583,9 @@ class MarkovScanReport:
 def _pair_checks(
     rows: tuple[OrderingRow, ...], chain: MarkovChain
 ) -> tuple[PairCheck, ...]:
+    """Every (unbordered word, other word) pair of equal cycle weight in a
+    ranked table.  A rank names the class of equal rates, so the observed
+    order of a pair is read from the two ranks, with no root comparison."""
     chi = chain.second_eigenvalue
     chi_sign = (chi > 0) - (chi < 0)
     by_weight: dict[Fraction, list[OrderingRow]] = {}
@@ -521,7 +616,7 @@ def _pair_checks(
                         other_unbordered=second.unbordered,
                         endpoints_distinct=distinct_ends,
                         predicted=predicted,
-                        observed=compare(first.gamma, second.gamma),
+                        observed=(second.rank > first.rank) - (second.rank < first.rank),
                     )
                 )
     return tuple(checks)

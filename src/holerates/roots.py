@@ -73,6 +73,12 @@ def _sign_at(ints: list[int], num: int, den: int) -> int:
     """Sign of p(num/den) for den > 0, num >= 0."""
     d = len(ints) - 1
     acc = 0
+    if den & (den - 1) == 0:
+        # den = 2^k, as at every bisection endpoint: shifts replace the powers.
+        k = den.bit_length() - 1
+        for i in range(d, -1, -1):
+            acc = acc * num + (ints[i] << k * (d - i))
+        return (acc > 0) - (acc < 0)
     # Horner in num, padding each step with a power of den:
     # acc_k = sum_{i>=k} a_i num^{i-k} den^{d-i}  evaluated incrementally.
     powers = [1] * (d + 1)

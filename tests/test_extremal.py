@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure
+from holerates import extremal
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
+from holerates.polynomials import survival_denominator
 from holerates.extremal import (
     Regime,
     brute_force_gamma_max,
@@ -22,7 +24,7 @@ from holerates.extremal import (
     unbordered_representative,
 )
 from holerates.roots import compare, escape_rate
-from holerates.words import AB, Word, is_unbordered
+from holerates.words import AB, Word, enumerate_words, is_unbordered, minimal_period
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -210,6 +212,95 @@ class TestOrderingTable:
         assert [str(row.word) for row in rows] == ["a", "b"]
         assert math.isclose(rows[0].gamma.gamma, -math.log(2 / 5), rel_tol=1e-12)
         assert math.isclose(rows[1].gamma.gamma, -math.log(3 / 5), rel_tol=1e-12)
+
+
+class TestCorrelationClasses:
+    """Words grouped under one class key must share everything a scan reads
+    from the class's first word."""
+
+    CASES = [
+        (B(["1/2", "1/2"]), 10),
+        (B(["7/10", "3/10"]), 10),
+        (B(["1/2", "3/10", "1/5"]), 6),
+        (M(["3/4", "1/4", "1/3", "2/3"]), 10),
+        (M(["0", "1", "1/2", "1/2"]), 10),
+    ]
+
+    @staticmethod
+    def _weights(word, measure):
+        if isinstance(measure, MarkovChain):
+            weights = markov_weights(word, measure)
+            return weights.measure, weights.cycle_weight
+        return hole_measure(word, measure), None
+
+    @pytest.mark.parametrize("measure, r_max", CASES)
+    def test_equal_keys_share_denominator_and_weights(self, measure, r_max):
+        markov = isinstance(measure, MarkovChain)
+        for r in range(1, r_max + 1):
+            classes = extremal._hole_classes(r, measure, 1 << 20)
+            seen = [w.letters for c in classes for w in c.words]
+            allowed = [
+                w.letters
+                for w in enumerate_words(measure.alphabet, r)
+                if not markov or is_allowed(w, measure)
+            ]
+            assert sorted(seen) == allowed
+            for c in classes:
+                first = c.words[0]
+                assert (c.measure, c.cycle_weight) == self._weights(first, measure)
+                assert c.unbordered == is_unbordered(first)
+                assert c.min_period == minimal_period(first)
+                poly = survival_denominator(first, measure)
+                for word in c.words[1:]:
+                    assert survival_denominator(word, measure) == poly
+                    assert self._weights(word, measure) == (c.measure, c.cycle_weight)
+                    assert is_unbordered(word) == c.unbordered
+                    assert minimal_period(word) == c.min_period
+
+
+class TestOneRootPerClass:
+    """Scans build one denominator per correlation class and isolate one
+    root per distinct denominator."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(extremal, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, name, counting)
+        return calls
+
+    def test_bernoulli_denominators_equal_distinct_ones(self, monkeypatch):
+        measure = B(["7/10", "3/10"])
+        distinct = {survival_denominator(w, measure) for w in enumerate_words(AB, 10)}
+        builds = self._count(monkeypatch, "survival_denominator")
+        rows = ordering_table(10, measure, TOL)
+        assert len(rows) == 1024
+        assert len(builds) == len(distinct)
+        assert len({build[0].letters for build in builds}) == len(builds)
+
+    def test_chain_roots_equal_distinct_denominators(self, monkeypatch):
+        chain = M(["2/5", "3/5", "1/3", "2/3"])
+        distinct = {survival_denominator(w, chain) for w in enumerate_words(AB, 9)}
+        builds = self._count(monkeypatch, "survival_denominator")
+        isolations = self._count(monkeypatch, "rate_from_denominator")
+        ordering_table(9, chain, TOL)
+        assert len(isolations) == len(distinct)
+        assert len({iso[0] for iso in isolations}) == len(distinct)
+        assert len(distinct) <= len(builds) < 2**9
+
+    def test_brute_force_and_families_run_per_class(self, monkeypatch):
+        measure = B(["3/5", "2/5"])
+        builds = self._count(monkeypatch, "survival_denominator")
+        brute_force_gamma_max(8, measure, TOL)
+        assert len(builds) == len(extremal._hole_classes(8, measure, 1 << 20)) < 2**8
+        builds.clear()
+        families(8, measure)
+        assert builds == []
 
 
 class TestOrderSwitch:

@@ -27,6 +27,10 @@ CASES["markov_scan_r5"] = ["markov-scan", "--r", "5", "--markov", "2/5,3/5,1/3,2
 CASES["max_r5"] = ["max", "--r", "5", "--p", "0.8"]
 CASES["bounds"] = ["bounds", "--p", "9/10", "--r", "2:12"]
 CASES["oracle_aabbaa"] = ["oracle", "--word", "aabbaa", "--bernoulli", "7/10,3/10"]
+CASES["scan_r10_half"] = ["scan", "--r", "10", "--p", "1/2"]
+CASES["markov_scan_r8_forbidden"] = ["markov-scan", "--r", "8", "--markov", "0,1,1/2,1/2"]
+CASES["scan_r4_grid"] = ["scan", "--r", "4", "--grid", "1/2:3/5:1/50"]
+CASES["families_r8"] = ["families", "--r", "8", "--p", "7/10"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

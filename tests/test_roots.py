@@ -13,6 +13,7 @@ from holerates.polynomials import (
 )
 from holerates.roots import (
     RootResult,
+    _sign_at,
     compare,
     compare_with_rational,
     count_positive_roots,
@@ -56,6 +57,56 @@ class TestSturmCounting:
         assert descartes_variations(poly(1, -1, Fraction(1, 4))) == 2
         assert descartes_variations(poly(1, -1)) == 1
         assert descartes_variations(poly(1, 1, 1)) == 0
+
+
+class TestSignAt:
+    """``_sign_at`` against exact evaluation; powers of two take a shift
+    path of their own."""
+
+    @staticmethod
+    def _check(ints, num, den):
+        value = RationalPolynomial(ints).eval(Fraction(num, den))
+        assert _sign_at(ints, num, den) == (value > 0) - (value < 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12).filter(any),
+        num=st.integers(0, 2**70),
+        k=st.integers(0, 200),
+        odd=st.integers(1, 10**6),
+        as_root=st.booleans(),
+    )
+    def test_matches_exact_evaluation(self, coeffs, num, k, odd, as_root):
+        for den in (1 << k, (2 * odd + 1) << (k % 7)):  # dyadic, then not
+            ints = list(coeffs)
+            if as_root:
+                # times (den z - num): num/den is then a root
+                ints = [0] * (len(coeffs) + 1)
+                for i, c in enumerate(coeffs):
+                    ints[i] -= c * num
+                    ints[i + 1] += c * den
+            self._check(ints, num, den)
+
+    def test_large_dyadic_exponent(self):
+        # z^3 - 2 changes sign between 2^(1/3) - 2^-300 and 2^(1/3) + 2^-300
+        k = 300
+        below = _int_cbrt(2 << 3 * k)
+        for num in (below, below + 1, 0, 1 << k, 3 << (k - 1)):
+            self._check([-2, 0, 0, 1], num, 1 << k)
+        assert _sign_at([-2, 0, 0, 1], below, 1 << k) == -1
+        assert _sign_at([-2, 0, 0, 1], below + 1, 1 << k) == 1
+        self._check([1, -1], 1 << k, 1 << k)  # 1 - z at its root z = 1
+
+
+def _int_cbrt(x: int) -> int:
+    lo, hi = 0, 1 << (x.bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**3 <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class TestSmallestPositiveRoot:
