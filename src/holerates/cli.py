@@ -303,10 +303,12 @@ def cmd_oracle(args) -> int:
     enum_max = 0
     enum_match = True
     for length in range(r, r + n + 1):
-        if measure.alphabet.size**length > args.enum_cap:
+        try:
+            total = survival.direct_enumeration(word, measure, length, cap=args.enum_cap)
+        except EnumerationCapError:
             break
         enum_max = length
-        if survival.direct_enumeration(word, measure, length) != series.values[length - r]:
+        if total != series.values[length - r]:
             enum_match = False
             break
 
@@ -386,7 +388,9 @@ def cmd_markov_scan(args) -> int:
         "second_eigenvalue": frac_str(report.second_eigenvalue),
         "argmax": [str(w) for w in report.argmax],
         "rows": rows,
-        "pair_checks": [
+    }
+    if args.format == "json":  # CSV writes only the rows
+        payload["pair_checks"] = [
             {
                 "unbordered_word": str(check.unbordered_word),
                 "other": str(check.other),
@@ -399,8 +403,7 @@ def cmd_markov_scan(args) -> int:
                 "holds": check.holds,
             }
             for check in report.pair_checks
-        ],
-    }
+        ]
     _emit(args, payload, rows)
     return EXIT_OK
 

@@ -6,28 +6,27 @@ so they can cross-check one another and the root-isolation layer:
 
 * a weighted pattern-avoidance automaton (KMP prefix states), stepped
   exactly in rational arithmetic;
-* brute-force enumeration of all words of a given length with an explicit
-  substring test (vectorized with exact integer aggregation when the word
-  count is large);
+* one brute-force enumerator for both measures: every word of a given
+  length, built letter by letter, with an explicit test of each window and
+  the survivors' weights summed exactly;
 * the rational generating function sum p_n z^n, whose denominator is the
   survival denominator from the ``polynomials`` module and whose series
   expands by linear recurrence.
 
 The classical word-counting equations (append a letter / append the whole
-pattern) are also solvable symbolically over the rational-function field;
-that path exists for tests and the ``oracle`` CLI command.
+pattern) are also solved symbolically, by Cramer's rule on polynomial
+determinants; that path exists for tests and the ``oracle`` CLI command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .errors import EnumerationCapError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
+from .errors import AlphabetMismatchError, EnumerationCapError, ForbiddenWordError
+from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from .polynomials import (
     ONE,
     RationalPolynomial,
@@ -38,7 +37,6 @@ from .polynomials import (
 from .roots import _frac_log
 from .words import Word, failure_function
 
-_LOOP_LIMIT = 1 << 9
 _ENUM_CAP = 1 << 21
 
 
@@ -118,6 +116,8 @@ def build_automaton(
     word: Word, measure: BernoulliMeasure | MarkovChain
 ) -> AvoidanceAutomaton:
     """KMP-style avoidance automaton for ``word`` weighted by ``measure``."""
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
     if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
         raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
     letters = word.letters
@@ -187,96 +187,6 @@ def survival_series(
 # --------------------------------------------------------------------------
 
 
-def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
-    n, r = len(haystack), len(needle)
-    return any(haystack[i : i + r] == needle for i in range(n - r + 1))
-
-
-def _enumerate_loop(
-    word: Word, measure: BernoulliMeasure | MarkovChain, length: int
-) -> Fraction:
-    total = Fraction(0)
-    bernoulli = isinstance(measure, BernoulliMeasure)
-    size = word.alphabet.size
-    for tup in product(range(size), repeat=length):
-        if _contains(tup, word.letters):
-            continue
-        if bernoulli:
-            m = Fraction(1)
-            for c in tup:
-                m *= measure.probs[c]
-        else:
-            m = measure.stationary[tup[0]]
-            for i, j in zip(tup, tup[1:]):
-                m *= measure.matrix[i][j]
-        total += m
-    return total
-
-
-_digit_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _digit_table(size: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """All words of a length as a digit matrix, plus each word's
-    symbol-count key; cached since scans reuse them across hole words."""
-    cached = _digit_cache.get((size, length))
-    if cached is not None:
-        return cached
-    n_words = size**length
-    codes = np.arange(n_words, dtype=np.int64)
-    digits = np.empty((n_words, length), dtype=np.int8)
-    for j in range(length - 1, -1, -1):
-        digits[:, j] = codes % size
-        codes //= size
-    base = length + 1
-    keys = np.zeros(n_words, dtype=np.int64)
-    for c in range(size - 1):
-        keys = keys * base + (digits == c).sum(axis=1)
-    _digit_cache[(size, length)] = (digits, keys)
-    return digits, keys
-
-
-def _enumerate_vector(word: Word, measure: BernoulliMeasure, length: int) -> Fraction:
-    """Same enumeration, vectorized: a word's index is its base-A code, so
-    the substring test is integer shift/mask arithmetic on the index array
-    (exact), and the measure is assembled from the integer histogram of
-    symbol-count vectors."""
-    size = word.alphabet.size
-    n_words = size**length
-    _, keys = _digit_table(size, length)
-    r = len(word.letters)
-    needle_code = 0
-    for c in word.letters:
-        needle_code = needle_code * size + c
-    window = size**r
-    index = np.arange(n_words, dtype=np.int64)
-    hit = np.zeros(n_words, dtype=bool)
-    for off in range(length - r + 1):
-        shift = size ** (length - off - r)
-        hit |= (index // shift) % window == needle_code
-    survivors = ~hit
-    # histogram over symbol-count vectors (last symbol's count is implied)
-    base = length + 1
-    counts = np.bincount(keys[survivors], minlength=base ** (size - 1))
-    total = Fraction(0)
-    powers = [[measure.probs[c] ** k for k in range(length + 1)] for c in range(size)]
-    for key, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        rest = key
-        ks = []
-        for _ in range(size - 1):
-            ks.append(rest % base)
-            rest //= base
-        ks.reverse()
-        ks.append(length - sum(ks))
-        m = Fraction(int(cnt))
-        for c in range(size):
-            m *= powers[c][ks[c]]
-        total += m
-    return total
-
-
 def direct_enumeration(
     word: Word,
     measure: BernoulliMeasure | MarkovChain,
@@ -285,17 +195,59 @@ def direct_enumeration(
 ) -> Fraction:
     """Measure of the length-``length`` words avoiding ``word`` as a factor,
     summed word by word.  Deliberately simple-minded: this is the oracle the
-    automaton and the generating function are checked against."""
+    automaton and the generating function are checked against.
+
+    Every word is built letter by letter as its base-A code; a word survives
+    if its prefix survived and its last r letters are not the hole.  Each
+    word's weight is a monomial in the measure's factors, whose exponents
+    are packed into one int64 key; the survivors are grouped by key and
+    their total is summed exactly.
+    """
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
     if length < 0:
         raise ValueError("length must be >= 0")
+    size = word.alphabet.size
+    bernoulli = isinstance(measure, BernoulliMeasure)
+    if bernoulli:
+        factors = list(measure.probs)
+    else:  # the four transitions, row-major, then the two stationary weights
+        factors = [entry for row in measure.matrix for entry in row] + list(measure.stationary)
+    base = length + 1  # no exponent exceeds the length
+    if size**length > cap:
+        raise EnumerationCapError(f"{size**length} words exceeds the cap of {cap}")
+    if max(size**length, base ** len(factors)) > np.iinfo(np.int64).max:
+        raise EnumerationCapError(f"word codes or weight keys of length {length} overflow int64")
     if length == 0:
         return Fraction(1)
-    n_words = word.alphabet.size**length
-    if n_words > cap:
-        raise EnumerationCapError(f"{n_words} words exceeds the cap of {cap}")
-    if isinstance(measure, BernoulliMeasure) and n_words > _LOOP_LIMIT:
-        return _enumerate_vector(word, measure, length)
-    return _enumerate_loop(word, measure, length)
+    place = np.array([base**i for i in range(len(factors))], dtype=np.int64)
+    r = len(word)
+    needle = 0
+    for c in word.letters:
+        needle = needle * size + c
+    letters = np.arange(size, dtype=np.int64)
+    codes = letters
+    keys = place[letters] if bernoulli else place[4 + letters]
+    for n in range(1, length + 1):
+        if n > 1:  # append every letter to every surviving word
+            prefix = np.repeat(codes, size)
+            new = np.tile(letters, codes.size)
+            step = new if bernoulli else 2 * (prefix % size) + new
+            codes = prefix * size + new
+            keys = np.repeat(keys, size) + place[step]
+        if n >= r:
+            alive = codes % size**r != needle
+            codes, keys = codes[alive], keys[alive]
+    unique, counts = np.unique(keys, return_counts=True)
+    powers = [[f**e for e in range(base)] for f in factors]
+    total = Fraction(0)
+    for key, count in zip(unique.tolist(), counts.tolist()):
+        weight = Fraction(count)
+        for factor_powers in powers:
+            key, exponent = divmod(key, base)
+            weight *= factor_powers[exponent]
+        total += weight
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +277,18 @@ class RationalGenFun:
         return out
 
 
+def _survival_part(
+    avoiding: RationalPolynomial, denominator: RationalPolynomial, r: int
+) -> RationalGenFun:
+    """sum p_n z^n from the avoiding-words generating function
+    avoiding / denominator: every word shorter than r avoids the hole, so
+    subtracting that window leaves a multiple of z^r, which is verified."""
+    shifted = avoiding - denominator * RationalPolynomial([1] * r)
+    if any(shifted[k] != 0 for k in range(r)):
+        raise AssertionError("avoiding numerator minus the window is not divisible by z^r")
+    return RationalGenFun(RationalPolynomial(shifted.coeffs[r:]), denominator)
+
+
 def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFun:
     """The survival generating function as an explicit rational function.
 
@@ -338,13 +302,7 @@ def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFu
     r = len(word)
     denominator = survival_denominator(word, measure)
     if isinstance(measure, BernoulliMeasure):
-        border = weighted_autocorrelation(word, measure)
-        window = RationalPolynomial([1] * r)
-        shifted = border - denominator * window
-        if any(shifted[k] != 0 for k in range(r)):
-            raise AssertionError("closed-form numerator is not divisible by z^r")
-        numerator = RationalPolynomial(shifted.coeffs[r:])
-        return RationalGenFun(numerator, denominator)
+        return _survival_part(weighted_autocorrelation(word, measure), denominator, r)
     seed_len = 2 * r + 8
     # Raw automaton totals: unlike SurvivalSeries these may legitimately hit
     # zero (a hole that covers everything in a subshift).
@@ -359,121 +317,55 @@ def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFu
 
 
 # --------------------------------------------------------------------------
-# rational-function field and the word-counting equations
+# the word-counting equations, solved by Cramer's rule
 # --------------------------------------------------------------------------
 
 
-def _poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    while not b.is_zero():
-        _, rem = a.divmod(b)
-        a, b = b, rem
-    if a.is_zero():
-        return a
-    return a * (1 / a.coeffs[-1])
+def _det(matrix: list[list[RationalPolynomial]]) -> RationalPolynomial:
+    """Determinant by cofactor expansion along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = RationalPolynomial([])
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        term = entry * _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        total = total - term if j % 2 else total + term
+    return total
 
 
-class RationalFunction:
-    """Quotient of two RationalPolynomials, kept in lowest terms with a
-    monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RationalPolynomial, den: RationalPolynomial = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = RationalPolynomial([]), ONE
-        else:
-            g = _poly_gcd(num, den)
-            if g.degree >= 1:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.coeffs[-1]
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, poly: RationalPolynomial) -> "RationalFunction":
-        return cls(poly, ONE)
-
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "RationalFunction":
-        return cls(RationalPolynomial([c]), ONE)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r} / {self.den!r})"
-
-    def series(self, count: int) -> list[Fraction]:
-        return RationalGenFun(self.num, self.den).series(count)
+def _cramer(
+    matrix: list[list[RationalPolynomial]], rhs: list[RationalPolynomial]
+) -> tuple[list[RationalPolynomial], RationalPolynomial]:
+    """Numerators of the unknowns over the common denominator det(matrix)."""
+    det = _det(matrix)
+    if det.is_zero():
+        raise ValueError("singular system")
+    numerators = [
+        _det([row[:j] + [b] + row[j + 1 :] for row, b in zip(matrix, rhs)])
+        for j in range(len(matrix))
+    ]
+    return numerators, det
 
 
-def _solve_linear(
-    matrix: list[list[RationalFunction]], rhs: list[RationalFunction]
-) -> list[RationalFunction]:
-    """Gaussian elimination over the rational-function field."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = RationalFunction.constant(1) / m[col][col]
-        m[col] = [entry * inv for entry in m[col]]
-        for i in range(n):
-            if i != col and not m[i][col].is_zero():
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+def _monomial(k: int, c: Fraction | int) -> RationalPolynomial:
+    """c * z**k."""
+    return RationalPolynomial([0] * k + [c])
 
 
 @dataclass(frozen=True)
 class WordEquationSolution:
     """Generating functions obtained by solving the append-a-letter /
-    append-the-pattern equations symbolically in z."""
+    append-the-pattern equations symbolically in z; each is a numerator over
+    the one ``denominator``, the determinant of the system."""
 
-    avoiding: RationalFunction  # words with no occurrence of the pattern
-    terminal: RationalFunction  # words whose single occurrence is a suffix
-    avoiding_by_last: tuple[RationalFunction, ...] | None  # chains: split by last letter
+    avoiding: RationalPolynomial  # words with no occurrence of the pattern
+    terminal: RationalPolynomial  # words whose single occurrence is a suffix
+    avoiding_by_last: tuple[RationalPolynomial, ...] | None  # chains: split by last letter
+    denominator: RationalPolynomial
 
-    def survival_genfun(self, r: int) -> RationalFunction:
-        window = RationalFunction.from_poly(RationalPolynomial([1] * r))
-        z_r = RationalFunction.from_poly(RationalPolynomial([0] * r + [1]))
-        return (self.avoiding - window) / z_r
+    def survival_genfun(self, r: int) -> RationalGenFun:
+        return _survival_part(self.avoiding, self.denominator, r)
 
 
 def genfun_from_word_equations(
@@ -489,57 +381,30 @@ def genfun_from_word_equations(
     by their last letter.
     """
     r = len(word)
+    zero = RationalPolynomial([])
     if isinstance(measure, BernoulliMeasure):
-        z = RationalFunction.from_poly(RationalPolynomial([0, 1]))
-        border = RationalFunction.from_poly(weighted_autocorrelation(word, measure))
-        mu_zr = RationalFunction.from_poly(
-            RationalPolynomial([0] * r + [hole_measure(word, measure)])
-        )
-        one = RationalFunction.constant(1)
+        border = weighted_autocorrelation(word, measure)
         # (1 - z) * avoiding + terminal = 1 ;  mu z^r * avoiding - border * terminal = 0
-        sigma, terminal = _solve_linear(
-            [[one - z, one], [mu_zr, -border]],
-            [one, RationalFunction.constant(0)],
+        (sigma, terminal), det = _cramer(
+            [[ONE - _monomial(1, 1), ONE], [_monomial(r, hole_measure(word, measure)), -border]],
+            [ONE, zero],
         )
-        return WordEquationSolution(sigma, terminal, None)
+        return WordEquationSolution(sigma, terminal, None, det)
 
-    chain = measure
-    if not is_allowed(word, chain):
-        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
-    w = word.letters
-    first, last = w[0], w[-1]
-    pi = chain.matrix
-    x = chain.stationary
-    path = Fraction(1)
-    for i, j in zip(w, w[1:]):
-        path *= pi[i][j]
-    border_full, _ = markov_weighted_autocorrelation(word, chain)
-
-    def poly(coeffs) -> RationalFunction:
-        return RationalFunction.from_poly(RationalPolynomial(coeffs))
-
-    z = poly([0, 1])
-    one = RationalFunction.constant(1)
-    zero = RationalFunction.constant(0)
-    z_r = poly([0] * r + [1])
+    first, last = word.letters[0], word.letters[-1]
+    pi = measure.matrix
+    x = measure.stationary
+    path = markov_weights(word, measure).path_weight  # raises on a forbidden word
+    border_full, _ = markov_weighted_autocorrelation(word, measure)
     # unknowns: avoiding-ending-in-a, avoiding-ending-in-b, terminal
     matrix = [
-        [poly([0, pi[0][0]]) - one, poly([0, pi[1][0]]), -(one if last == 0 else zero)],
-        [poly([0, pi[0][1]]), poly([0, pi[1][1]]) - one, -(one if last == 1 else zero)],
-        [
-            z_r * RationalFunction.constant(pi[0][first] * path),
-            z_r * RationalFunction.constant(pi[1][first] * path),
-            -RationalFunction.from_poly(border_full),
-        ],
+        [_monomial(1, pi[0][0]) - ONE, _monomial(1, pi[1][0]), -ONE if last == 0 else zero],
+        [_monomial(1, pi[0][1]), _monomial(1, pi[1][1]) - ONE, -ONE if last == 1 else zero],
+        [_monomial(r, pi[0][first] * path), _monomial(r, pi[1][first] * path), -border_full],
     ]
-    rhs = [
-        -RationalFunction.constant(x[0]) * z,
-        -RationalFunction.constant(x[1]) * z,
-        -z_r * RationalFunction.constant(x[first] * path),
-    ]
-    sigma_a, sigma_b, terminal = _solve_linear(matrix, rhs)
-    sigma = one + sigma_a + sigma_b
-    return WordEquationSolution(sigma, terminal, (sigma_a, sigma_b))
+    rhs = [_monomial(1, -x[0]), _monomial(1, -x[1]), _monomial(r, -x[first] * path)]
+    (sigma_a, sigma_b, terminal), det = _cramer(matrix, rhs)
+    return WordEquationSolution(det + sigma_a + sigma_b, terminal, (sigma_a, sigma_b), det)
 
 
 # --------------------------------------------------------------------------

@@ -77,6 +77,12 @@ class TestRate:
 
 
 class TestScan:
+    def test_cap_exit_code(self, capsys):
+        code, out, err = run(capsys, "scan", "--r", "8", "--p", "1/2", "--cap", "100")
+        assert code == 4
+        assert out == ""
+        assert "enumeration cap" in err
+
     def test_r1_table(self, capsys):
         code, out, _ = run(capsys, "scan", "--r", "1", "--bernoulli", "3/5,2/5")
         assert code == 0
@@ -188,6 +194,26 @@ class TestOracle:
         assert lines[0] == "n,p_n,p_n_float,ratio_estimate"
         assert lines[1].split(",")[1] == "1/2"
         assert lines[3].split(",")[1] == "1/8"
+
+    def test_twenty_symbols(self, capsys):
+        # 20**4 words exceed the default --enum-cap, so enumeration stops
+        # after length 3; no table is sized by the 4**19 possible weight keys
+        code, out, _ = run(
+            capsys,
+            "oracle", "--word", "ab", "--bernoulli", ",".join(["1/20"] * 20),
+            "--symbols", "abcdefghijklmnopqrst", "--n", "10",
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks.pop("direct_enumeration_matches_up_to_length") == 3
+        assert all(checks.values())
+
+    def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
+        argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]
+        for cap, expected in ((1 << 16, 12), (1 << 5, 5), (3, 0)):
+            code, out, _ = run(capsys, *argv, "--enum-cap", str(cap))
+            assert code == 0
+            assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == expected
 
 
 class TestFamiliesCommand:

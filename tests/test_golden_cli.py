@@ -1,10 +1,10 @@
 """Byte-for-byte CLI output against files under ``tests/golden/``.
 
-The files hold stdout of the commands below as printed before the root
-layer became one refinable enclosure; that change, and any later one that
-only touches how roots are found, must leave every byte as it was.  Rewrite
-them (``python tests/test_golden_cli.py``) only for an intended change of
-output.
+Each file holds stdout of its command as printed by the code before the
+change that added the case; any change that only touches how results are
+computed (roots, scans, the survival oracles) must leave every byte as it
+was.  Rewrite them (``python tests/test_golden_cli.py``) only for an
+intended change of output.
 """
 
 from pathlib import Path
@@ -31,6 +31,11 @@ CASES["scan_r10_half"] = ["scan", "--r", "10", "--p", "1/2"]
 CASES["markov_scan_r8_forbidden"] = ["markov-scan", "--r", "8", "--markov", "0,1,1/2,1/2"]
 CASES["scan_r4_grid"] = ["scan", "--r", "4", "--grid", "1/2:3/5:1/50"]
 CASES["families_r8"] = ["families", "--r", "8", "--p", "7/10"]
+CASES["markov_scan_r5_json"] = [
+    "markov-scan", "--r", "5", "--markov", "2/5,3/5,1/3,2/3", "--format", "json"
+]
+CASES["oracle_ab_forbidden"] = ["oracle", "--word", "ab", "--markov", "0,1,1/2,1/2"]
+CASES["oracle_abc_ternary"] = ["oracle", "--word", "abc", "--bernoulli", "1/2,3/10,1/5"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

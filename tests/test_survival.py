@@ -4,19 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holerates.errors import ForbiddenWordError
-from holerates.measures import BernoulliMeasure, MarkovChain
+from holerates.errors import AlphabetMismatchError, EnumerationCapError, ForbiddenWordError
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
 from holerates.polynomials import (
     RationalPolynomial,
+    markov_weighted_autocorrelation,
     survival_denominator,
     weighted_autocorrelation,
 )
 from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
-    RationalFunction,
     SurvivalSeries,
-    _enumerate_loop,
-    _enumerate_vector,
     build_automaton,
     direct_enumeration,
     empirical_rate,
@@ -64,6 +62,15 @@ class TestAutomaton:
         with pytest.raises(ForbiddenWordError):
             build_automaton(w("aa"), M(["0", "1", "1/2", "1/2"]))
 
+    def test_word_from_another_alphabet(self):
+        ternary = B(["1/2", "3/10", "1/5"])
+        with pytest.raises(AlphabetMismatchError):
+            build_automaton(w("ab"), ternary)
+        with pytest.raises(AlphabetMismatchError):
+            survival_series(w("ab"), ternary, 5)
+        with pytest.raises(AlphabetMismatchError):
+            build_automaton(w("ab", ABC), M(["3/4", "1/4", "1/3", "2/3"]))
+
 
 class TestSurvivalSeries:
     def test_single_letter_is_geometric(self):
@@ -110,14 +117,51 @@ class TestDirectEnumeration:
             for n, value in enumerate(series.values):
                 assert direct_enumeration(word, chain, n + len(word)) == value
 
-    def test_vector_path_equals_loop_path(self):
-        measure = B(["1/2", "3/10", "1/5"])
-        for text in ("ab", "abc", "cab"):
-            word = w(text, ABC)
-            for length in range(len(word), 8):
-                assert _enumerate_loop(word, measure, length) == _enumerate_vector(
-                    word, measure, length
-                )
+    def test_product_chain_enumerates_as_its_product_measure(self):
+        chain = M(["3/5", "2/5", "3/5", "2/5"])
+        for r in range(1, 4):
+            for word in enumerate_words(AB, r):
+                for length in range(0, 9):
+                    assert direct_enumeration(word, chain, length) == direct_enumeration(
+                        word, chain.product_measure(), length
+                    )
+
+    def test_forbidden_transition_chain_matches_automaton(self):
+        chain = M(["0", "1", "1/2", "1/2"])
+        for text in ("ab", "bb", "bab", "abbab"):
+            word = w(text)
+            totals = build_automaton(word, chain).survival_totals(14)
+            for length in range(10, 15):
+                assert direct_enumeration(word, chain, length) == totals[length]
+
+    def test_word_from_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError):
+            direct_enumeration(w("ab"), B(["1/2", "3/10", "1/5"]), 5)
+        with pytest.raises(AlphabetMismatchError):
+            direct_enumeration(w("ab", ABC), M(["3/4", "1/4", "1/3", "2/3"]), 5)
+
+    def test_cap(self):
+        assert direct_enumeration(w("ab"), P35, 10, cap=1024) == survival_series(
+            w("ab"), P35, 8
+        ).values[8]
+        with pytest.raises(EnumerationCapError):
+            direct_enumeration(w("ab"), P35, 11, cap=1024)
+
+    def test_weight_keys_must_fit_in_an_int64(self):
+        twenty = Alphabet.of_size(20)
+        measure = B(["1/20"] * 20, twenty)
+        word = Word((0, 1), twenty)
+        assert direct_enumeration(word, measure, 2, cap=1 << 40) == Fraction(399, 400)
+        with pytest.raises(EnumerationCapError):
+            direct_enumeration(word, measure, 8, cap=1 << 40)
+
+    def test_word_codes_must_fit_in_an_int64(self):
+        # only b^n avoids a, so the words stay few while their codes grow
+        chain = M(["3/4", "1/4", "1/3", "2/3"])
+        totals = build_automaton(w("a"), chain).survival_totals(62)
+        assert direct_enumeration(w("a"), chain, 62, cap=1 << 70) == totals[62]
+        with pytest.raises(EnumerationCapError):
+            direct_enumeration(w("a"), chain, 63, cap=1 << 70)
 
 
 class TestGenFun:
@@ -157,33 +201,32 @@ class TestGenFun:
 
 
 class TestWordEquations:
+    """The solved generating functions are numerators over one common
+    denominator D; substituted back, each counting identity is a polynomial
+    identity after clearing D."""
+
     def test_bernoulli_identities(self):
-        # substitute the solved generating functions back into the two
-        # counting identities and check them as rational-function equalities
-        z = RationalFunction.from_poly(RationalPolynomial([0, 1]))
-        one = RationalFunction.constant(1)
-        for text in ("ab", "aab", "abba"):
+        z = RationalPolynomial([0, 1])
+        for text in ("a", "ab", "aab", "abba", "aabbaa"):
             word = w(text)
             solution = genfun_from_word_equations(word, P35)
-            sigma, terminal = solution.avoiding, solution.terminal
-            assert one + z * sigma == sigma + terminal
-            from holerates.measures import hole_measure
-
-            mu_zr = RationalFunction.from_poly(
-                RationalPolynomial([0] * len(word) + [hole_measure(word, P35)])
-            )
-            border = RationalFunction.from_poly(weighted_autocorrelation(word, P35))
-            assert mu_zr * sigma == terminal * border
+            sigma, terminal, den = solution.avoiding, solution.terminal, solution.denominator
+            assert solution.avoiding_by_last is None
+            # (1 - z) * avoiding + terminal = 1
+            assert (RationalPolynomial([1]) - z) * sigma + terminal == den
+            # mu z^r * avoiding = border * terminal
+            mu_zr = RationalPolynomial([0] * len(word) + [hole_measure(word, P35)])
+            border = weighted_autocorrelation(word, P35)
+            assert mu_zr * sigma == border * terminal
 
     def test_bernoulli_sigma_closed_form(self):
+        # avoiding / D = border / tau, the closed form with the survival denominator
         for text in ("ab", "aab", "abba"):
             word = w(text)
             solution = genfun_from_word_equations(word, P35)
-            expected = RationalFunction(
-                RationalPolynomial(weighted_autocorrelation(word, P35).coeffs),
-                survival_denominator(word, P35),
-            )
-            assert solution.avoiding == expected
+            tau = survival_denominator(word, P35)
+            border = weighted_autocorrelation(word, P35)
+            assert solution.avoiding * tau == border * solution.denominator
 
     def test_markov_identities(self):
         chains = [
@@ -191,52 +234,52 @@ class TestWordEquations:
             M(["3/4", "1/4", "1/3", "2/3"]),
             M(["0", "1", "1/2", "1/2"]),
         ]
-        z = RationalFunction.from_poly(RationalPolynomial([0, 1]))
+
+        def z_power(k, c):
+            return RationalPolynomial([0] * k + [c])
+
         for chain in chains:
             pi, x = chain.matrix, chain.stationary
-            for r in range(1, 4):
+            for r in range(1, 5):
                 for word in enumerate_words(AB, r):
-                    from holerates.measures import is_allowed
-
                     if not is_allowed(word, chain):
                         continue
                     solution = genfun_from_word_equations(word, chain)
                     sigma_a, sigma_b = solution.avoiding_by_last
-                    terminal = solution.terminal
+                    terminal, den = solution.terminal, solution.denominator
                     last, first = word.letters[-1], word.letters[0]
                     path = Fraction(1)
                     for i, j in zip(word.letters, word.letters[1:]):
                         path *= pi[i][j]
-                    from holerates.polynomials import markov_weighted_autocorrelation
-
                     border, _ = markov_weighted_autocorrelation(word, chain)
-
-                    def rf(value):
-                        return RationalFunction.constant(value)
-
-                    zr = RationalFunction.from_poly(
-                        RationalPolynomial([0] * r + [1])
+                    # appending a letter c to an avoiding word ending in a or b
+                    for c, sigma_c in ((0, sigma_a), (1, sigma_b)):
+                        lhs = (
+                            z_power(1, x[c]) * den
+                            + sigma_a * z_power(1, pi[0][c])
+                            + sigma_b * z_power(1, pi[1][c])
+                        )
+                        assert lhs == sigma_c + (terminal if last == c else RationalPolynomial([]))
+                    # appending the whole pattern to an avoiding word (or to nothing)
+                    lhs_w = z_power(r, x[first] * path) * den + (
+                        sigma_a * z_power(r, pi[0][first] * path)
+                        + sigma_b * z_power(r, pi[1][first] * path)
                     )
-                    lhs_a = rf(x[0]) * z + sigma_a * rf(pi[0][0]) * z + sigma_b * rf(pi[1][0]) * z
-                    rhs_a = sigma_a + (terminal if last == 0 else rf(0))
-                    assert lhs_a == rhs_a
-                    lhs_b = rf(x[1]) * z + sigma_a * rf(pi[0][1]) * z + sigma_b * rf(pi[1][1]) * z
-                    rhs_b = sigma_b + (terminal if last == 1 else rf(0))
-                    assert lhs_b == rhs_b
-                    lhs_w = (
-                        rf(x[first] * path) * zr
-                        + (sigma_a * rf(pi[0][first]) + sigma_b * rf(pi[1][first]))
-                        * rf(path)
-                        * zr
-                    )
-                    assert lhs_w == terminal * RationalFunction.from_poly(border)
+                    assert lhs_w == terminal * border
+                    # the empty word plus the two halves
+                    assert solution.avoiding == den + sigma_a + sigma_b
 
     def test_survival_from_equations_matches_automaton(self):
-        for text in ("ab", "aabba"):
-            word = w(text)
-            solution = genfun_from_word_equations(word, P35)
-            series = survival_series(word, P35, 14)
-            assert solution.survival_genfun(len(word)).series(15) == list(series.values)
+        for measure in (P35, M(["3/4", "1/4", "1/3", "2/3"]), M(["0", "1", "1/2", "1/2"])):
+            for text in ("ab", "bab", "aabba"):
+                word = w(text)
+                if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
+                    continue
+                solution = genfun_from_word_equations(word, measure)
+                gf = solution.survival_genfun(len(word))
+                assert gf.denominator == solution.denominator
+                series = survival_series(word, measure, 14)
+                assert gf.series(15) == list(series.values)
 
 
 class TestEmpiricalRate:
