@@ -117,6 +117,14 @@ class TestDirectEnumeration:
             for n, value in enumerate(series.values):
                 assert direct_enumeration(word, chain, n + len(word)) == value
 
+    def test_matches_automaton_three_symbols(self):
+        measure = B(["1/2", "3/10", "1/5"])
+        for text in ("ab", "abc", "cab"):
+            word = w(text, ABC)
+            totals = build_automaton(word, measure).survival_totals(7)
+            for length in range(len(word), 8):
+                assert direct_enumeration(word, measure, length) == totals[length]
+
     def test_product_chain_enumerates_as_its_product_measure(self):
         chain = M(["3/5", "2/5", "3/5", "2/5"])
         for r in range(1, 4):
