@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .measures import (
     BernoulliMeasure,
@@ -577,7 +577,12 @@ class MarkovScanReport:
     second_eigenvalue: Fraction
     rows: tuple[OrderingRow, ...]
     argmax: tuple[Word, ...]
-    pair_checks: tuple[PairCheck, ...]
+    chain: MarkovChain
+
+    @cached_property
+    def pair_checks(self) -> tuple[PairCheck, ...]:
+        """Computed on first use: only the JSON output shows them."""
+        return _pair_checks(self.rows, self.chain)
 
 
 def _pair_checks(
@@ -638,7 +643,7 @@ def markov_scan(
         second_eigenvalue=chain.second_eigenvalue,
         rows=rows,
         argmax=argmax,
-        pair_checks=_pair_checks(rows, chain),
+        chain=chain,
     )
 
 

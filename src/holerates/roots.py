@@ -25,6 +25,12 @@ the counts.  Two roots are equal exactly when both enclosures isolate a
 single root and the gcd of the two cores has a root in their overlap;
 otherwise the enclosures are refined until they separate, which the
 Mahler-Mignotte root separation bound guarantees.
+
+Every endpoint is dyadic, so the enclosure keeps both as integers over one
+power of two, 2^k: a step doubles the two numerators and takes their sum as
+the midpoint, signs come from integer Horner evaluation with shifts, and the
+width and order tests are integer comparisons.  ``Fraction`` endpoints are
+made only for snapshots and comparisons with other rationals.
 """
 
 from __future__ import annotations
@@ -130,8 +136,10 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(chain: list[list[int]], x: Fraction) -> int:
-    return _variations([_sign_at(p, x.numerator, x.denominator) for p in chain])
+def _variations_at(chain: list[list[int]], x: Fraction | int, den: int = 1) -> int:
+    """Sign variations of the chain at x / den."""
+    num, den = x.numerator, x.denominator * den
+    return _variations([_sign_at(p, num, den) for p in chain])
 
 
 def _variations_at_inf(chain: list[list[int]]) -> int:
@@ -154,7 +162,7 @@ def count_positive_roots(poly: RationalPolynomial) -> int:
     if p.degree == 0:
         return 0
     chain = _sturm_chain(_int_coeffs(p))
-    return _variations_at(chain, Fraction(0)) - _variations_at_inf(chain)
+    return _variations_at(chain, 0) - _variations_at_inf(chain)
 
 
 def count_roots_between(poly: RationalPolynomial, a: Fraction, b: Fraction) -> int:
@@ -179,8 +187,9 @@ class _Enclosure:
 
     The root is ``exact`` once known as a rational.  Until then it is the
     smallest positive root of the integer core ``ints`` and lies in the open
-    interval (lo, hi), and the core has no root in (0, lo].  ``cap`` is the
-    smallest rational root divided out of the core; the root lies below it.
+    interval (lo, hi) = (lo_n, hi_n) / 2^k, and the core has no root in
+    (0, lo].  ``cap`` is the smallest rational root divided out of the core;
+    the root lies below it.
     """
 
     def __init__(self, poly: RationalPolynomial, candidates: tuple = ()) -> None:
@@ -188,47 +197,56 @@ class _Enclosure:
         self.candidates = tuple(candidates)
         self.exact: Fraction | None = None
         self.cap: Fraction | None = None
-        self.lo = Fraction(0)
-        self.hi: Fraction | None = None
+        self.lo_n, self.hi_n, self.k = 0, None, 0
         self._set_core(poly)
-        self._lo_sign = 1
         self._single = False  # (lo, hi) holds one root, of odd multiplicity
         roots = [c for c in {as_fraction(c) for c in candidates} if c > 0 and self.sign(c) == 0]
         if roots:
             self._deflate(roots)
         if self.exact is None and self.count_upto(None) == 0:
             raise NoPositiveRootError(f"{poly!r} has no positive root")
-        probe = Fraction(2)
-        while self.exact is None and self.hi is None:
+        probe = 2
+        while self.exact is None and self.hi_n is None:
             if self.sign(probe) == 0:
                 self._hit(probe)
             elif self.count_upto(probe):
-                self.hi = probe
+                self.hi_n = probe
             probe *= 2
 
     def _set_core(self, core: RationalPolynomial) -> None:
         ints = _int_coeffs(core)
         if ints[0] < 0:
             ints = [-c for c in ints]
-        self.core, self.ints, self._chain = core, ints, None
+        self.core, self.ints = core, ints
+        self._chain = self._count_at_zero = None
         self._descartes = descartes_variations(core)
 
     @property
     def chain(self) -> list[list[int]]:
         if self._chain is None:
             self._chain = _sturm_chain(self.ints)
+            self._count_at_zero = _variations_at(self._chain, 0)
         return self._chain
 
-    def sign(self, x: Fraction) -> int:
-        return _sign_at(self.ints, x.numerator, x.denominator)
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_n, 1 << self.k)
 
-    def count_upto(self, x: Fraction | None) -> int:
-        """Distinct roots of the core in (0, x], or in (0, inf) for None;
-        x must not be a root of the core."""
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_n, 1 << self.k)
+
+    def sign(self, x: Fraction | int, den: int = 1) -> int:
+        """Sign of the core at x / den."""
+        return _sign_at(self.ints, x.numerator, x.denominator * den)
+
+    def count_upto(self, x: Fraction | int | None, den: int = 1) -> int:
+        """Distinct roots of the core in (0, x / den], or in (0, inf) for
+        None; x / den must not be a root of the core."""
         if self._descartes <= 1:
-            return self._descartes if x is None else int(self.sign(x) < 0)
-        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x)
-        return _variations_at(self.chain, Fraction(0)) - top
+            return self._descartes if x is None else int(self.sign(x, den) < 0)
+        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x, den)
+        return self._count_at_zero - top
 
     def _deflate(self, roots: list[Fraction]) -> None:
         """Divide the rational roots out of the core and lower the cap to
@@ -243,42 +261,51 @@ class _Enclosure:
         if self.count_upto(self.cap) == 0:
             self.exact = self.cap
 
-    def _hit(self, x: Fraction) -> None:
-        """The probe x is a root of the core: pin it, or make it hi."""
-        self._deflate([x])
+    def _hit(self, num: int) -> None:
+        """The point num / 2^k is a root of the core: pin it, or make it hi."""
+        self._deflate([Fraction(num, 1 << self.k)])
         if self.exact is None:
-            self.hi = x
+            self.hi_n = num
 
     def step(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        s = self.sign(mid)
+        mid = self.lo_n + self.hi_n  # (lo + hi) / 2 on the scale 2^(k+1)
+        self.lo_n <<= 1
+        self.hi_n <<= 1
+        self.k += 1
+        den = 1 << self.k
+        s = self.sign(mid, den)
         if s == 0:
             self._hit(mid)
             return
+        # The core is positive on [0, lo]: positive at 0 by _set_core, with
+        # no root in (0, lo].  So a negative sign at mid puts a root below.
         if self._single:
-            below = self._lo_sign * s < 0
+            below = s < 0
         else:
-            count = self.count_upto(mid)
+            count = self.count_upto(mid, den)
             below = count > 0
-            self._single = count == 1 and self._lo_sign * s < 0
+            self._single = count == 1 and s < 0
         if below:
-            self.hi = mid
+            self.hi_n = mid
         else:
-            self.lo, self._lo_sign = mid, s
+            self.lo_n = mid
 
     def refine(self, tol: Fraction) -> None:
         """Bisect until the relative width is at most tol and the interval
         lies below the cap."""
+        tn, td = tol.numerator, tol.denominator
+        cap = self.cap
         while self.exact is None and not (
-            self.lo > 0
-            and self.hi - self.lo <= tol * self.lo
-            and (self.cap is None or self.hi <= self.cap)
+            self.lo_n > 0
+            and (self.hi_n - self.lo_n) * td <= tn * self.lo_n
+            and (cap is None or self.hi_n * cap.denominator <= cap.numerator << self.k)
         ):
             self.step()
+            cap = self.cap
 
     def isolates(self) -> bool:
         """True when (lo, hi) holds no root of the core but the smallest."""
-        return self._single or self.count_upto(self.hi) == 1
+        return self._single or self.count_upto(self.hi_n, 1 << self.k) == 1
 
     def compare_with(self, value: Fraction) -> int:
         """Certified sign of (root - value)."""
@@ -297,6 +324,12 @@ class _Enclosure:
     def snapshot(self) -> "RootResult":
         lower, upper = (self.exact, self.exact) if self.exact is not None else (self.lo, self.hi)
         return RootResult(self.poly, lower, upper, self.candidates, self)
+
+
+def _below(a: _Enclosure, b: _Enclosure) -> bool:
+    """a.hi <= b.lo, with both numerators shifted to the finer scale."""
+    shift = a.k - b.k
+    return a.hi_n << max(-shift, 0) <= b.lo_n << max(shift, 0)
 
 
 def _common_root(a: _Enclosure, b: _Enclosure) -> bool:
@@ -422,9 +455,9 @@ def compare(a: RootResult, b: RootResult) -> int:
             return -eb.compare_with(ea.exact)
         if eb.exact is not None:
             return ea.compare_with(eb.exact)
-        if ea.hi <= eb.lo:
+        if _below(ea, eb):
             return -1
-        if eb.hi <= ea.lo:
+        if _below(eb, ea):
             return 1
         if not tie_checked and ea.isolates() and eb.isolates():
             if _common_root(ea, eb):
@@ -458,7 +491,7 @@ def rate_from_denominator(
         # tau(1) = mu > 0 and no root of the core in (0, 1] certify z0 > 1
         # once, so the narrowing below ends.
         enclosure = result._state()
-        if result.exact or poly.eval(Fraction(1)) == 0 or enclosure.count_upto(Fraction(1)):
+        if result.exact or poly.eval(Fraction(1)) == 0 or enclosure.count_upto(1):
             raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
         while result.lower <= 1:
             result = refine(result, result.rel_width() / 1024)

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+from holerates import extremal
 from holerates.cli import main
 
 
@@ -236,6 +237,22 @@ class TestMarkovScanCommand:
         payload = json.loads(out)
         assert payload["argmax"] == ["aba", "bab"]
         assert all(check["holds"] for check in payload["pair_checks"])
+
+    def test_pair_checks_computed_only_for_json(self, capsys, monkeypatch):
+        calls = []
+        pair_checks = extremal._pair_checks
+
+        def counted(*args):
+            calls.append(args)
+            return pair_checks(*args)
+
+        monkeypatch.setattr(extremal, "_pair_checks", counted)
+        argv = ("markov-scan", "--r", "5", "--markov", "2/5,3/5,1/3,2/3")
+        assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["pair_checks"]
 
 
 class TestFigure:

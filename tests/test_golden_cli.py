@@ -4,7 +4,9 @@ Each file holds stdout of its command as printed by the code before the
 change that added the case; any change that only touches how results are
 computed (roots, scans, the survival oracles) must leave every byte as it
 was.  Rewrite them (``python tests/test_golden_cli.py``) only for an
-intended change of output.
+intended change of output; ``python tests/test_golden_cli.py NAME...``
+writes only the named cases, which is how a new case is captured before
+the change it guards.
 """
 
 from pathlib import Path
@@ -36,6 +38,7 @@ CASES["markov_scan_r5_json"] = [
 ]
 CASES["oracle_ab_forbidden"] = ["oracle", "--word", "ab", "--markov", "0,1,1/2,1/2"]
 CASES["oracle_abc_ternary"] = ["oracle", "--word", "abc", "--bernoulli", "1/2,3/10,1/5"]
+CASES["figure_markov_r3"] = ["figure", "markov-r3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -48,8 +51,14 @@ def test_output_matches_golden(name, capsys):
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
 
-    for name, argv in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    for name in names:
+        argv = CASES[name]
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             main(argv)

@@ -169,6 +169,57 @@ class TestSmallestPositiveRoot:
         assert abs(tau.eval(mid)) <= (result.upper - result.lower) * deriv_bound
 
 
+def _bisection_reference(p: RationalPolynomial, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """The enclosure by plain Fraction bisection: probes 2, 4, 8, ... until
+    (0, hi] holds a root, then midpoints, counting roots at every step."""
+    zero = Fraction(0)
+    hi = Fraction(2)
+    while not count_roots_between(p, zero, hi):
+        hi *= 2
+    lo = zero
+    while not (lo > 0 and hi - lo <= tol * lo):
+        mid = (lo + hi) / 2
+        if count_roots_between(p, zero, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@st.composite
+def _non_dyadic_polys(draw):
+    """Products of (z - a/b), b odd >= 3 and a/b in lowest terms, times a
+    quadratic with no rational root: no probe or midpoint is ever a root."""
+    roots = draw(
+        st.lists(
+            st.tuples(st.integers(1, 60), st.integers(1, 7).map(lambda j: 2 * j + 1))
+            .filter(lambda ab: math.gcd(*ab) == 1)
+            .map(lambda ab: Fraction(*ab)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    e, f = draw(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool)).filter(
+            lambda ef: math.isqrt(max(ef[0] ** 2 - 4 * ef[1], 0)) ** 2 != ef[0] ** 2 - 4 * ef[1]
+        )
+    )
+    product = poly(f, e, 1)
+    for root in roots:
+        product = product * poly(-root, 1)
+    return product
+
+
+class TestDyadicEndpoints:
+    @given(_non_dyadic_polys(), st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**10)]))
+    @settings(max_examples=60, deadline=None)
+    def test_endpoints_match_fraction_bisection(self, p, tol):
+        result = smallest_positive_root(p, tol=tol)
+        assert (result.lower, result.upper) == _bisection_reference(p, tol)
+        for end in (result.lower, result.upper):
+            assert end.denominator & (end.denominator - 1) == 0
+
+
 class TestEscapeRate:
     def test_single_letter_rate(self):
         result = escape_rate(w("a"), P35)
@@ -299,6 +350,16 @@ class TestNoFalseCertificates:
         assert compare_with_rational(result, Fraction(29, 20)) == -1
         assert compare_with_rational(result, Fraction(7, 5)) == 1
         assert compare_with_rational(result, Fraction(10, 7)) == -1
+
+    def test_enclosure_ends_below_a_deflated_candidate(self):
+        # roots sqrt(2) and the candidate 10/7: at tol 1/2 the width test
+        # alone would stop at (1, 3/2), which reaches above 10/7
+        result = smallest_positive_root(
+            poly(-2, 0, 1) * poly(-10, 7), tol=Fraction(1, 2), candidates=(Fraction(10, 7),)
+        )
+        assert not result.exact
+        assert result.lower ** 2 < 2 < result.upper ** 2
+        assert result.upper <= Fraction(10, 7)
 
     def test_snapshot_without_shared_state(self):
         result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
