@@ -147,9 +147,9 @@ def _class_rates(
     rates = []
     for hole_class in classes:
         poly = survival_denominator(hole_class.words[0], measure)
-        res = cache.get(poly.coeffs)
+        res = cache.get(poly.ints)
         if res is None:
-            res = cache[poly.coeffs] = rate_from_denominator(poly, measure, tol)
+            res = cache[poly.ints] = rate_from_denominator(poly, measure, tol)
         rates.append(res)
     return rates
 

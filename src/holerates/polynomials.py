@@ -12,16 +12,22 @@ The key objects:
   the survival probabilities (see the ``survival`` module).
 * ``unbordered_denominator(r, m)``: the trinomial m z^r - z + 1 shared by
   every unbordered hole of length r and measure m.
+
+Every polynomial also has ``ints``, its coefficients as integers with
+content 1 and the same signs, which is all that root isolation reads.  A
+survival denominator is built directly as these primitive integers, with no
+``Fraction`` polynomial arithmetic; any other polynomial computes them once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain, as_fraction, hole_measure, markov_weights
-from .words import Word, autocorrelation, occurrence_count
+from .measures import BernoulliMeasure, MarkovChain, as_fraction
+from .words import Word, autocorrelation
 
 
 class RationalPolynomial:
@@ -31,13 +37,23 @@ class RationalPolynomial:
     coefficients are trimmed on construction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _from_ints(cls, ints: list[int]) -> "RationalPolynomial":
+        """The polynomial ints / ints[0], from integers with content 1 and a
+        positive constant term, which become its ``ints``."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(Fraction(c, ints[0]) for c in ints))
+        object.__setattr__(poly, "_ints", tuple(ints))
+        return poly
 
     # -- basic structure -------------------------------------------------
 
@@ -45,6 +61,13 @@ class RationalPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
+
+    @property
+    def ints(self) -> tuple[int, ...]:
+        """Integer coefficients with content 1 and the signs of ``coeffs``."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", tuple(_int_coeffs(self)))
+        return self._ints
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -61,19 +84,8 @@ class RationalPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "RationalPolynomial(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*z")
-            else:
-                terms.append(f"{c}*z^{k}")
-        return "RationalPolynomial(" + " + ".join(terms) + ")"
+        terms = [f"{c}*z^{k}" if k > 1 else f"{c}*z" if k else str(c) for k, c in enumerate(self.coeffs) if c]
+        return "RationalPolynomial(" + (" + ".join(terms) or "0") + ")"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -105,40 +117,6 @@ class RationalPolynomial:
         """Multiply by z**k."""
         return RationalPolynomial([Fraction(0)] * k + list(self.coeffs))
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-    def divmod(self, other: "RationalPolynomial") -> tuple["RationalPolynomial", "RationalPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            factor = rem[-1] / lead
-            pos = len(rem) - 1 - d
-            quot[pos] = factor
-            for i in range(d + 1):
-                rem[pos + i] -= factor * other.coeffs[i]
-            rem.pop()
-        return RationalPolynomial(quot), RationalPolynomial(rem)
-
-    def deflate_root(self, root: Fraction) -> "RationalPolynomial":
-        """Exact synthetic division by (z - root); raises if root is not a root."""
-        if self.eval(root) != 0:
-            raise ValueError(f"{root} is not a root")
-        q: list[Fraction] = [Fraction(0)] * self.degree
-        acc = Fraction(0)
-        for k in range(self.degree, 0, -1):
-            acc = self.coeffs[k] + root * acc
-            q[k - 1] = acc
-        return RationalPolynomial(q)
-
     # -- evaluation and output --------------------------------------------
 
     def eval(self, x: Fraction) -> Fraction:
@@ -157,7 +135,19 @@ class RationalPolynomial:
 
 
 ONE = RationalPolynomial([1])
-ONE_MINUS_Z = RationalPolynomial([1, -1])
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """Trailing zeros trimmed and the content (a positive gcd) divided out."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _int_coeffs(poly: RationalPolynomial) -> list[int]:
+    """Scale to integer coefficients with content 1; sign pattern preserved."""
+    return _primitive(_over_common_denominator(poly.coeffs)[1])
 
 
 def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalPolynomial:
@@ -165,19 +155,11 @@ def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalP
     measure of the last j letters.  Constant term is always 1."""
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
-    bits = autocorrelation(word)
-    n = len(word)
     coeffs = []
-    for j in range(n):
-        if not bits[j]:
-            coeffs.append(Fraction(0))
-            continue
-        weight = Fraction(1)
-        for a in range(measure.alphabet.size):
-            k = occurrence_count(word, a, n - j, n)
-            if k:
-                weight *= measure.probs[a] ** k
-        coeffs.append(weight)
+    weight = Fraction(1)
+    for bit, letter in zip(autocorrelation(word), reversed(word.letters)):
+        coeffs.append(weight if bit else 0)
+        weight *= measure.probs[letter]
     return RationalPolynomial(coeffs)
 
 
@@ -189,11 +171,7 @@ def unbordered_denominator(r: int, m: Fraction | int | str) -> RationalPolynomia
         raise ValueError("r must be >= 2")
     if m <= 0:
         raise ValueError("m must be positive")
-    coeffs = [Fraction(0)] * (r + 1)
-    coeffs[0] = Fraction(1)
-    coeffs[1] = Fraction(-1)
-    coeffs[r] = m
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial([1, -1] + [0] * (r - 2) + [m])
 
 
 def max_unbordered_denominator(r: int, p: Fraction | int | str) -> RationalPolynomial:
@@ -206,15 +184,43 @@ def max_unbordered_denominator(r: int, p: Fraction | int | str) -> RationalPolyn
     return unbordered_denominator(r, p ** (r - 1) * (1 - p))
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) with d the lcm of the denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _border_weights(bits: Sequence[int], factors: Sequence[int], d: int) -> tuple[list[int], int]:
+    """d^(n-j) times the product of the last j factors where bit j is set,
+    else 0, for j = 0..n with n = len(bits) - 1; and the product of all the
+    factors."""
+    n = len(bits) - 1
+    weights, prod = [], 1
+    for j, bit in enumerate(bits):
+        if j:
+            prod *= factors[-j]
+        weights.append(d ** (n - j) * prod if bit else 0)
+    return weights, prod
+
+
+def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:
+    """Coefficients of (c0 + c1 z) * sum_j seq[j] z^j."""
+    return [c0 * a + c1 * b for a, b in zip(seq + [0], [0] + seq)]
+
+
 def _bernoulli_denominator(word: Word, measure: BernoulliMeasure) -> RationalPolynomial:
-    mu = hole_measure(word, measure)
-    r = len(word)
-    poly = RationalPolynomial([Fraction(0)] * r + [mu]) + ONE_MINUS_Z * weighted_autocorrelation(
-        word, measure
-    )
-    if poly.degree != r:
-        raise AssertionError(f"survival denominator of {word} has degree {poly.degree}, expected {r}")
-    return poly
+    # With probabilities a_i / b, b^r times mu z^r + (1 - z) * (border
+    # polynomial) is (1 - z) * sum_{j<=r} B_j z^j without its z^(r+1) term,
+    # where B_j = b^(r-j) N_j on a border shift j and at j = r (the mu z^r
+    # term), else 0, and N_j is the product of the last j numerators.
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
+    b, nums = _over_common_denominator(measure.probs)
+    weights, _ = _border_weights(autocorrelation(word) + (1,), [nums[i] for i in word.letters], b)
+    ints = _primitive(_times_linear(weights, 1, -1)[:-1])
+    if len(ints) != len(word) + 1:
+        raise AssertionError(f"survival denominator of {word} has degree {len(ints) - 1}, expected {len(word)}")
+    return RationalPolynomial._from_ints(ints)
 
 
 def markov_weighted_autocorrelation(
@@ -229,52 +235,45 @@ def markov_weighted_autocorrelation(
     """
     if word.alphabet != chain.alphabet:
         raise AlphabetMismatchError("word and chain use different alphabets")
-    bits = autocorrelation(word)
     w = word.letters
-    n = len(w)
-    coeffs = [Fraction(0)] * n
-    weight = Fraction(1)
-    for j in range(n):
-        if bits[j]:
-            coeffs[j] = weight
-        if j + 1 < n:
-            weight *= chain.matrix[w[n - j - 2]][w[n - j - 1]]
-    full = RationalPolynomial(coeffs)
-    reduced = RationalPolynomial(coeffs[: n - 1])
-    return full, reduced
+    weights = [Fraction(1)]
+    for i, j in zip(w[-2::-1], w[:0:-1]):
+        weights.append(weights[-1] * chain.matrix[i][j])
+    coeffs = [c if bit else 0 for bit, c in zip(autocorrelation(word), weights)]
+    return RationalPolynomial(coeffs), RationalPolynomial(coeffs[:-1])
 
 
 def _markov_denominator(word: Word, chain: MarkovChain) -> RationalPolynomial:
-    weights = markov_weights(word, chain)  # raises ForbiddenWordError if not allowed
+    # With entries e_xy / D and x = chi D, D^r times the path-weight form
+    # (wrap - chi z) * path * z^r + (1 - z)(1 - chi z) * full is
+    # (e_wrap - x z) * E z^r + (D - x z)(1 - z) * sum_{j<r} A_j z^j, where
+    # A_j = D^(r-1-j) E_j on a border shift j, else 0, E_j is the product of
+    # the last j transition numerators and E = E_(r-1); the x z term of the
+    # head is there only when the word starts and ends with the same letter.
+    if word.alphabet != chain.alphabet:
+        raise AlphabetMismatchError("word and chain use different alphabets")
+    d, flat = _over_common_denominator([e for row in chain.matrix for e in row])
+    e = (flat[:2], flat[2:])
+    x = e[0][0] + e[1][1] - d
     w = word.letters
     r = len(w)
-    chi = chain.second_eigenvalue
-    full, reduced = markov_weighted_autocorrelation(word, chain)
-    wrap = chain.matrix[w[-1]][w[0]]
-    endpoints_equal = w[0] == w[-1]
-
-    head = RationalPolynomial([wrap] + ([-chi] if endpoints_equal else []))
-    one_minus_chi_z = RationalPolynomial([1, -chi])
-    poly = (head * weights.path_weight).shift(r) + ONE_MINUS_Z * one_minus_chi_z * full
-
-    # Second construction: cycle-weight form.  The degree-(r+1) terms of the
-    # first form cancel; building the polynomial both ways guards against
-    # transcription slips.
-    alt = RationalPolynomial([Fraction(0)] * r + [weights.cycle_weight])
-    alt = alt + ONE_MINUS_Z * one_minus_chi_z * reduced
-    if endpoints_equal:
-        tail = RationalPolynomial([1, -(1 + chi)]) * weights.path_weight
-        alt = alt + tail.shift(r - 1)
-    if poly != alt:
-        raise AssertionError(f"the two survival-denominator constructions disagree for {word}")
+    steps = [e[i][j] for i, j in zip(w, w[1:])]
+    if 0 in steps:
+        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+    weights, path = _border_weights(autocorrelation(word), steps, d)
+    ints = _times_linear(_times_linear(weights, 1, -1), d, -x)
+    ints[r] += e[w[-1]][w[0]] * path
+    if w[0] == w[-1]:
+        ints[r + 1] -= x * path
+    ints = _primitive(ints)
     # The degree-(r+1) terms always cancel.  For a strictly positive matrix
     # the degree is exactly r; a vanishing diagonal entry can cancel further
     # (e.g. the word bab when the aa-transition is forbidden).
-    if poly.degree > r:
-        raise AssertionError(f"survival denominator of {word} has degree {poly.degree} > {r}")
-    if poly.degree != r and all(e > 0 for row in chain.matrix for e in row):
+    if len(ints) > r + 1:
+        raise AssertionError(f"survival denominator of {word} has degree {len(ints) - 1} > {r}")
+    if len(ints) != r + 1 and 0 not in flat:
         raise AssertionError(f"degree dropped below {r} for {word} under a positive matrix")
-    return poly
+    return RationalPolynomial._from_ints(ints)
 
 
 def survival_denominator(

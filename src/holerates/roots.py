@@ -1,9 +1,10 @@
 """Certified smallest-positive-root enclosures and escape rates.
 
-Each root is held by one private enclosure: the polynomial's integer core
-(known rational roots divided out, content stripped), its Sturm chain, built
-only when a count needs it, and a bisection state that is refined in place
-and never restarted.  A :class:`RootResult` is a frozen snapshot of that
+Each root is held by one private enclosure: the polynomial's integer core,
+its Sturm chain, built only when a count needs it, and a bisection state
+that is refined in place and never restarted.  The core starts as
+``poly.ints``, the primitive integers a survival denominator is built as, so
+nothing is rescaled.  A :class:`RootResult` is a frozen snapshot of that
 state; ``refine``, ``compare`` and ``compare_with_rational`` narrow the
 shared state further and never change a snapshot a caller already holds.
 
@@ -11,9 +12,10 @@ Root counts come from exact Sturm sequences over the integers, so
 "smallest" is unconditional.  Two fast paths keep the common cases cheap
 without giving up certification:
 
-* a rational root that is known in advance (a supplied candidate such as
-  1/p) or hit exactly by a probe is divided out by synthetic division, and
-  pinned as the answer when the rest of the core has no root below it;
+* a rational root a/b known in advance (a supplied candidate such as 1/p)
+  or hit exactly by a probe is divided out by integer synthetic division by
+  (b z - a), and pinned as the answer when the rest of the core has no root
+  below it;
 * a core whose coefficient signs show at most one variation has, by
   Descartes' rule, exactly that many positive roots, each simple, so a sign
   test replaces the Sturm count.
@@ -38,11 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import NoPositiveRootError
 from .measures import BernoulliMeasure, MarkovChain, as_fraction
-from .polynomials import RationalPolynomial
+from .polynomials import RationalPolynomial, _primitive
 from .polynomials import survival_denominator as _survival_denominator
 
 DEFAULT_TOL = Fraction(1, 10**14)
@@ -58,24 +60,7 @@ def _frac_log(x: Fraction) -> float:
 # --------------------------------------------------------------------------
 
 
-def _int_coeffs(poly: RationalPolynomial) -> list[int]:
-    """Scale to integer coefficients with content 1; sign pattern preserved."""
-    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
-    return _primitive([int(c * lcm) for c in poly.coeffs])
-
-
-def _primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g = gcd(*ints)
-    return [v // g for v in ints]
-
-
-def _derivative_int(ints: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(ints) if k > 0]
-
-
-def _sign_at(ints: list[int], num: int, den: int) -> int:
+def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
     """Sign of p(num/den) for den > 0, num >= 0."""
     d = len(ints) - 1
     acc = 0
@@ -95,7 +80,21 @@ def _sign_at(ints: list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _neg_prem_primitive(f: list[int], g: list[int]) -> list[int]:
+def _divide_out(ints: Sequence[int], root: Fraction) -> Sequence[int]:
+    """Every factor (b z - a) of the root a/b divided out of ``ints``; exact
+    by Gauss's lemma, which also keeps a primitive polynomial primitive."""
+    a, b = root.numerator, root.denominator
+    while _sign_at(ints, a, b) == 0:
+        quot = [0] * (len(ints) - 1)
+        acc = 0
+        for i in range(len(ints) - 1, 0, -1):
+            acc = (ints[i] + a * acc) // b
+            quot[i - 1] = acc
+        ints = quot
+    return ints
+
+
+def _neg_prem_primitive(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Primitive part of -(f mod g), the next Sturm chain element."""
     dg = len(g) - 1
     lg = g[-1]
@@ -118,9 +117,9 @@ def _neg_prem_primitive(f: list[int], g: list[int]) -> list[int]:
     return _primitive([-c for c in r])
 
 
-def _sturm_chain(ints: list[int]) -> list[list[int]]:
+def _sturm_chain(ints: Sequence[int]) -> list[list[int]]:
     chain = [_primitive(list(ints))]
-    deriv = _primitive(_derivative_int(chain[0]))
+    deriv = _primitive([k * c for k, c in enumerate(chain[0]) if k])
     if deriv:
         chain.append(deriv)
         while len(chain[-1]) > 1:
@@ -131,8 +130,9 @@ def _sturm_chain(ints: list[int]) -> list[list[int]]:
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    seq = [s for s in signs if s]
+def _variations(values: Iterable[Fraction | int]) -> int:
+    """Sign changes along the values, zeros skipped."""
+    seq = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
@@ -143,25 +143,24 @@ def _variations_at(chain: list[list[int]], x: Fraction | int, den: int = 1) -> i
 
 
 def _variations_at_inf(chain: list[list[int]]) -> int:
-    return _variations([1 if p[-1] > 0 else -1 for p in chain])
+    return _variations(p[-1] for p in chain)
 
 
 def descartes_variations(poly: RationalPolynomial) -> int:
     """Number of sign changes in the coefficient sequence: an upper bound on
     the number of positive roots, exact when 0 or 1."""
-    return _variations([(c > 0) - (c < 0) for c in poly.coeffs])
+    return _variations(poly.coeffs)
 
 
 def count_positive_roots(poly: RationalPolynomial) -> int:
     """Number of distinct roots in (0, +inf), by Sturm counting."""
-    p = poly
-    while not p.is_zero() and p[0] == 0:
-        p = RationalPolynomial(p.coeffs[1:])  # strip roots at 0
-    if p.is_zero():
+    ints = poly.ints
+    if not ints:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
+    ints = ints[next(k for k, c in enumerate(ints) if c):]  # strip roots at 0
+    if len(ints) == 1:
         return 0
-    chain = _sturm_chain(_int_coeffs(p))
+    chain = _sturm_chain(ints)
     return _variations_at(chain, 0) - _variations_at_inf(chain)
 
 
@@ -171,9 +170,10 @@ def count_roots_between(poly: RationalPolynomial, a: Fraction, b: Fraction) -> i
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    if poly.eval(a) == 0 or poly.eval(b) == 0:
+    ints = poly.ints
+    if any(_sign_at(ints, x.numerator, x.denominator) == 0 for x in (a, b)):
         raise ValueError("endpoints must not be roots")
-    chain = _sturm_chain(_int_coeffs(poly))
+    chain = _sturm_chain(ints)
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
@@ -198,7 +198,7 @@ class _Enclosure:
         self.exact: Fraction | None = None
         self.cap: Fraction | None = None
         self.lo_n, self.hi_n, self.k = 0, None, 0
-        self._set_core(poly)
+        self._set_core(poly.ints)
         self._single = False  # (lo, hi) holds one root, of odd multiplicity
         roots = [c for c in {as_fraction(c) for c in candidates} if c > 0 and self.sign(c) == 0]
         if roots:
@@ -213,13 +213,12 @@ class _Enclosure:
                 self.hi_n = probe
             probe *= 2
 
-    def _set_core(self, core: RationalPolynomial) -> None:
-        ints = _int_coeffs(core)
+    def _set_core(self, ints: Sequence[int]) -> None:
         if ints[0] < 0:
             ints = [-c for c in ints]
-        self.core, self.ints = core, ints
+        self.ints = ints
         self._chain = self._count_at_zero = None
-        self._descartes = descartes_variations(core)
+        self._descartes = _variations(ints)
 
     @property
     def chain(self) -> list[list[int]]:
@@ -252,11 +251,10 @@ class _Enclosure:
         """Divide the rational roots out of the core and lower the cap to
         the smallest of them; the cap is the root when the rest of the core
         has no root below it."""
-        core = self.core
+        ints = self.ints
         for x in roots:
-            while core.eval(x) == 0:
-                core = core.deflate_root(x)
-        self._set_core(core)
+            ints = _divide_out(ints, x)
+        self._set_core(ints)
         self.cap = min(roots if self.cap is None else [self.cap, *roots])
         if self.count_upto(self.cap) == 0:
             self.exact = self.cap
@@ -413,7 +411,7 @@ def smallest_positive_root(
     """
     if poly.is_zero():
         raise ValueError("zero polynomial")
-    if poly.eval(Fraction(0)) == 0:
+    if poly.ints[0] == 0:
         raise ValueError("polynomial must not vanish at 0")
     tol = as_fraction(tol)
     if tol <= 0:
@@ -491,7 +489,7 @@ def rate_from_denominator(
         # tau(1) = mu > 0 and no root of the core in (0, 1] certify z0 > 1
         # once, so the narrowing below ends.
         enclosure = result._state()
-        if result.exact or poly.eval(Fraction(1)) == 0 or enclosure.count_upto(1):
+        if result.exact or sum(poly.ints) == 0 or enclosure.count_upto(1):
             raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
         while result.lower <= 1:
             result = refine(result, result.rel_width() / 1024)

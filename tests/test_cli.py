@@ -2,7 +2,7 @@ import json
 import math
 from fractions import Fraction
 
-from holerates import extremal
+from holerates import extremal, polynomials
 from holerates.cli import main
 
 
@@ -83,6 +83,19 @@ class TestScan:
         assert code == 4
         assert out == ""
         assert "enumeration cap" in err
+
+    def test_survival_denominators_never_rescaled(self, capsys, monkeypatch):
+        calls = []
+        original = polynomials._int_coeffs
+
+        def counting(poly):
+            calls.append(poly)
+            return original(poly)
+
+        monkeypatch.setattr(polynomials, "_int_coeffs", counting)
+        code, out, _ = run(capsys, "scan", "--r", "8", "--p", "7/10")
+        assert code == 0 and len(out.splitlines()) == 1 + 2**8
+        assert calls == []
 
     def test_r1_table(self, capsys):
         code, out, _ = run(capsys, "scan", "--r", "1", "--bernoulli", "3/5,2/5")

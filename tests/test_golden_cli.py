@@ -39,6 +39,9 @@ CASES["markov_scan_r5_json"] = [
 CASES["oracle_ab_forbidden"] = ["oracle", "--word", "ab", "--markov", "0,1,1/2,1/2"]
 CASES["oracle_abc_ternary"] = ["oracle", "--word", "abc", "--bernoulli", "1/2,3/10,1/5"]
 CASES["figure_markov_r3"] = ["figure", "markov-r3"]
+CASES["rate_abcab_ternary"] = ["rate", "--word", "abcab", "--bernoulli", "1/2,1/3,1/6"]
+CASES["rate_bab_forbidden"] = ["rate", "--word", "bab", "--markov", "0,1,1/2,1/2"]
+CASES["rate_abba_markov"] = ["rate", "--word", "abba", "--markov", "2/5,3/5,1/3,2/3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from holerates.errors import ForbiddenWordError
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import (
     RationalPolynomial,
     markov_weighted_autocorrelation,
@@ -40,15 +41,6 @@ class TestRationalPolynomial:
         assert a + b == poly(0, 2)
         assert a - a == poly()
         assert a.shift(2) == poly(0, 0, 1, 1)
-        assert poly(1, -2, 3).derivative() == poly(-2, 6)
-
-    def test_divmod_and_deflation(self):
-        product = poly(-1, 0, 1)
-        quot, rem = product.divmod(poly(1, 1))
-        assert quot == poly(-1, 1) and rem.is_zero()
-        assert product.deflate_root(Fraction(1)) == poly(1, 1)
-        with pytest.raises(ValueError):
-            product.deflate_root(Fraction(2))
 
     def test_eval(self):
         assert poly(1, -1, Fraction(6, 25)).eval(Fraction(5, 3)) == 0
@@ -187,3 +179,89 @@ class TestMarkovDenominator:
                     assert survival_denominator(word, chain) == survival_denominator(
                         word, product
                     )
+
+
+ONE_MINUS_Z = RationalPolynomial([1, -1])
+TERNARY = BernoulliMeasure.from_rationals(["1/2", "1/3", "1/6"])
+
+
+def _bernoulli_form(word, measure):
+    """mu z^r + (1 - z) * weighted autocorrelation, in Fraction arithmetic."""
+    mu_zr = RationalPolynomial([0] * len(word) + [hole_measure(word, measure)])
+    return mu_zr + ONE_MINUS_Z * weighted_autocorrelation(word, measure)
+
+
+def _chain_forms(word, chain):
+    """The path-weight and the cycle-weight forms of the chain denominator,
+    in Fraction arithmetic; their degree-(r+1) terms cancel."""
+    weights = markov_weights(word, chain)
+    full, reduced = markov_weighted_autocorrelation(word, chain)
+    letters = word.letters
+    r = len(letters)
+    chi = chain.second_eigenvalue
+    equal_ends = letters[0] == letters[-1]
+    factor = ONE_MINUS_Z * RationalPolynomial([1, -chi])
+    head = RationalPolynomial([chain.matrix[letters[-1]][letters[0]]] + ([-chi] if equal_ends else []))
+    path_form = (head * weights.path_weight).shift(r) + factor * full
+    cycle_form = RationalPolynomial([0] * r + [weights.cycle_weight]) + factor * reduced
+    if equal_ends:
+        cycle_form = cycle_form + (RationalPolynomial([1, -(1 + chi)]) * weights.path_weight).shift(r - 1)
+    return path_form, cycle_form
+
+
+class TestIntegerBuilders:
+    """The denominators built as primitive integers against the Fraction
+    forms of the theory, built independently here."""
+
+    @staticmethod
+    def _check_ints(tau):
+        assert tau.ints[0] > 0
+        assert math.gcd(*tau.ints) == 1
+        assert tau.coeffs == tuple(Fraction(c, tau.ints[0]) for c in tau.ints)
+
+    @pytest.mark.parametrize("p", ["1/2", "7/10", "2/3"])
+    def test_binary_words(self, p):
+        measure = B([p, 1 - Fraction(p)])
+        for r in range(1, 11):
+            for word in enumerate_words(AB, r):
+                tau = survival_denominator(word, measure)
+                assert tau == _bernoulli_form(word, measure), str(word)
+                self._check_ints(tau)
+
+    def test_ternary_words(self):
+        for r in range(1, 7):
+            for word in enumerate_words(TERNARY.alphabet, r):
+                tau = survival_denominator(word, TERNARY)
+                assert tau == _bernoulli_form(word, TERNARY), str(word)
+                self._check_ints(tau)
+
+    @pytest.mark.parametrize(
+        "entries", [["3/4", "1/4", "1/3", "2/3"], ["2/5", "3/5", "1/3", "2/3"], ["0", "1", "1/2", "1/2"]]
+    )
+    def test_chain_words(self, entries):
+        chain = M(entries)
+        for r in range(1, 11):
+            for word in enumerate_words(AB, r):
+                if not is_allowed(word, chain):
+                    with pytest.raises(ForbiddenWordError):
+                        survival_denominator(word, chain)
+                    continue
+                tau = survival_denominator(word, chain)
+                path_form, cycle_form = _chain_forms(word, chain)
+                assert tau == path_form == cycle_form, str(word)
+                self._check_ints(tau)
+
+    def test_long_words_near_one(self):
+        p = 1 - Fraction(1, 10**9)
+        measure = B([p, 1 - p])
+        chain = M([p, 1 - p, 1 - p, p])
+        words = [
+            Word((0,) * 59 + (1,), AB),
+            Word((0, 0, 1) * 20, AB),
+            Word((0,) * 60, AB),
+            Word(tuple((k * k + k // 3) % 2 for k in range(60)), AB),
+        ]
+        for word in words:
+            assert survival_denominator(word, measure) == _bernoulli_form(word, measure), str(word)
+            path_form, cycle_form = _chain_forms(word, chain)
+            assert survival_denominator(word, chain) == path_form == cycle_form, str(word)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from holerates.errors import NoPositiveRootError
 from holerates.measures import BernoulliMeasure, MarkovChain
@@ -11,8 +11,10 @@ from holerates.polynomials import (
     survival_denominator,
     unbordered_denominator,
 )
+from holerates.polynomials import _primitive
 from holerates.roots import (
     RootResult,
+    _divide_out,
     _sign_at,
     compare,
     compare_with_rational,
@@ -218,6 +220,23 @@ class TestDyadicEndpoints:
         assert (result.lower, result.upper) == _bisection_reference(p, tol)
         for end in (result.lower, result.upper):
             assert end.denominator & (end.denominator - 1) == 0
+
+
+class TestIntegerDeflation:
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8).filter(lambda g: g[-1] != 0),
+        st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)).filter(lambda ab: math.gcd(*ab) == 1),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_divides_out_every_factor(self, g, ab, m):
+        a, b = ab
+        root = Fraction(a, b)
+        assume(RationalPolynomial(g).eval(root) != 0)
+        product = RationalPolynomial(g)
+        for _ in range(m):
+            product = product * poly(-root, 1)  # z - a/b: b z - a in ints
+        assert _divide_out(list(product.ints), root) == _primitive(list(g))
 
 
 class TestEscapeRate:
