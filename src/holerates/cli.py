@@ -300,17 +300,10 @@ def cmd_oracle(args) -> int:
     gf = survival.genfun(word, measure)
     genfun_match = gf.series(n + 1) == list(series.values)
 
-    enum_max = 0
-    enum_match = True
-    for length in range(r, r + n + 1):
-        try:
-            total = survival.direct_enumeration(word, measure, length, cap=args.enum_cap)
-        except EnumerationCapError:
-            break
-        enum_max = length
-        if total != series.values[length - r]:
-            enum_match = False
-            break
+    # the walk stops at the longest length within --enum-cap, maybe below r
+    enumerated = survival.direct_enumeration(word, measure, r + n, cap=args.enum_cap)[r:]
+    enum_max = r + len(enumerated) - 1 if enumerated else 0
+    enum_match = enumerated == series.values[: len(enumerated)]
 
     solution = survival.genfun_from_word_equations(word, measure)
     equations_match = solution.survival_genfun(r).series(n + 1) == list(series.values)

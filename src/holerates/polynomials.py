@@ -37,30 +37,39 @@ class RationalPolynomial:
     coefficients are trimmed on construction.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(cs))
         object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _from_ints(cls, ints: list[int]) -> "RationalPolynomial":
         """The polynomial ints / ints[0], from integers with content 1 and a
-        positive constant term, which become its ``ints``."""
+        positive constant term, which become its ``ints``; its ``coeffs``
+        are made on first access."""
         poly = cls.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(Fraction(c, ints[0]) for c in ints))
+        object.__setattr__(poly, "_coeffs", None)
         object.__setattr__(poly, "_ints", tuple(ints))
         return poly
 
     # -- basic structure -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Fraction coefficients, index = degree."""
+        if self._coeffs is None:
+            lead = self._ints[0]
+            object.__setattr__(self, "_coeffs", tuple(Fraction(c, lead) for c in self._ints))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.coeffs if self._ints is None else self._ints) - 1
 
     @property
     def ints(self) -> tuple[int, ...]:
@@ -70,7 +79,7 @@ class RationalPolynomial:
         return self._ints
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -78,6 +87,8 @@ class RationalPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
+        if self._coeffs is None and other._coeffs is None:
+            return self._ints == other._ints  # both are ints / ints[0]
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:

@@ -5,13 +5,18 @@ sequences whose first n+r symbols avoid the hole word as a factor), built
 so they can cross-check one another and the root-isolation layer:
 
 * a weighted pattern-avoidance automaton (KMP prefix states), stepped
-  exactly in rational arithmetic;
-* one brute-force enumerator for both measures: every word of a given
-  length, built letter by letter, with an explicit test of each window and
-  the survivors' weights summed exactly;
+  exactly on integer weights;
+* one brute-force enumerator for both measures: one walk over the words of
+  every length up to a given one, each built letter by letter, with an
+  explicit test of each window and the survivors' weights summed exactly
+  at each length;
 * the rational generating function sum p_n z^n, whose denominator is the
   survival denominator from the ``polynomials`` module and whose series
   expands by linear recurrence.
+
+The automaton and the enumerator put the weight of every length-n word over
+b^n, b the common denominator of the measure's factors, so they add
+integers and make one ``Fraction`` per length.
 
 The classical word-counting equations (append a letter / append the whole
 pattern) are also solved symbolically, by Cramer's rule on polynomial
@@ -25,11 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, EnumerationCapError, ForbiddenWordError
+from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from .polynomials import (
     ONE,
     RationalPolynomial,
+    _over_common_denominator,
     markov_weighted_autocorrelation,
     survival_denominator,
     weighted_autocorrelation,
@@ -56,59 +62,31 @@ class AvoidanceAutomaton:
         return len(self.word)
 
     def survival_totals(self, max_length: int) -> list[Fraction]:
-        """Total non-absorbed weight after reading 0..max_length symbols."""
-        if isinstance(self.measure, BernoulliMeasure):
-            return self._totals_bernoulli(max_length)
-        return self._totals_markov(max_length)
+        """Total non-absorbed weight after reading 0..max_length symbols.
 
-    def _totals_bernoulli(self, max_length: int) -> list[Fraction]:
-        measure = self.measure
-        assert isinstance(measure, BernoulliMeasure)
+        After n symbols every weight is an integer over b^n (see
+        ``_integer_factors``), so the live states carry integers and each
+        total is divided by b^n once."""
+        b, nums = _integer_factors(self.measure)
+        chain = isinstance(self.measure, MarkovChain)
         r = self.absorbing
-        size = measure.alphabet.size
-        vec = [Fraction(0)] * r
-        vec[0] = Fraction(1)
+        # (prefix length matched, offset in nums of the next letter's
+        # factors): a chain's row of the last letter read, its stationary
+        # weights before the first; the probabilities for a product measure
+        vec = {(0, 4 if chain else 0): 1}
         totals = [Fraction(1)]
+        scale = 1
         for _ in range(max_length):
-            nxt = [Fraction(0)] * r
-            for state, weight in enumerate(vec):
-                if weight == 0:
-                    continue
-                row = self.transitions[state]
-                for c in range(size):
-                    target = row[c]
-                    if target < r:
-                        nxt[target] += weight * measure.probs[c]
+            nxt: dict[tuple[int, int], int] = {}
+            for (state, row), weight in vec.items():
+                for c, target in enumerate(self.transitions[state]):
+                    num = nums[row + c]
+                    if num and target < r:
+                        key = (target, 2 * c if chain else 0)
+                        nxt[key] = nxt.get(key, 0) + weight * num
             vec = nxt
-            totals.append(sum(vec))
-        return totals
-
-    def _totals_markov(self, max_length: int) -> list[Fraction]:
-        chain = self.measure
-        assert isinstance(chain, MarkovChain)
-        r = self.absorbing
-        totals = [Fraction(1)]
-        # state = (prefix length matched, last symbol read)
-        vec: dict[tuple[int, int], Fraction] = {}
-        if max_length >= 1:
-            for c in (0, 1):
-                target = self.transitions[0][c]
-                if target < r:
-                    vec[(target, c)] = vec.get((target, c), Fraction(0)) + chain.stationary[c]
-            totals.append(sum(vec.values(), Fraction(0)))
-        for _ in range(max_length - 1):
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (state, last), weight in vec.items():
-                for c in (0, 1):
-                    step = chain.matrix[last][c]
-                    if step == 0:
-                        continue
-                    target = self.transitions[state][c]
-                    if target < r:
-                        key = (target, c)
-                        nxt[key] = nxt.get(key, Fraction(0)) + weight * step
-            vec = nxt
-            totals.append(sum(vec.values(), Fraction(0)))
+            scale *= b
+            totals.append(Fraction(sum(vec.values()), scale))
         return totals
 
 
@@ -187,21 +165,49 @@ def survival_series(
 # --------------------------------------------------------------------------
 
 
+def _integer_factors(measure: BernoulliMeasure | MarkovChain) -> tuple[int, list[int]]:
+    """(b, nums): the measure's factors as nums[i] / b over their least
+    common denominator b, so that every word of length n weighs an integer
+    over b^n.  The factors are the probabilities, or a chain's four
+    transitions, row-major, then its two stationary weights."""
+    if isinstance(measure, BernoulliMeasure):
+        return _over_common_denominator(measure.probs)
+    factors = [e for row in measure.matrix for e in row] + list(measure.stationary)
+    return _over_common_denominator(factors)
+
+
+def _walk_length(size: int, factors: int, length: int, cap: int) -> int:
+    """The longest length l <= ``length`` with at most ``cap`` words whose
+    codes, below size^l, and weight keys, one base-(l+1) digit per factor,
+    fit in an int64; -1 when there is none."""
+    int64 = int(np.iinfo(np.int64).max)
+    top = -1
+    while top < length and size ** (top + 1) <= min(cap, int64) and (top + 2) ** factors <= int64:
+        top += 1
+    return top
+
+
 def direct_enumeration(
     word: Word,
     measure: BernoulliMeasure | MarkovChain,
     length: int,
     cap: int = _ENUM_CAP,
-) -> Fraction:
-    """Measure of the length-``length`` words avoiding ``word`` as a factor,
-    summed word by word.  Deliberately simple-minded: this is the oracle the
-    automaton and the generating function are checked against.
+) -> tuple[Fraction, ...]:
+    """Measures of the words of each length 0, 1, ..., L avoiding ``word``
+    as a factor, summed word by word in one walk.  Deliberately
+    simple-minded: this is the oracle the automaton and the generating
+    function are checked against.
+
+    L is the largest length up to ``length`` with at most ``cap`` words
+    whose codes and weight keys fit in an int64; the walk stops there, so
+    the tuple may be shorter than ``length + 1`` (empty when ``cap < 1``).
 
     Every word is built letter by letter as its base-A code; a word survives
-    if its prefix survived and its last r letters are not the hole.  Each
-    word's weight is a monomial in the measure's factors, whose exponents
-    are packed into one int64 key; the survivors are grouped by key and
-    their total is summed exactly.
+    if its prefix survived and its last r letters are not the hole.  A word
+    of length n weighs a product of the factors' numerators over b^n (see
+    ``_integer_factors``), whose exponents are packed into one int64 key; at
+    each length the survivors are grouped by key and their integer weights
+    summed exactly.
     """
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
@@ -209,18 +215,13 @@ def direct_enumeration(
         raise ValueError("length must be >= 0")
     size = word.alphabet.size
     bernoulli = isinstance(measure, BernoulliMeasure)
-    if bernoulli:
-        factors = list(measure.probs)
-    else:  # the four transitions, row-major, then the two stationary weights
-        factors = [entry for row in measure.matrix for entry in row] + list(measure.stationary)
-    base = length + 1  # no exponent exceeds the length
-    if size**length > cap:
-        raise EnumerationCapError(f"{size**length} words exceeds the cap of {cap}")
-    if max(size**length, base ** len(factors)) > np.iinfo(np.int64).max:
-        raise EnumerationCapError(f"word codes or weight keys of length {length} overflow int64")
-    if length == 0:
-        return Fraction(1)
-    place = np.array([base**i for i in range(len(factors))], dtype=np.int64)
+    b, nums = _integer_factors(measure)
+    top = _walk_length(size, len(nums), length, cap)
+    if top < 0:
+        return ()
+    base = top + 1  # no exponent exceeds the length
+    place = np.array([base**i for i in range(len(nums))], dtype=np.int64)
+    powers = [[num**e for e in range(base)] for num in nums]
     r = len(word)
     needle = 0
     for c in word.letters:
@@ -228,26 +229,24 @@ def direct_enumeration(
     letters = np.arange(size, dtype=np.int64)
     codes = letters
     keys = place[letters] if bernoulli else place[4 + letters]
-    for n in range(1, length + 1):
+    totals = [Fraction(1)]
+    for n in range(1, top + 1):
         if n > 1:  # append every letter to every surviving word
-            prefix = np.repeat(codes, size)
-            new = np.tile(letters, codes.size)
-            step = new if bernoulli else 2 * (prefix % size) + new
-            codes = prefix * size + new
-            keys = np.repeat(keys, size) + place[step]
+            step = letters if bernoulli else 2 * (codes % size)[:, None] + letters
+            keys = (keys[:, None] + place[step]).ravel()
+            codes = (codes[:, None] * size + letters).ravel()
         if n >= r:
             alive = codes % size**r != needle
             codes, keys = codes[alive], keys[alive]
-    unique, counts = np.unique(keys, return_counts=True)
-    powers = [[f**e for e in range(base)] for f in factors]
-    total = Fraction(0)
-    for key, count in zip(unique.tolist(), counts.tolist()):
-        weight = Fraction(count)
-        for factor_powers in powers:
-            key, exponent = divmod(key, base)
-            weight *= factor_powers[exponent]
-        total += weight
-    return total
+        unique, counts = np.unique(keys, return_counts=True)
+        total = 0
+        for key, weight in zip(unique.tolist(), counts.tolist()):
+            for factor_powers in powers:
+                key, exponent = divmod(key, base)
+                weight *= factor_powers[exponent]
+            total += weight
+        totals.append(Fraction(total, b**n))
+    return tuple(totals)
 
 
 # --------------------------------------------------------------------------

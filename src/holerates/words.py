@@ -60,9 +60,10 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        if len(self.letters) < 1:
+        letters = self.letters
+        if not letters:
             raise ValueError("words must have length >= 1")
-        if any(not (0 <= i < self.alphabet.size) for i in self.letters):
+        if min(letters) < 0 or max(letters) >= len(self.alphabet.symbols):
             raise ValueError("letter index out of range for alphabet")
 
     def __len__(self) -> int:

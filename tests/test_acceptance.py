@@ -127,11 +127,8 @@ def test_criterion_4_oracle_equivalence_bernoulli():
                 gf = genfun(word, measure)
                 assert gf.denominator == survival_denominator(word, measure)
                 assert gf.series(21) == list(series.values)
-                for length in range(r, 13):
-                    assert (
-                        direct_enumeration(word, measure, length)
-                        == series.values[length - r]
-                    )
+                # one walk to length 12, compared at every length r..12
+                assert direct_enumeration(word, measure, 12)[r:] == series.values[: 13 - r]
                 words_checked += 1
     _report(4, started, 60.0, f"{words_checked} words, three oracles each")
 

@@ -2,7 +2,7 @@ import json
 import math
 from fractions import Fraction
 
-from holerates import extremal, polynomials
+from holerates import extremal, polynomials, survival
 from holerates.cli import main
 
 
@@ -221,6 +221,20 @@ class TestOracle:
         checks = json.loads(out)["checks"]
         assert checks.pop("direct_enumeration_matches_up_to_length") == 3
         assert all(checks.values())
+
+    def test_one_enumeration_walk_per_run(self, capsys, monkeypatch):
+        calls = []
+        walk = survival.direct_enumeration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(survival, "direct_enumeration", counted)
+        code, out, _ = run(capsys, "oracle", "--word", "aab", "--p", "3/5", "--n", "20")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == 16
 
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]

@@ -42,6 +42,9 @@ CASES["figure_markov_r3"] = ["figure", "markov-r3"]
 CASES["rate_abcab_ternary"] = ["rate", "--word", "abcab", "--bernoulli", "1/2,1/3,1/6"]
 CASES["rate_bab_forbidden"] = ["rate", "--word", "bab", "--markov", "0,1,1/2,1/2"]
 CASES["rate_abba_markov"] = ["rate", "--word", "abba", "--markov", "2/5,3/5,1/3,2/3"]
+CASES["oracle_abab_markov_cap1000"] = [
+    "oracle", "--word", "abab", "--markov", "2/5,3/5,1/3,2/3", "--n", "20", "--enum-cap", "1000"
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -52,6 +52,23 @@ class TestRationalPolynomial:
         assert RationalPolynomial.from_strings(strings) == original
 
 
+    def test_denominator_coeffs_are_made_on_first_access(self):
+        tau, same = survival_denominator(w("aab"), P35), survival_denominator(w("aab"), P35)
+        other = survival_denominator(w("abb"), P35)
+        # degree, zero test and equality read the integers alone
+        assert tau.degree == 3 and not tau.is_zero()
+        assert tau == same and tau != other
+        assert tau._coeffs is None
+        expected = RationalPolynomial([Fraction(c, tau.ints[0]) for c in tau.ints])
+        assert tau.coeffs == expected.coeffs
+        assert tau.coeff_strings() == expected.coeff_strings()
+        assert hash(tau) == hash(expected) == hash(same)
+        assert tau == expected and expected == same and same == tau
+        # equal integers over different constant terms are different polynomials
+        double, single = poly(2, 4), poly(1, 2)
+        assert double.ints == single.ints and double != single
+
+
 class TestWeightedAutocorrelation:
     def test_worked_examples(self):
         p = Fraction(3, 5)

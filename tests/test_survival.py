@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holerates.errors import AlphabetMismatchError, EnumerationCapError, ForbiddenWordError
+from holerates.errors import AlphabetMismatchError, ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
 from holerates.polynomials import (
     RationalPolynomial,
@@ -15,6 +15,7 @@ from holerates.polynomials import (
 from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
     SurvivalSeries,
+    _walk_length,
     build_automaton,
     direct_enumeration,
     empirical_rate,
@@ -94,53 +95,119 @@ class TestSurvivalSeries:
         assert all(a >= b for a, b in zip(series.values, series.values[1:]))
 
 
+def _fraction_totals(automaton, max_length):
+    """Reference for ``survival_totals``: the automaton stepped one symbol at
+    a time in plain Fraction arithmetic."""
+    measure, r = automaton.measure, len(automaton.word)
+    chain = isinstance(measure, MarkovChain)
+    vec = {(0, None): Fraction(1)}  # (prefix matched, last symbol read)
+    totals = [sum(vec.values())]
+    for _ in range(max_length):
+        nxt = {}
+        for (state, last), weight in vec.items():
+            for c, target in enumerate(automaton.transitions[state]):
+                if target == r:
+                    continue
+                if not chain:
+                    step = measure.probs[c]
+                elif last is None:
+                    step = measure.stationary[c]
+                else:
+                    step = measure.matrix[last][c]
+                nxt[target, c] = nxt.get((target, c), Fraction(0)) + weight * step
+        vec = nxt
+        totals.append(sum(vec.values(), Fraction(0)))
+    return totals
+
+
+class TestIntegerAutomaton:
+    """The automaton steps integer weights over b^n; its totals must be the
+    same Fractions as a plain Fraction stepping."""
+
+    NEAR_ONE = 1 - Fraction(1, 10**9)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            B([NEAR_ONE, 1 - NEAR_ONE]),
+            M([NEAR_ONE, 1 - NEAR_ONE, 1 - NEAR_ONE, NEAR_ONE]),
+            M(["0", "1", "1/2", "1/2"]),
+            M(["2/5", "3/5", "1/3", "2/3"]),
+            B(["1/2", "3/10", "1/5"], ABC),
+        ],
+        ids=["bernoulli-near-one", "chain-near-one", "chain-forbidden-aa", "chain", "ternary"],
+    )
+    def test_matches_fraction_stepping(self, measure):
+        for r in range(1, 6 if measure.alphabet == AB else 4):
+            for word in enumerate_words(measure.alphabet, r):
+                if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
+                    continue
+                automaton = build_automaton(word, measure)
+                totals = automaton.survival_totals(30)
+                assert totals == _fraction_totals(automaton, 30), str(word)
+                assert all(type(t) is Fraction for t in totals)
+
+
 class TestDirectEnumeration:
     def test_short_lengths_have_full_measure(self):
-        assert direct_enumeration(w("aabb"), P35, 3) == 1
+        assert direct_enumeration(w("aabb"), P35, 3) == (1, 1, 1, 1)
 
     def test_ab_length_two(self):
         p, q = Fraction(3, 5), Fraction(2, 5)
-        assert direct_enumeration(w("ab"), P35, 2) == 1 - p * q
+        assert direct_enumeration(w("ab"), P35, 2) == (1, 1, 1 - p * q)
+
+    @pytest.mark.parametrize(
+        "measure, max_r, length",
+        [
+            (P35, 5, 12),
+            (B(["7/10", "3/10"]), 5, 12),
+            (B(["1/2", "3/10", "1/5"], ABC), 4, 8),
+            (M(["0", "1", "1/2", "1/2"]), 5, 12),
+        ],
+        ids=["3/5", "7/10", "ternary", "chain-forbidden-aa"],
+    )
+    def test_one_walk_matches_automaton_at_every_length(self, measure, max_r, length):
+        for r in range(1, max_r + 1):
+            for word in enumerate_words(measure.alphabet, r):
+                if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
+                    continue
+                totals = build_automaton(word, measure).survival_totals(length)
+                assert direct_enumeration(word, measure, length) == tuple(totals), str(word)
 
     def test_matches_automaton_two_symbols(self):
         for text in ("a", "ab", "aab", "abba", "aabba"):
             word = w(text)
             series = survival_series(word, P35, 12 - len(word))
-            for n, value in enumerate(series.values):
-                assert direct_enumeration(word, P35, n + len(word)) == value
+            assert direct_enumeration(word, P35, 12)[len(word) :] == series.values
 
     def test_matches_automaton_markov(self):
         chain = M(["3/4", "1/4", "1/3", "2/3"])
         for text in ("ab", "bba", "abab"):
             word = w(text)
             series = survival_series(word, chain, 10 - len(word))
-            for n, value in enumerate(series.values):
-                assert direct_enumeration(word, chain, n + len(word)) == value
+            assert direct_enumeration(word, chain, 10)[len(word) :] == series.values
 
     def test_matches_automaton_three_symbols(self):
         measure = B(["1/2", "3/10", "1/5"])
         for text in ("ab", "abc", "cab"):
             word = w(text, ABC)
             totals = build_automaton(word, measure).survival_totals(7)
-            for length in range(len(word), 8):
-                assert direct_enumeration(word, measure, length) == totals[length]
+            assert direct_enumeration(word, measure, 7) == tuple(totals)
 
     def test_product_chain_enumerates_as_its_product_measure(self):
         chain = M(["3/5", "2/5", "3/5", "2/5"])
         for r in range(1, 4):
             for word in enumerate_words(AB, r):
-                for length in range(0, 9):
-                    assert direct_enumeration(word, chain, length) == direct_enumeration(
-                        word, chain.product_measure(), length
-                    )
+                assert direct_enumeration(word, chain, 8) == direct_enumeration(
+                    word, chain.product_measure(), 8
+                )
 
     def test_forbidden_transition_chain_matches_automaton(self):
         chain = M(["0", "1", "1/2", "1/2"])
         for text in ("ab", "bb", "bab", "abbab"):
             word = w(text)
             totals = build_automaton(word, chain).survival_totals(14)
-            for length in range(10, 15):
-                assert direct_enumeration(word, chain, length) == totals[length]
+            assert direct_enumeration(word, chain, 14) == tuple(totals)
 
     def test_word_from_another_alphabet(self):
         with pytest.raises(AlphabetMismatchError):
@@ -149,27 +216,33 @@ class TestDirectEnumeration:
             direct_enumeration(w("ab", ABC), M(["3/4", "1/4", "1/3", "2/3"]), 5)
 
     def test_cap(self):
-        assert direct_enumeration(w("ab"), P35, 10, cap=1024) == survival_series(
-            w("ab"), P35, 8
-        ).values[8]
-        with pytest.raises(EnumerationCapError):
-            direct_enumeration(w("ab"), P35, 11, cap=1024)
+        # 2^10 words fit a cap of 1024, 2^11 do not: the walk stops at 10
+        totals = build_automaton(w("ab"), P35).survival_totals(11)
+        assert direct_enumeration(w("ab"), P35, 10, cap=1024) == tuple(totals[:11])
+        assert direct_enumeration(w("ab"), P35, 11, cap=1024) == tuple(totals[:11])
+        assert direct_enumeration(w("ab"), P35, 11, cap=2047) == tuple(totals[:11])
+        assert direct_enumeration(w("ab"), P35, 11, cap=2048) == tuple(totals)
+        assert direct_enumeration(w("ab"), P35, 11, cap=1) == (1,)
+        assert direct_enumeration(w("ab"), P35, 11, cap=0) == ()
 
     def test_weight_keys_must_fit_in_an_int64(self):
         twenty = Alphabet.of_size(20)
         measure = B(["1/20"] * 20, twenty)
         word = Word((0, 1), twenty)
-        assert direct_enumeration(word, measure, 2, cap=1 << 40) == Fraction(399, 400)
-        with pytest.raises(EnumerationCapError):
-            direct_enumeration(word, measure, 8, cap=1 << 40)
+        assert direct_enumeration(word, measure, 2, cap=1 << 40) == (1, 1, Fraction(399, 400))
+        # the key base follows the length walked, not the length asked for
+        assert direct_enumeration(word, measure, 50, cap=20**2) == (1, 1, Fraction(399, 400))
+        # 20 exponents in base 8 fit an int64, in base 9 they do not; walking
+        # to length 7 would take 20^7 words, so the limit is checked alone
+        assert _walk_length(20, 20, 8, 1 << 40) == 7
+        assert _walk_length(20, 20, 6, 1 << 40) == 6
 
     def test_word_codes_must_fit_in_an_int64(self):
         # only b^n avoids a, so the words stay few while their codes grow
         chain = M(["3/4", "1/4", "1/3", "2/3"])
         totals = build_automaton(w("a"), chain).survival_totals(62)
-        assert direct_enumeration(w("a"), chain, 62, cap=1 << 70) == totals[62]
-        with pytest.raises(EnumerationCapError):
-            direct_enumeration(w("a"), chain, 63, cap=1 << 70)
+        assert direct_enumeration(w("a"), chain, 62, cap=1 << 70) == tuple(totals)
+        assert direct_enumeration(w("a"), chain, 63, cap=1 << 70) == tuple(totals)
 
 
 class TestGenFun:
