@@ -11,7 +11,6 @@ from .errors import (
 from .extremal import (
     HoleFamilies,
     MarkovScanReport,
-    MultiSymbolReport,
     OrderingRow,
     Regime,
     RegimeReport,
@@ -22,7 +21,6 @@ from .extremal import (
     gamma_max_two_symbols,
     markov_scan,
     max_rate_bounds,
-    multi_symbol_analysis,
     ordering_table,
     run_pair_comparison,
     unbordered_lower_estimate,
@@ -76,7 +74,6 @@ from .words import (
     enumerate_words,
     is_unbordered,
     minimal_period,
-    occurrence_count,
 )
 
 __version__ = "0.1.0"

@@ -236,18 +236,11 @@ def cmd_max(args) -> int:
     tol = _tol_from_args(args)
     if not isinstance(measure, BernoulliMeasure):
         raise ValueError("max handles product measures; use markov-scan for chains")
-    if measure.alphabet.size == 2:
-        top = measure.probs[measure.top_two()[0]]
-        report = extremal.gamma_max_two_symbols(args.r, top, tol)
-        reason = "two-symbol regime classification"
-    else:
-        multi = extremal.multi_symbol_analysis(args.r, measure, tol)
-        report = extremal.RegimeReport(args.r, multi.regime, multi.gamma, multi.witnesses)
-        reason = multi.reason
+    report = extremal.gamma_max(args.r, measure, tol)
     payload = {
         "r": report.r,
         "regime": report.regime.value,
-        "reason": reason,
+        "reason": report.reason,
         "witnesses": [str(w) for w in report.witnesses],
         **_root_fields(report.gamma),
     }

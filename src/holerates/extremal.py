@@ -3,11 +3,11 @@
 Two families compete for the maximal escape rate at length r: the
 unbordered holes of maximal measure (canonical witness a^(r-1) b, with a
 the most probable symbol and b the runner-up) and the holes of maximal
-measure outright (canonical witness a^r).  Over a two-symbol alphabet the
-winner is decided exactly by where p sits relative to 1 - 1/r and
-1 - 1/(r+1); this module computes the regime, certifies the rate, and
-exposes the rigorous upper/lower bounds, brute-force cross-checks,
-ordering tables, and Markov-chain scans built on top of it.
+measure outright (canonical witness a^r).  ``gamma_max``, the one entry
+point, compares the two certified rates and checks the verdict against the
+closed forms: where p sits against 1 - 1/r and 1 - 1/(r+1) over two
+symbols, q < p(1-p) over more.  Rigorous bounds, brute-force maxima,
+ordering tables and Markov-chain scans complete the module.
 
 Every scan over all words of a length (families, brute-force maxima,
 ordering tables) walks the words once and groups them into correlation
@@ -180,31 +180,16 @@ class HoleFamilies:
 
 @dataclass(frozen=True)
 class RegimeReport:
+    """The maximal escape rate at length r: the winning family, the rule that
+    decided it, both candidates' rates, and the winner's rate and words."""
+
     r: int
     regime: Regime
+    reason: str
+    gamma_unbordered: RootResult
+    gamma_max_measure: RootResult
     gamma: RootResult
     witnesses: tuple[Word, ...]
-
-
-def unbordered_representative(r: int, measure: BernoulliMeasure) -> Word:
-    """a^(r-1) b: unbordered, and of maximal measure among unbordered words."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    a, b = measure.top_two()
-    return Word((a,) * (r - 1) + (b,), measure.alphabet)
-
-
-def max_measure_representative(r: int, measure: BernoulliMeasure) -> Word:
-    """a^r: the hole of maximal measure (unique when p > q)."""
-    a, _ = measure.top_two()
-    return Word((a,) * r, measure.alphabet)
-
-
-def _unbordered_pair(r: int, measure: BernoulliMeasure) -> tuple[Word, ...]:
-    a, b = measure.top_two()
-    first = Word((a,) * (r - 1) + (b,), measure.alphabet)
-    second = Word((b,) + (a,) * (r - 1), measure.alphabet)
-    return (first, second) if first != second else (first,)
 
 
 def families(
@@ -226,69 +211,66 @@ def families(
     )
 
 
-def _classify_unbordered_win(result: RootResult, p: Fraction) -> Regime:
-    # The unbordered-family rate equals log(1/p) exactly on the flat stretch;
-    # the exact-root machinery pins that case.
-    if result.exact and result.lower == 1 / p:
-        return Regime.PRIME_FLAT
-    return Regime.PRIME_LOW
-
-
 def gamma_max(
     r: int, measure: BernoulliMeasure, tol: Fraction = DEFAULT_TOL
 ) -> RegimeReport:
-    """Maximal escape rate over all holes of length r, computed from the two
-    canonical family representatives."""
-    wp = unbordered_representative(r, measure)
-    wm = max_measure_representative(r, measure)
-    gp = _escape_rate(wp, measure, tol)
-    gm = _escape_rate(wm, measure, tol)
+    """Maximal escape rate over all holes of length r.  It is reached by
+    a^(r-1) b (of maximal measure among unbordered words, as is b a^(r-1)) or
+    by a^r (of maximal measure), a the most probable symbol, of probability
+    p, and b the runner-up, of probability q.  Their rates are compared once
+    and the closed forms checked against the verdict.  Over two symbols,
+    with b1 = 1 - 1/r and b2 = 1 - 1/(r+1):
+      p in [1/2, b1)  -> PRIME_LOW, rate log of the trinomial root below 1/p;
+      p in [b1, b2)   -> PRIME_FLAT, rate exactly log(1/p);
+      p = b2          -> TIE, both families at log(1/p);
+      p in (b2, 1)    -> MEASURE_MAX, rate log of the trinomial root above 1/p.
+    Over more symbols a^r wins when p >= b2, or once q < p(1-p)."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    a, b = measure.top_two()
+    p, q = measure.probs[a], measure.probs[b]
+    unbordered = Word((a,) * (r - 1) + (b,), measure.alphabet)
+    reversal = Word((b,) + (a,) * (r - 1), measure.alphabet)
+    top = Word((a,) * r, measure.alphabet)
+    gp = _escape_rate(unbordered, measure, tol)
+    gm = _escape_rate(top, measure, tol)
     order = compare(gp, gm)
-    p = measure.probs[measure.top_two()[0]]
-    if order == 0:
-        return RegimeReport(r, Regime.TIE, gp, _unbordered_pair(r, measure) + (wm,))
+    # the unbordered rate is exactly log(1/p) on the flat stretch
+    flat = gp.exact and gp.lower == 1 / p
     if order > 0:
-        return RegimeReport(r, _classify_unbordered_win(gp, p), gp, _unbordered_pair(r, measure))
-    return RegimeReport(r, Regime.MEASURE_MAX, gm, (wm,))
+        regime = Regime.PRIME_FLAT if flat else Regime.PRIME_LOW
+    else:
+        regime = Regime.TIE if order == 0 else Regime.MEASURE_MAX
+    b1, b2 = 1 - Fraction(1, r), 1 - Fraction(1, r + 1)
+    if measure.alphabet.size == 2:
+        reason = "two-symbol regime classification"
+        predicted = (Regime.PRIME_LOW if p < b1 else Regime.PRIME_FLAT if p < b2
+                     else Regime.TIE if p == b2 else Regime.MEASURE_MAX)
+        # 1/p is a root of the unbordered trinomial, its smallest once p >= b1
+        if (regime, flat) != (predicted, p >= b1):
+            raise AssertionError(f"r = {r}, p = {p}: closed form {predicted.value}, "
+                                 f"comparison {regime.value}, flat {flat}")
+    elif p >= b2 or q < p * (1 - p):
+        reason = "p >= 1 - 1/(r+1)" if p >= b2 else "q < p(1-p)"
+        if order > 0:
+            raise AssertionError(f"maximal-measure hole must win for {reason}")
+        regime = Regime.MEASURE_MAX
+    else:
+        reason = "direct comparison"
+    if regime is Regime.MEASURE_MAX:
+        return RegimeReport(r, regime, reason, gp, gm, gm, (top,))
+    witnesses = (unbordered, reversal, top) if regime is Regime.TIE else (unbordered, reversal)
+    return RegimeReport(r, regime, reason, gp, gm, gp, witnesses)
 
 
 def gamma_max_two_symbols(
     r: int, p: Fraction | int | str, tol: Fraction = DEFAULT_TOL
 ) -> RegimeReport:
-    """Closed-form regime classification over a two-symbol alphabet.
-
-    With boundaries b1 = 1 - 1/r and b2 = 1 - 1/(r+1):
-      p in [1/2, b1)  -> PRIME_LOW, rate log of the trinomial root below 1/p;
-      p in [b1, b2)   -> PRIME_FLAT, rate exactly log(1/p);
-      p = b2          -> TIE, both families at log(1/p);
-      p in (b2, 1)    -> MEASURE_MAX, rate log of the trinomial root above 1/p.
-    """
+    """``gamma_max`` under Bernoulli(p, 1 - p), for p in [1/2, 1)."""
     p = as_fraction(p)
     if not Fraction(1, 2) <= p < 1:
         raise ValueError("p must lie in [1/2, 1)")
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    measure = BernoulliMeasure.from_rationals([p, 1 - p])
-    b1 = 1 - Fraction(1, r)
-    b2 = 1 - Fraction(1, r + 1)
-    if p < b1:
-        result = _escape_rate(unbordered_representative(r, measure), measure, tol)
-        if result.exact and result.lower == 1 / p:
-            raise AssertionError("rate pinned at log(1/p) below the flat stretch")
-        return RegimeReport(r, Regime.PRIME_LOW, result, _unbordered_pair(r, measure))
-    if p < b2:
-        result = _escape_rate(unbordered_representative(r, measure), measure, tol)
-        if not (result.exact and result.lower == 1 / p):
-            raise AssertionError("flat-stretch rate must be exactly log(1/p)")
-        return RegimeReport(r, Regime.PRIME_FLAT, result, _unbordered_pair(r, measure))
-    if p == b2:
-        result = _escape_rate(unbordered_representative(r, measure), measure, tol)
-        if not (result.exact and result.lower == 1 / p):
-            raise AssertionError("boundary rate must be exactly log(1/p)")
-        witnesses = _unbordered_pair(r, measure) + (max_measure_representative(r, measure),)
-        return RegimeReport(r, Regime.TIE, result, witnesses)
-    result = _escape_rate(max_measure_representative(r, measure), measure, tol)
-    return RegimeReport(r, Regime.MEASURE_MAX, result, (max_measure_representative(r, measure),))
+    return gamma_max(r, BernoulliMeasure.from_rationals([p, 1 - p]), tol)
 
 
 def brute_force_gamma_max(
@@ -475,70 +457,6 @@ def find_order_switch(
         else:
             hi = mid
     return lo, hi
-
-
-# --------------------------------------------------------------------------
-# more than two symbols
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiSymbolReport:
-    r: int
-    regime: Regime
-    reason: str
-    gamma_unbordered: RootResult
-    gamma_max_measure: RootResult
-    gamma: RootResult
-    witnesses: tuple[Word, ...]
-
-
-def multi_symbol_analysis(
-    r: int, measure: BernoulliMeasure, tol: Fraction = DEFAULT_TOL
-) -> MultiSymbolReport:
-    """Classification of the maximal hole for alphabets with at least three
-    symbols: the maximal-measure hole wins whenever p >= 1 - 1/(r+1), or for
-    every p in [1/2, 1 - 1/(r+1)] once q < p(1-p); otherwise the two
-    candidates are compared directly."""
-    if measure.alphabet.size <= 2:
-        raise ValueError("use gamma_max_two_symbols for two-symbol alphabets")
-    a, b = measure.top_two()
-    p, q = measure.probs[a], measure.probs[b]
-    wp = unbordered_representative(r, measure)
-    wm = max_measure_representative(r, measure)
-    gp = _escape_rate(wp, measure, tol)
-    gm = _escape_rate(wm, measure, tol)
-    order = compare(gp, gm)
-    if p >= 1 - Fraction(1, r + 1):
-        if order > 0:
-            raise AssertionError("maximal-measure hole must win for p >= 1 - 1/(r+1)")
-        return MultiSymbolReport(
-            r, Regime.MEASURE_MAX, "p >= 1 - 1/(r+1)", gp, gm, gm, (wm,)
-        )
-    if q < p * (1 - p):
-        if order > 0:
-            raise AssertionError("maximal-measure hole must win for q < p(1-p)")
-        return MultiSymbolReport(
-            r, Regime.MEASURE_MAX, "q < p(1-p)", gp, gm, gm, (wm,)
-        )
-    if order == 0:
-        return MultiSymbolReport(
-            r, Regime.TIE, "direct comparison", gp, gm, gp,
-            _unbordered_pair(r, measure) + (wm,),
-        )
-    if order > 0:
-        return MultiSymbolReport(
-            r,
-            _classify_unbordered_win(gp, p),
-            "direct comparison",
-            gp,
-            gm,
-            gp,
-            _unbordered_pair(r, measure),
-        )
-    return MultiSymbolReport(
-        r, Regime.MEASURE_MAX, "direct comparison", gp, gm, gm, (wm,)
-    )
 
 
 # --------------------------------------------------------------------------

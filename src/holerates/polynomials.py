@@ -140,10 +140,6 @@ class RationalPolynomial:
         """Coefficients as 'num/den' strings, index = degree."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "RationalPolynomial":
-        return cls(Fraction(s) for s in strings)
-
 
 ONE = RationalPolynomial([1])
 

@@ -91,16 +91,6 @@ class Word:
         return cls(tuple(alphabet.index(n) for n in names), alphabet)
 
 
-def occurrence_count(word: Word, symbol: int, start: int, stop: int) -> int:
-    """Number of positions i in [start, stop) with word[i] == symbol.
-
-    Returns 0 when start == stop.
-    """
-    if not 0 <= start <= stop <= len(word):
-        raise IndexError(f"invalid range [{start}, {stop}) for word of length {len(word)}")
-    return sum(1 for i in range(start, stop) if word.letters[i] == symbol)
-
-
 def failure_function(letters: tuple[int, ...]) -> tuple[int, ...]:
     """fail[k] = length of the longest proper border of the length-k prefix."""
     r = len(letters)

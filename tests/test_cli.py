@@ -152,6 +152,17 @@ class TestMax:
         assert payload["regime"] == "MEASURE_MAX"
         assert payload["reason"] == "q < p(1-p)"
 
+    def test_second_symbol_more_probable(self, capsys):
+        # the witnesses are words over the given alphabet, built from its
+        # most probable symbol y; the rate is that of --p 4/5
+        _, out, _ = run(capsys, "max", "--r", "5", "--bernoulli", "1/5,4/5", "--symbols", "xy")
+        payload = json.loads(out)
+        _, reference, _ = run(capsys, "max", "--r", "5", "--p", "4/5")
+        expected = json.loads(reference)
+        assert payload["witnesses"] == ["yyyyx", "xyyyy"]
+        for key in ("regime", "reason", "z0_lower", "z0_upper"):
+            assert payload[key] == expected[key]
+
 
 class TestBounds:
     def test_columns_and_sandwich(self, capsys):

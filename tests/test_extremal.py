@@ -14,14 +14,11 @@ from holerates.extremal import (
     gamma_max,
     gamma_max_two_symbols,
     markov_scan,
-    max_measure_representative,
     max_rate_bounds,
-    multi_symbol_analysis,
     ordering_table,
     run_pair_comparison,
     unbordered_lower_estimate,
     unbordered_rate_bounds,
-    unbordered_representative,
 )
 from holerates.roots import compare, escape_rate
 from holerates.words import AB, Word, enumerate_words, is_unbordered, minimal_period
@@ -54,10 +51,15 @@ class TestFamilies:
         assert w("aaab") in overlap
 
     def test_representatives(self):
-        measure = B(["3/5", "2/5"])
-        assert str(unbordered_representative(4, measure)) == "aaab"
-        assert str(max_measure_representative(4, measure)) == "aaaa"
-        assert is_unbordered(unbordered_representative(6, measure))
+        # a^(r-1) b and its reversal for the unbordered family, a^r for the
+        # maximal-measure one; the tie at p = 1 - 1/(r+1) lists all three
+        assert [str(word) for word in gamma_max(4, B(["4/5", "1/5"]), TOL).witnesses] == [
+            "aaab", "baaa", "aaaa"
+        ]
+        assert [str(word) for word in gamma_max(6, B(["2/5", "3/5"]), TOL).witnesses] == [
+            "bbbbba", "abbbbb"
+        ]
+        assert is_unbordered(gamma_max(6, B(["3/5", "2/5"]), TOL).witnesses[0])
 
 
 class TestGammaMax:
@@ -319,23 +321,19 @@ class TestOrderSwitch:
 
 class TestMultiSymbol:
     def test_small_second_probability(self):
-        report = multi_symbol_analysis(3, B(["7/10", "1/5", "1/10"]), TOL)
+        report = gamma_max(3, B(["7/10", "1/5", "1/10"]), TOL)
         assert report.regime is Regime.MEASURE_MAX
         assert report.reason == "q < p(1-p)"
 
     def test_large_p(self):
-        report = multi_symbol_analysis(3, B(["17/20", "1/10", "1/20"]), TOL)
+        report = gamma_max(3, B(["17/20", "1/10", "1/20"]), TOL)
         assert report.regime is Regime.MEASURE_MAX
         assert report.reason == "p >= 1 - 1/(r+1)"
 
     def test_near_two_symbol_case_prefers_unbordered(self):
-        report = multi_symbol_analysis(4, B(["3/5", "39/100", "1/100"]), TOL)
+        report = gamma_max(4, B(["3/5", "39/100", "1/100"]), TOL)
         assert report.regime in (Regime.PRIME_LOW, Regime.PRIME_FLAT)
         assert compare(report.gamma_unbordered, report.gamma_max_measure) == 1
-
-    def test_requires_three_symbols(self):
-        with pytest.raises(ValueError):
-            multi_symbol_analysis(3, B(["1/2", "1/2"]), TOL)
 
 
 class TestMarkovScan:

@@ -45,6 +45,12 @@ CASES["rate_abba_markov"] = ["rate", "--word", "abba", "--markov", "2/5,3/5,1/3,
 CASES["oracle_abab_markov_cap1000"] = [
     "oracle", "--word", "abab", "--markov", "2/5,3/5,1/3,2/3", "--n", "20", "--enum-cap", "1000"
 ]
+CASES["max_r4_measure_max"] = ["max", "--r", "4", "--p", "9/10"]
+CASES["max_r4_tie"] = ["max", "--r", "4", "--p", "4/5"]
+CASES["max_r3_ternary_q_small"] = ["max", "--r", "3", "--bernoulli", "7/10,1/5,1/10"]
+CASES["max_r3_ternary_p_large"] = ["max", "--r", "3", "--bernoulli", "17/20,1/10,1/20"]
+CASES["max_r4_ternary_direct"] = ["max", "--r", "4", "--bernoulli", "3/5,39/100,1/100"]
+CASES["figure_relerr"] = ["figure", "relerr"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -10,7 +10,6 @@ from holerates.words import (
     enumerate_words,
     is_unbordered,
     minimal_period,
-    occurrence_count,
 )
 
 
@@ -64,28 +63,6 @@ class TestWordParsing:
             Word.parse("", AB)
         with pytest.raises(ValueError):
             Word((), AB)
-
-
-class TestOccurrenceCount:
-    def test_full_word(self):
-        assert occurrence_count(w("aabbaa"), 0, 0, 6) == 4
-
-    def test_empty_range_is_zero(self):
-        assert occurrence_count(w("ab"), 1, 1, 1) == 0
-
-    def test_suffix_slice(self):
-        assert occurrence_count(w("aa"), 0, 1, 2) == 1
-
-    def test_bad_range(self):
-        with pytest.raises(IndexError):
-            occurrence_count(w("ab"), 0, 2, 1)
-        with pytest.raises(IndexError):
-            occurrence_count(w("ab"), 0, 0, 3)
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
-    def test_counts_partition_the_length(self, letters):
-        word = Word(tuple(letters), AB)
-        assert sum(occurrence_count(word, a, 0, len(word)) for a in (0, 1)) == len(word)
 
 
 class TestAutocorrelation:
