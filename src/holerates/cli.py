@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -500,14 +501,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Load --config JSON as parser defaults; explicit flags still win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+def _config_path(argv: list[str]) -> str | None:
+    """The path given as ``--config PATH`` or ``--config=PATH``; "" if the
+    flag has no path, None if there is no such flag."""
+    for idx, token in enumerate(argv):
+        if token == "--config":
+            return argv[idx + 1] if idx + 1 < len(argv) else ""
+        if token.startswith("--config="):
+            return token[len("--config="):]
+    return None
+
+
+def _apply_config(parser: _Parser, path: str, argv: list[str]) -> None:
+    """Load the --config JSON as parser defaults; explicit flags still win."""
+    if not path:
         parser.error("--config needs a file path")
-    with open(argv[idx + 1]) as handle:
+    with open(path) as handle:
         data = json.load(handle)
     allow_float = "--allow-float" in argv
     clean: dict = {}
@@ -525,14 +534,22 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
     parser.set_defaults(**clean)
     for sub in parser.subcommands:
         sub.set_defaults(**clean)
-    return argv
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without --config, built on first use."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    config = _config_path(argv)
+    # config defaults go on a parser of the call's own, never the shared one
+    parser = _shared_parser() if config is None else build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        if config is not None:
+            _apply_config(parser, config, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except ForbiddenWordError as exc:

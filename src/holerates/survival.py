@@ -25,6 +25,7 @@ determinants; that path exists for tests and the ``oracle`` CLI command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,17 +264,22 @@ class RationalGenFun:
     denominator: RationalPolynomial
 
     def series(self, count: int) -> list[Fraction]:
-        d0 = self.denominator[0]
-        if d0 == 0:
+        """The first ``count`` coefficients.  Over one common integer
+        denominator, term n is q_n / d_0^(n+1) with the integer recurrence
+        q_n = N_n d_0^n - sum_{i>=1} d_i d_0^(i-1) q_(n-i)."""
+        num, den = self.numerator.coeffs, self.denominator.coeffs
+        scale = math.lcm(*(c.denominator for c in num + den))
+        nums = [c.numerator * (scale // c.denominator) for c in num]
+        dens = [c.numerator * (scale // c.denominator) for c in den]
+        if not dens or dens[0] == 0:
             raise ValueError("denominator must not vanish at 0")
-        out: list[Fraction] = []
+        d0 = dens[0]
+        weights = [d * d0**j for j, d in enumerate(dens[1:])]  # d_(j+1) d_0^j
+        q: list[int] = []
         for n in range(count):
-            acc = self.numerator[n]
-            for i in range(1, self.denominator.degree + 1):
-                if n - i >= 0:
-                    acc -= self.denominator[i] * out[n - i]
-            out.append(acc / d0)
-        return out
+            acc = nums[n] * d0**n if n < len(nums) else 0
+            q.append(acc - sum(w * q[n - 1 - j] for j, w in enumerate(weights[:n])))
+        return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
 
 
 def _survival_part(

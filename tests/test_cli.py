@@ -1,7 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import holerates
 from holerates import extremal, polynomials, survival
 from holerates.cli import main
 
@@ -338,6 +346,22 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["z0_lower"] == "2/1"
 
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_both_config_forms_are_read(self, capsys, tmp_path, form):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"word": "ab", "bernoulli": "3/5,2/5"}))
+        flag = ["--config", str(config)] if form == "separate" else [f"--config={config}"]
+        code, out, _ = run(capsys, *flag, "rate")
+        assert code == 0
+        assert json.loads(out)["z0_lower"] == "5/3"
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config=", "rate"]])
+    def test_config_without_path(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--config needs a file path" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rate.json"
         code, out, _ = run(
@@ -346,3 +370,46 @@ class TestConfig:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["z0_lower"] == "5/3"
+
+
+class TestSharedParser:
+    def test_config_defaults_do_not_leak(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"word": "ab", "bernoulli": "3/5,2/5"}))
+        code, _, _ = run(capsys, f"--config={config}", "rate")
+        assert code == 0
+        code, _, err = run(capsys, "rate", "--p", "3/5")
+        assert code == 1
+        assert "--word is required" in err
+
+    def test_repeated_calls_print_identical_bytes(self, capsys):
+        argv = ("oracle", "--word", "aab", "--p", "3/5", "--n", "12")
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
+
+    def test_import_builds_no_parser(self):
+        script = textwrap.dedent(
+            """
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            import holerates.cli as cli
+            assert not built, "import built a parser"
+            argv = ["rate", "--word", "ab", "--p", "3/5", "--out", __import__("os").devnull]
+            assert cli.main(argv) == 0
+            once = len(built)
+            assert cli.main(argv) == 0
+            assert len(built) == once > 0, (once, len(built))
+            """
+        )
+        src = str(Path(holerates.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr

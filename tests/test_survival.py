@@ -14,6 +14,7 @@ from holerates.polynomials import (
 )
 from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
+    RationalGenFun,
     SurvivalSeries,
     _walk_length,
     build_automaton,
@@ -279,6 +280,66 @@ class TestGenFun:
         rate = escape_rate(word, P35)
         pole = smallest_positive_root(gf.denominator, candidates=rate.candidates)
         assert pole.lower <= rate.upper and rate.lower <= pole.upper
+
+
+def _fraction_series(gf, count):
+    """The plain Fraction recurrence sum_i d_i p_(n-i) = N_n, solved for p_n."""
+    num, den = gf.numerator, gf.denominator
+    out = []
+    for n in range(count):
+        acc = num[n] - sum(den[i] * out[n - i] for i in range(1, min(n, den.degree) + 1))
+        out.append(acc / den[0])
+    return out
+
+
+def _gf(num, den):
+    return RationalGenFun(
+        RationalPolynomial([Fraction(c) for c in num]),
+        RationalPolynomial([Fraction(c) for c in den]),
+    )
+
+
+class TestIntegerSeries:
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (["1", "1/2"], ["1", "-1/3", "1/5"]),  # d0 = 1
+            (["2/7", "-3"], ["3", "-5/2", "1/4"]),  # d0 = 3
+            (["1", "-2"], ["-5/3", "1", "2/9"]),  # negative d0
+            (["-4"], ["-1", "0", "0", "7/11"]),  # negative d0, gap in d
+            (["1", "2", "3", "4", "5/6"], ["1", "-1/2"]),  # numerator longer
+            ([], ["2/3", "1"]),  # zero numerator
+        ],
+    )
+    def test_matches_fraction_recurrence(self, num, den):
+        gf = _gf(num, den)
+        for count in (0, 1, 3, 25):
+            assert gf.series(count) == _fraction_series(gf, count)
+        assert gf.series(0) == []
+        assert all(type(c) is Fraction for c in gf.series(25))
+
+    @pytest.mark.parametrize("den", [["0", "1"], ["0"], []])
+    def test_vanishing_constant_term_raises(self, den):
+        with pytest.raises(ValueError):
+            _gf(["1"], den).series(3)
+
+    def test_ternary_hole(self):
+        measure = B(["1/2", "3/10", "1/5"])
+        for text in ("aba", "abca", "ccc"):
+            gf = genfun(w(text, ABC), measure)
+            assert gf.series(30) == _fraction_series(gf, 30)
+
+    def test_chain_with_zero_entry(self):
+        chain = M(["0", "1", "1/2", "1/2"])
+        checked = 0
+        for r in range(1, 5):
+            for word in enumerate_words(AB, r):
+                if not is_allowed(word, chain):
+                    continue
+                gf = genfun(word, chain)
+                assert gf.series(30) == _fraction_series(gf, 30)
+                checked += 1
+        assert checked > 5
 
 
 class TestWordEquations:
