@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from . import extremal, survival
 from .errors import EnumerationCapError, ForbiddenWordError, NoPositiveRootError
 from .measures import BernoulliMeasure, MarkovChain
 from .roots import RootResult, escape_rate
-from .words import Alphabet, Word
+from .words import DEFAULT_ENUMERATION_CAP, Alphabet, Word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,16 +118,13 @@ def _tol_from_args(args) -> Fraction:
     return tol
 
 
-def _emit(args, payload, rows=None, fieldnames=None) -> None:
+def _emit(args, payload, rows) -> None:
     """Write JSON (payload) or CSV (rows) to --out or stdout."""
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        if rows is None:
-            raise ValueError("this command only supports --format json")
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames or list(rows[0].keys()))
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()
@@ -149,27 +147,26 @@ def _root_fields(result: RootResult) -> dict:
     }
 
 
-# --------------------------------------------------------------------------
-# subcommands
-# --------------------------------------------------------------------------
-
-
-def cmd_rate(args) -> int:
-    measure = _measure_from_args(args)
-    word = _word_from_args(args, measure)
-    tol = _tol_from_args(args)
-    result = escape_rate(word, measure, tol)
-    payload = {
-        "word": str(word),
-        "denominator": result.poly.coeff_strings(),
-        **_root_fields(result),
-    }
-    row = dict(payload)
-    row["denominator"] = ";".join(payload["denominator"])
+def _record(payload: dict, joined: str) -> tuple[dict, list[dict]]:
+    """A one-record command's payload and its one CSV row: the list under
+    ``joined`` as ``a;b``, the floats of ``_root_fields`` at 17 digits."""
+    row = {**payload, joined: ";".join(payload[joined])}
     for key in ("z0", "gamma", "gamma_lower", "gamma_upper"):
         row[key] = float_str(row[key])
-    _emit(args, payload, [row])
-    return EXIT_OK
+    return payload, [row]
+
+
+# --------------------------------------------------------------------------
+# subcommands: each returns (JSON payload, CSV rows) for main to _emit
+# --------------------------------------------------------------------------
+
+
+def cmd_rate(args) -> tuple:
+    measure = _measure_from_args(args)
+    word = _word_from_args(args, measure)
+    rate = escape_rate(word, measure, _tol_from_args(args))
+    payload = {"word": str(word), "denominator": rate.poly.coeff_strings(), **_root_fields(rate)}
+    return _record(payload, "denominator")
 
 
 def _table_rows(prefix: dict, table) -> list[dict]:
@@ -191,48 +188,47 @@ def _table_rows(prefix: dict, table) -> list[dict]:
     return rows
 
 
-def _scan_point_bernoulli(job) -> list[dict]:
-    r, p, tol, cap = job
-    measure = BernoulliMeasure.from_rationals([p, 1 - p])
-    table = extremal.ordering_table(r, measure, tol, cap)
-    return _table_rows({"p": frac_str(p)}, table)
+def _p_grid(text: str) -> list[tuple[dict, BernoulliMeasure]]:
+    return [({"p": frac_str(p)}, BernoulliMeasure.from_rationals([p, 1 - p]))
+            for p in _parse_grid(text)]
 
 
-def _scan_point_markov(job) -> list[dict]:
-    r, paa, pbb, tol, cap = job
-    chain = MarkovChain.from_rationals([paa, 1 - paa, 1 - pbb, pbb])
-    table = extremal.ordering_table(r, chain, tol, cap)
-    return _table_rows({"pi_aa": frac_str(paa), "pi_bb": frac_str(pbb)}, table)
+def _chain_grid(text: str) -> list[tuple[dict, MarkovChain]]:
+    return [({"pi_aa": frac_str(a), "pi_bb": frac_str(b)},
+             MarkovChain.from_rationals([a, 1 - a, 1 - b, b]))
+            for a, b in itertools.product(_parse_grid(text), repeat=2)]
 
 
-def _run_jobs(worker, jobs, n_workers: int) -> list:
+def _sweep_point(job) -> list[dict]:
+    r, prefix, measure, tol, cap = job
+    return _table_rows(prefix, extremal.ordering_table(r, measure, tol, cap))
+
+
+def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict]:
+    """The ordering tables of length ``r`` at every ``(prefix, measure)``
+    point, in point order: serially, or on ``n_workers`` processes."""
+    jobs = [(r, prefix, measure, tol, cap) for prefix, measure in points]
     if n_workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
-def cmd_scan(args) -> int:
-    tol = _tol_from_args(args)
-    r = args.r
-    if args.grid:
-        jobs = [(r, p, tol, args.cap) for p in _parse_grid(args.grid)]
-        chunks = _run_jobs(_scan_point_bernoulli, jobs, args.jobs)
-        rows = [row for chunk in chunks for row in chunk]
-    elif args.markov_grid:
-        grid = _parse_grid(args.markov_grid)
-        jobs = [(r, paa, pbb, tol, args.cap) for paa in grid for pbb in grid]
-        chunks = _run_jobs(_scan_point_markov, jobs, args.jobs)
-        rows = [row for chunk in chunks for row in chunk]
+        tables = map(_sweep_point, jobs)
     else:
-        measure = _measure_from_args(args)
-        table = extremal.ordering_table(r, measure, tol, args.cap)
-        rows = _table_rows({}, table)
-    _emit(args, rows, rows)
-    return EXIT_OK
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            tables = list(pool.map(_sweep_point, jobs))
+    return [row for table in tables for row in table]
 
 
-def cmd_max(args) -> int:
+def cmd_scan(args) -> tuple:
+    tol = _tol_from_args(args)
+    if args.grid:
+        points = _p_grid(args.grid)
+    elif args.markov_grid:
+        points = _chain_grid(args.markov_grid)
+    else:
+        points = [({}, _measure_from_args(args))]
+    rows = _sweep(args.r, points, tol, args.cap, args.jobs)
+    return rows, rows
+
+
+def cmd_max(args) -> tuple:
     measure = _measure_from_args(args)
     tol = _tol_from_args(args)
     if not isinstance(measure, BernoulliMeasure):
@@ -245,46 +241,35 @@ def cmd_max(args) -> int:
         "witnesses": [str(w) for w in report.witnesses],
         **_root_fields(report.gamma),
     }
-    row = dict(payload)
-    row["witnesses"] = ";".join(payload["witnesses"])
-    for key in ("z0", "gamma", "gamma_lower", "gamma_upper"):
-        row[key] = float_str(row[key])
-    _emit(args, payload, [row])
-    return EXIT_OK
+    return _record(payload, "witnesses")
 
 
-def _bounds_rows(p: Fraction, r_values, tol) -> list[dict]:
-    rows = []
-    for r in r_values:
-        report = extremal.gamma_max_two_symbols(r, p, tol)
-        gamma = report.gamma.gamma
-        lower, upper = extremal.max_rate_bounds(r, p)
-        estimate = extremal.unbordered_lower_estimate(r, p)
-        rows.append(
-            {
-                "p": frac_str(p),
-                "r": r,
-                "regime": report.regime.value,
-                "lower": float_str(lower),
-                "upper": float_str(upper),
-                "gamma": float_str(gamma),
-                "rel_err_lower": float_str((gamma - lower) / gamma),
-                "prime_estimate": float_str(estimate),
-                "rel_err_prime_estimate": float_str((gamma - estimate) / gamma),
-            }
-        )
-    return rows
+def _bounds_row(p: Fraction, r: int, tol: Fraction) -> dict:
+    report = extremal.gamma_max_two_symbols(r, p, tol)
+    gamma = report.gamma.gamma
+    lower, upper = extremal.max_rate_bounds(r, p)
+    estimate = extremal.unbordered_lower_estimate(r, p)
+    return {
+        "p": frac_str(p),
+        "r": r,
+        "regime": report.regime.value,
+        "lower": float_str(lower),
+        "upper": float_str(upper),
+        "gamma": float_str(gamma),
+        "rel_err_lower": float_str((gamma - lower) / gamma),
+        "prime_estimate": float_str(estimate),
+        "rel_err_prime_estimate": float_str((gamma - estimate) / gamma),
+    }
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple:
     tol = _tol_from_args(args)
     p = _fraction(args.p)
-    rows = _bounds_rows(p, _parse_range(args.r), tol)
-    _emit(args, rows, rows)
-    return EXIT_OK
+    rows = [_bounds_row(p, r, tol) for r in _parse_range(args.r)]
+    return rows, rows
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple:
     measure = _measure_from_args(args)
     word = _word_from_args(args, measure)
     tol = _tol_from_args(args)
@@ -336,11 +321,10 @@ def cmd_oracle(args) -> int:
         }
         for i, value in enumerate(series.values)
     ]
-    _emit(args, payload, rows)
-    return EXIT_OK
+    return payload, rows
 
 
-def cmd_families(args) -> int:
+def cmd_families(args) -> tuple:
     measure = _measure_from_args(args)
     if not isinstance(measure, BernoulliMeasure):
         raise ValueError("families is defined for product measures")
@@ -359,11 +343,17 @@ def cmd_families(args) -> int:
         {"family": "max_measure", "word": str(w), "measure": frac_str(fam.top_measure)}
         for w in fam.max_measure
     ]
-    _emit(args, payload, rows)
-    return EXIT_OK
+    return payload, rows
 
 
-def cmd_markov_scan(args) -> int:
+def _json_value(value):
+    """Words and fractions as text, anything else as it is."""
+    if isinstance(value, Word):
+        return str(value)
+    return frac_str(value) if isinstance(value, Fraction) else value
+
+
+def cmd_markov_scan(args) -> tuple:
     measure = _measure_from_args(args)
     if not isinstance(measure, MarkovChain):
         raise ValueError("markov-scan requires --markov")
@@ -378,45 +368,22 @@ def cmd_markov_scan(args) -> int:
     }
     if args.format == "json":  # CSV writes only the rows
         payload["pair_checks"] = [
-            {
-                "unbordered_word": str(check.unbordered_word),
-                "other": str(check.other),
-                "cycle_weight": frac_str(check.cycle_weight),
-                "second_eig_sign": check.second_eig_sign,
-                "other_unbordered": check.other_unbordered,
-                "endpoints_distinct": check.endpoints_distinct,
-                "predicted": check.predicted,
-                "observed": check.observed,
-                "holds": check.holds,
-            }
+            {**{k: _json_value(v) for k, v in vars(check).items()}, "holds": check.holds}
             for check in report.pair_checks
         ]
-    _emit(args, payload, rows)
-    return EXIT_OK
+    return payload, rows
 
 
-def _figure_relerr_rows(tol) -> list[dict]:
-    rows = []
-    for p in (Fraction(17, 20), Fraction(9, 10), Fraction(19, 20)):
-        rows.extend(_bounds_rows(p, range(2, 41), tol))
-    return rows
-
-
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> tuple:
     tol = _tol_from_args(args)
     if args.name == "fig1":
-        jobs = [(4, p, tol, args.cap) for p in _parse_grid(args.grid or "1/2:99/100:1/200")]
-        chunks = _run_jobs(_scan_point_bernoulli, jobs, args.jobs)
-        rows = [row for chunk in chunks for row in chunk]
+        rows = _sweep(4, _p_grid(args.grid or "1/2:99/100:1/200"), tol, args.cap, args.jobs)
     elif args.name == "relerr":
-        rows = _figure_relerr_rows(tol)
+        ps = (Fraction(17, 20), Fraction(9, 10), Fraction(19, 20))
+        rows = [_bounds_row(p, r, tol) for p in ps for r in range(2, 41)]
     else:  # markov-r3
-        grid = _parse_grid(args.grid or "1/20:19/20:1/20")
-        jobs = [(3, paa, pbb, tol, args.cap) for paa in grid for pbb in grid]
-        chunks = _run_jobs(_scan_point_markov, jobs, args.jobs)
-        rows = [row for chunk in chunks for row in chunk]
-    _emit(args, rows, rows)
-    return EXIT_OK
+        rows = _sweep(3, _chain_grid(args.grid or "1/20:19/20:1/20"), tol, args.cap, args.jobs)
+    return rows, rows
 
 
 # --------------------------------------------------------------------------
@@ -424,25 +391,35 @@ def cmd_figure(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub, table_default: str) -> None:
+def _add_output(sub, table_default: str) -> None:
+    sub.add_argument("--format", choices=("csv", "json"), default=table_default)
+    sub.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_workers(sub, cap: bool) -> None:  # --cap only where words are enumerated
+    if cap:
+        sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
+    sub.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+
+
+def _add_common(sub, table_default: str, *, tol: bool = True, cap: bool = False) -> None:
     sub.add_argument("--bernoulli", help="comma-separated exact probabilities, e.g. 3/5,2/5")
     sub.add_argument("--markov", help="four exact entries of the 2x2 row-stochastic matrix")
     sub.add_argument("--p", help="two-symbol shorthand: Bernoulli(p, 1-p)")
     sub.add_argument("--symbols", help="symbol names for --bernoulli, e.g. abc")
-    sub.add_argument("--tol", default="1e-14", help="relative root tolerance (default 1e-14)")
-    sub.add_argument("--format", choices=("csv", "json"), default=table_default)
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--cap", type=int, default=1 << 24, help="enumeration cap")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    if tol:
+        sub.add_argument("--tol", default="1e-14", help="relative root tolerance (default 1e-14)")
+    _add_output(sub, table_default)
+    _add_workers(sub, cap)
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="holerates", description=__doc__)
+    # abbreviated top-level flags would slip past _config_path
+    parser = _Parser(prog="holerates", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="JSON file whose keys mirror the flag names")
     parser.add_argument("--allow-float", action="store_true",
                         help="accept binary floats in the config file (converted exactly)")
     subs = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = []
 
     rate = subs.add_parser("rate", help="escape rate of one hole")
     rate.add_argument("--word", help="the hole word, e.g. aabbaa")
@@ -453,7 +430,7 @@ def build_parser() -> _Parser:
     scan.add_argument("--r", type=int, required=True)
     scan.add_argument("--grid", help="two-symbol p sweep lo:hi:step")
     scan.add_argument("--markov-grid", dest="markov_grid", help="pi_aa/pi_bb grid lo:hi:step")
-    _add_common(scan, "csv")
+    _add_common(scan, "csv", cap=True)
     scan.set_defaults(func=cmd_scan)
 
     top = subs.add_parser("max", help="hole with maximal escape rate")
@@ -465,8 +442,7 @@ def build_parser() -> _Parser:
     bounds.add_argument("--p", required=True)
     bounds.add_argument("--r", default="2:40", help="length or range lo:hi (default 2:40)")
     bounds.add_argument("--tol", default="1e-14")
-    bounds.add_argument("--format", choices=("csv", "json"), default="csv")
-    bounds.add_argument("--out")
+    _add_output(bounds, "csv")
     bounds.set_defaults(func=cmd_bounds)
 
     oracle = subs.add_parser("oracle", help="cross-check all survival oracles for one hole")
@@ -479,22 +455,20 @@ def build_parser() -> _Parser:
 
     fam = subs.add_parser("families", help="the two extremal families at length r")
     fam.add_argument("--r", type=int, required=True)
-    _add_common(fam, "json")
+    _add_common(fam, "json", tol=False, cap=True)
     fam.set_defaults(func=cmd_families)
 
     mscan = subs.add_parser("markov-scan", help="rates of all allowed holes under a chain")
     mscan.add_argument("--r", type=int, required=True)
-    _add_common(mscan, "csv")
+    _add_common(mscan, "csv", cap=True)
     mscan.set_defaults(func=cmd_markov_scan)
 
     figure = subs.add_parser("figure", help="emit figure-ready data tables")
     figure.add_argument("name", choices=("fig1", "relerr", "markov-r3"))
     figure.add_argument("--grid", help="override the default grid")
     figure.add_argument("--tol", default="1e-12")
-    figure.add_argument("--format", choices=("csv", "json"), default="csv")
-    figure.add_argument("--out")
-    figure.add_argument("--cap", type=int, default=1 << 24)
-    figure.add_argument("--jobs", type=int, default=1)
+    _add_output(figure, "csv")
+    _add_workers(figure, cap=True)
     figure.set_defaults(func=cmd_figure)
 
     parser.subcommands = [rate, scan, top, bounds, oracle, fam, mscan, figure]
@@ -551,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
         if config is not None:
             _apply_config(parser, config, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        _emit(args, *args.func(args))
+        return EXIT_OK
     except ForbiddenWordError as exc:
         print(f"forbidden word: {exc}", file=sys.stderr)
         return EXIT_FORBIDDEN

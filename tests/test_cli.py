@@ -362,6 +362,16 @@ class TestConfig:
         assert exc.value.code == 1
         assert "--config needs a file path" in capsys.readouterr().err
 
+    # an abbreviation would slip past the exact match that finds --config
+    @pytest.mark.parametrize("flags", [["--conf"], ["--allow-fl", "--config"]])
+    def test_abbreviated_top_level_flag_is_a_usage_error(self, capsys, tmp_path, flags):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"word": "ab", "bernoulli": "3/5,2/5"}))
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, str(config), "rate"])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rate.json"
         code, out, _ = run(
@@ -370,6 +380,20 @@ class TestConfig:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["z0_lower"] == "5/3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--word", "ab", "--p", "3/5", "--cap", "5"],
+        ["families", "--r", "3", "--p", "3/5", "--tol", "1e-10"],
+    ],
+)
+def test_flags_a_command_never_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSharedParser:

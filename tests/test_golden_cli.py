@@ -60,6 +60,38 @@ def test_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_bytes().decode()
 
 
+#: One golden case per subcommand, with the format it does not default to.
+OUT_CASES = {
+    "rate_abba_markov": "csv",
+    "scan_r6": "json",
+    "max_r5": "csv",
+    "bounds": "json",
+    "oracle_aabbaa": "csv",
+    "families_r8": "csv",
+    "markov_scan_r5": "json",
+    "figure_relerr": "json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_file_holds_the_golden_bytes(name, capsys, tmp_path):
+    target = tmp_path / "out"
+    assert main(CASES[name] + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_file_holds_the_stdout_bytes_in_the_other_format(name, capsys, tmp_path):
+    argv = CASES[name] + ["--format", OUT_CASES[name]]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
