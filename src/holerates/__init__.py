@@ -22,7 +22,6 @@ from .extremal import (
     markov_scan,
     max_rate_bounds,
     ordering_table,
-    run_pair_comparison,
     unbordered_lower_estimate,
     unbordered_rate_bounds,
 )
@@ -38,19 +37,13 @@ from .measures import (
 from .polynomials import (
     RationalPolynomial,
     markov_weighted_autocorrelation,
-    max_unbordered_denominator,
     survival_denominator,
-    unbordered_denominator,
     weighted_autocorrelation,
 )
 from .roots import (
-    CriticalPair,
     RootResult,
     compare,
     compare_with_rational,
-    count_positive_roots,
-    count_roots_between,
-    critical_values,
     escape_rate,
     refine,
     smallest_positive_root,
@@ -72,8 +65,6 @@ from .words import (
     Word,
     autocorrelation,
     enumerate_words,
-    is_unbordered,
-    minimal_period,
 )
 
 __version__ = "0.1.0"

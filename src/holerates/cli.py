@@ -61,10 +61,14 @@ def float_str(value: float) -> str:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in str(text):
-        lo, hi = str(text).split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """N, or lo:hi with lo <= hi and both ends included."""
+    try:
+        ends = [int(part) for part in str(text).split(":")]
+        if len(ends) == 1 or (len(ends) == 2 and ends[0] <= ends[1]):
+            return list(range(ends[0], ends[-1] + 1))
+    except ValueError:
+        pass
+    raise ValueError(f"range must look like N or lo:hi with lo <= hi, got {text!r}")
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -492,6 +496,8 @@ def _apply_config(parser: _Parser, path: str, argv: list[str]) -> None:
         parser.error("--config needs a file path")
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
     allow_float = "--allow-float" in argv
     clean: dict = {}
     for key, value in data.items():

@@ -37,8 +37,6 @@ from .roots import (
     RootResult,
     _frac_log,
     compare,
-    compare_with_rational,
-    critical_values,
     rate_from_denominator,
 )
 from .roots import escape_rate as _escape_rate
@@ -308,9 +306,12 @@ def unbordered_rate_bounds(r: int, m: Fraction | int | str) -> tuple[float, floa
     m = as_fraction(m)
     if r < 2:
         raise ValueError("r must be >= 2")
-    crit = critical_values(r, m)
-    if m > crit.threshold:
-        raise ValueError(f"m = {m} exceeds the existence threshold {crit.threshold}")
+    if m <= 0:
+        raise ValueError("m must be positive")
+    # the largest m for which the trinomial m z^r - z + 1 has a positive root
+    threshold = Fraction(1, r) * (1 - Fraction(1, r)) ** (r - 1)
+    if m > threshold:
+        raise ValueError(f"m = {m} exceeds the existence threshold {threshold}")
     disc = 1 - r * m * (2 + (r - 2) * m)
     if disc < 0:
         raise AssertionError("negative discriminant for m below the threshold")
@@ -562,39 +563,4 @@ def markov_scan(
         rows=rows,
         argmax=argmax,
         chain=chain,
-    )
-
-
-@dataclass(frozen=True)
-class RunPairComparison:
-    """The two-run words a a b^(r-2) (unbordered) and a b^(r-2) a (bordered,
-    same cycle weight): the bordered one leaks faster exactly when the
-    unbordered word's root lies below 1/(1 + second eigenvalue)."""
-
-    unbordered_word: Word
-    cycled_word: Word
-    observed: int  # sign of gamma(unbordered) - gamma(cycled)
-    root_vs_threshold: int  # sign of (root of unbordered denominator) - 1/(1+eig)
-
-    @property
-    def consistent(self) -> bool:
-        return self.observed == self.root_vs_threshold
-
-
-def run_pair_comparison(
-    r: int, chain: MarkovChain, tol: Fraction = DEFAULT_TOL
-) -> RunPairComparison:
-    if r < 3:
-        raise ValueError("r must be >= 3")
-    alphabet = chain.alphabet
-    w1 = Word((0, 0) + (1,) * (r - 2), alphabet)
-    w2 = Word((0,) + (1,) * (r - 2) + (0,), alphabet)
-    res1 = _escape_rate(w1, chain, tol)
-    res2 = _escape_rate(w2, chain, tol)
-    threshold = 1 / (1 + chain.second_eigenvalue)
-    return RunPairComparison(
-        unbordered_word=w1,
-        cycled_word=w2,
-        observed=compare(res1, res2),
-        root_vs_threshold=compare_with_rational(res1, threshold),
     )

@@ -139,22 +139,6 @@ class MarkovChain:
     def second_eigenvalue(self) -> Fraction:
         return self.matrix[0][0] + self.matrix[1][1] - 1
 
-    def product_measure(self) -> BernoulliMeasure:
-        """The Bernoulli measure this chain degenerates to when its rows are
-        equal (second eigenvalue zero)."""
-        if self.second_eigenvalue != 0:
-            raise ValueError("chain is not a product measure (second eigenvalue != 0)")
-        return BernoulliMeasure(self.alphabet, self.matrix[0])
-
-    def word_measure(self, word: Word) -> Fraction:
-        """Stationary measure of the cylinder on ``word``."""
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatchError("word and chain use different alphabets")
-        out = self.stationary[word.letters[0]]
-        for i, j in zip(word.letters, word.letters[1:]):
-            out *= self.matrix[i][j]
-        return out
-
 
 @dataclass(frozen=True)
 class HoleWeights:

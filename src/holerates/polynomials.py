@@ -10,8 +10,6 @@ The key objects:
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
   the survival probabilities (see the ``survival`` module).
-* ``unbordered_denominator(r, m)``: the trinomial m z^r - z + 1 shared by
-  every unbordered hole of length r and measure m.
 
 Every polynomial also has ``ints``, its coefficients as integers with
 content 1 and the same signs, which is all that root isolation reads.  A
@@ -26,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain, as_fraction
+from .measures import BernoulliMeasure, MarkovChain
 from .words import Word, autocorrelation
 
 
@@ -124,17 +122,7 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "RationalPolynomial":
-        """Multiply by z**k."""
-        return RationalPolynomial([Fraction(0)] * k + list(self.coeffs))
-
-    # -- evaluation and output --------------------------------------------
-
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    # -- output ------------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
         """Coefficients as 'num/den' strings, index = degree."""
@@ -168,27 +156,6 @@ def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalP
         coeffs.append(weight if bit else 0)
         weight *= measure.probs[letter]
     return RationalPolynomial(coeffs)
-
-
-def unbordered_denominator(r: int, m: Fraction | int | str) -> RationalPolynomial:
-    """The trinomial m z^r - z + 1: survival denominator of any unbordered
-    hole of length r and measure m."""
-    m = as_fraction(m)
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    return RationalPolynomial([1, -1] + [0] * (r - 2) + [m])
-
-
-def max_unbordered_denominator(r: int, p: Fraction | int | str) -> RationalPolynomial:
-    """unbordered_denominator(r, p^(r-1) (1-p)): the trinomial for the
-    maximal-measure unbordered hole over a two-symbol alphabet with top
-    probability p.  It vanishes at z = 1/p for every p."""
-    p = as_fraction(p)
-    if not 0 < p < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
-    return unbordered_denominator(r, p ** (r - 1) * (1 - p))
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:

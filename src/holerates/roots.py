@@ -146,37 +146,6 @@ def _variations_at_inf(chain: list[list[int]]) -> int:
     return _variations(p[-1] for p in chain)
 
 
-def descartes_variations(poly: RationalPolynomial) -> int:
-    """Number of sign changes in the coefficient sequence: an upper bound on
-    the number of positive roots, exact when 0 or 1."""
-    return _variations(poly.coeffs)
-
-
-def count_positive_roots(poly: RationalPolynomial) -> int:
-    """Number of distinct roots in (0, +inf), by Sturm counting."""
-    ints = poly.ints
-    if not ints:
-        raise ValueError("zero polynomial")
-    ints = ints[next(k for k, c in enumerate(ints) if c):]  # strip roots at 0
-    if len(ints) == 1:
-        return 0
-    chain = _sturm_chain(ints)
-    return _variations_at(chain, 0) - _variations_at_inf(chain)
-
-
-def count_roots_between(poly: RationalPolynomial, a: Fraction, b: Fraction) -> int:
-    """Number of distinct roots in the open interval (a, b); requires that
-    neither endpoint is a root."""
-    a, b = Fraction(a), Fraction(b)
-    if not 0 <= a < b:
-        raise ValueError("need 0 <= a < b")
-    ints = poly.ints
-    if any(_sign_at(ints, x.numerator, x.denominator) == 0 for x in (a, b)):
-        raise ValueError("endpoints must not be roots")
-    chain = _sturm_chain(ints)
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
 # --------------------------------------------------------------------------
 # the enclosure
 # --------------------------------------------------------------------------
@@ -510,76 +479,3 @@ def escape_rate(
 def compare_with_rational(result: RootResult, value: Fraction | int | str) -> int:
     """Certified sign of (enclosed root - value) for an exact rational value."""
     return result._state().compare_with(as_fraction(value))
-
-
-# --------------------------------------------------------------------------
-# trinomial critical values
-# --------------------------------------------------------------------------
-
-
-def _int_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of x >= 0, in pure integer arithmetic."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x in (0, 1) or n == 1:
-        return x
-    guess = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) >= x^(1/n)
-    while True:
-        step = ((n - 1) * guess + x // guess ** (n - 1)) // n
-        if step >= guess:
-            break
-        guess = step
-    while guess**n > x:
-        guess -= 1
-    while (guess + 1) ** n <= x:
-        guess += 1
-    return guess
-
-
-def _nth_root_exact(x: Fraction, n: int) -> Fraction | None:
-    num = _int_nth_root(x.numerator, n)
-    den = _int_nth_root(x.denominator, n)
-    if num**n == x.numerator and den**n == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
-@dataclass(frozen=True)
-class CriticalPair:
-    """Critical data of the trinomial m z^r - z + 1.
-
-    threshold: largest m for which a positive root exists,
-        (1/r) (1 - 1/r)^(r-1).
-    minimizer: location (r m)^(-1/(r-1)) of the trinomial's minimum on
-        (0, inf), exact when rational.
-    sign_at_minimum: sign of the trinomial at the minimizer; negative below
-        the threshold, zero at it, positive above.
-    """
-
-    r: int
-    m: Fraction
-    threshold: Fraction
-    minimizer: float
-    minimizer_exact: Fraction | None
-    sign_at_minimum: int
-
-
-def critical_values(r: int, m: Fraction | int | str) -> CriticalPair:
-    m = as_fraction(m)
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    threshold = Fraction(1, r) * (1 - Fraction(1, r)) ** (r - 1)
-    sign = -1 if m < threshold else (0 if m == threshold else 1)
-    inv = 1 / (r * m)  # minimizer ** (r-1)
-    exact = _nth_root_exact(inv, r - 1)
-    approx = math.exp(_frac_log(inv) / (r - 1))
-    return CriticalPair(
-        r=r,
-        m=m,
-        threshold=threshold,
-        minimizer=float(exact) if exact is not None else approx,
-        minimizer_exact=exact,
-        sign_at_minimum=sign,
-    )

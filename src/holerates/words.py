@@ -1,4 +1,4 @@
-"""Finite words over a finite alphabet: borders, periods, enumeration.
+"""Finite words over a finite alphabet: borders and enumeration.
 
 Symbols are stored as integer indices into an :class:`Alphabet`; textual
 symbol names appear only when parsing or printing.
@@ -117,26 +117,6 @@ def autocorrelation(word: Word) -> tuple[int, ...]:
         bits[n - border] = 1
         border = fail[border]
     return tuple(bits)
-
-
-def is_unbordered(word: Word) -> bool:
-    """True iff the word has no border besides itself (autocorrelation 1,0,...,0)."""
-    bits = autocorrelation(word)
-    return not any(bits[1:])
-
-
-def minimal_period(word: Word) -> int:
-    """Smallest t >= 1 with word[i] == word[i+t] for all valid i.
-
-    Every word has a period <= its length (the length itself counts as a
-    period), so this is the index of the first 1 in the autocorrelation
-    vector past position 0, or the length if there is none.
-    """
-    bits = autocorrelation(word)
-    for t in range(1, len(word)):
-        if bits[t]:
-            return t
-    return len(word)
 
 
 def enumerate_words(

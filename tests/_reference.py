@@ -1,0 +1,37 @@
+"""Small independent references that tests check the package against."""
+
+from fractions import Fraction
+
+from holerates.polynomials import RationalPolynomial
+from holerates.roots import _sturm_chain, _variations_at
+
+
+def trinomial(r, m):
+    """m z^r - z + 1: the survival denominator of every unbordered hole of
+    length r and measure m."""
+    return RationalPolynomial([1, -1] + [0] * (r - 2) + [m])
+
+
+def count_roots(poly, a, b):
+    """Distinct roots of ``poly`` in (a, b) for 0 <= a < b, neither a root,
+    by Sturm's theorem."""
+    chain = _sturm_chain(poly.ints)
+    return _variations_at(chain, Fraction(a)) - _variations_at(chain, Fraction(b))
+
+
+def horner(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def brute_period(letters):
+    n = len(letters)
+    for t in range(1, n + 1):
+        if all(letters[i] == letters[i + t] for i in range(n - t)):
+            return t
+
+
+def unbordered(word):
+    return brute_period(word.letters) == len(word)

@@ -25,19 +25,9 @@ from holerates.extremal import (
     max_rate_bounds,
     unbordered_lower_estimate,
 )
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
-from holerates.polynomials import (
-    RationalPolynomial,
-    max_unbordered_denominator,
-    survival_denominator,
-    unbordered_denominator,
-)
-from holerates.roots import (
-    compare,
-    count_positive_roots,
-    escape_rate,
-    rate_from_denominator,
-)
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
+from holerates.polynomials import RationalPolynomial, survival_denominator
+from holerates.roots import compare, escape_rate, rate_from_denominator
 from holerates.survival import (
     build_automaton,
     direct_enumeration,
@@ -45,7 +35,9 @@ from holerates.survival import (
     genfun,
     survival_series,
 )
-from holerates.words import AB, Alphabet, Word, enumerate_words, is_unbordered, minimal_period
+from holerates.words import AB, Alphabet, Word, enumerate_words
+
+from _reference import brute_period, count_roots, horner, trinomial, unbordered
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -162,7 +154,7 @@ def test_criterion_5_markov_oracle():
                 assert gf.series(21) == raw
                 words_checked += 1
         if chain.second_eigenvalue == 0:
-            product = chain.product_measure()
+            product = BernoulliMeasure(chain.alphabet, chain.matrix[0])
             for r in range(1, 5):
                 for word in enumerate_words(AB, r):
                     assert survival_denominator(word, chain) == survival_denominator(
@@ -242,8 +234,8 @@ def test_criterion_7_order_switch_window():
     started = time.perf_counter()
     first = Word.parse("aabbaa", AB)
     second = Word.parse("baaaab", AB)
-    assert minimal_period(first) == 4
-    assert minimal_period(second) == 5
+    assert brute_period(first.letters) == 4
+    assert brute_period(second.letters) == 5
     low, high = find_order_switch(
         first, second, Fraction(70, 100), Fraction(72, 100), width=Fraction(1, 10**4)
     )
@@ -306,14 +298,14 @@ def _measure_class_order_sweep():
                 groups.setdefault(hole_measure(word, measure), []).append((word, rate))
             unbordered_reps = {}
             for mu, members in groups.items():
-                unbordered = [m for m in members if is_unbordered(m[0])]
-                if not unbordered:
+                unbordered_members = [m for m in members if unbordered(m[0])]
+                if not unbordered_members:
                     continue
-                rep = unbordered[0]
+                rep = unbordered_members[0]
                 unbordered_reps[mu] = rep[1]
                 for word, rate in members:
                     order = compare(rep[1], rate)
-                    if is_unbordered(word):
+                    if unbordered(word):
                         assert order == 0, (str(word), mu)
                     else:
                         assert order == 1, (str(word), mu)
@@ -340,15 +332,15 @@ def test_criterion_9_property_suites():
     # trinomial root counts by Sturm
     for r in range(2, 8):
         threshold = Fraction(1, r) * (1 - Fraction(1, r)) ** (r - 1)
-        assert count_positive_roots(unbordered_denominator(r, threshold / 2)) == 2
-        assert count_positive_roots(unbordered_denominator(r, threshold)) == 1
-        assert count_positive_roots(unbordered_denominator(r, 2 * threshold)) == 0
+        for m, count in ((threshold / 2, 2), (threshold, 1), (2 * threshold, 0)):
+            # every root of m z^r - z + 1 lies below the Cauchy bound 1 + 1/m
+            assert count_roots(trinomial(r, m), 0, 1 + 1 / m) == count
     # value at 1 is the hole measure; rate root exceeds 1
     measure = B(["3/5", "2/5"])
     for r in range(1, 7):
         for word in enumerate_words(AB, r):
             tau = survival_denominator(word, measure)
-            assert tau.eval(Fraction(1)) == hole_measure(word, measure)
+            assert horner(tau, Fraction(1)) == hole_measure(word, measure)
     for text in ("a", "ab", "aabbaa", "bbbb"):
         assert escape_rate(Word.parse(text, AB), measure).lower > 1
     # run-word numerator identity
@@ -358,12 +350,13 @@ def test_criterion_9_property_suites():
         for r in range(1, 9):
             run = Word((0,) * r, AB)
             product = RationalPolynomial([1, -p]) * survival_denominator(run, run_measure)
-            assert product == max_unbordered_denominator(r + 1, p)
+            assert product == trinomial(r + 1, p**r * (1 - p))
     # Markov partition of unity
     for entries in _MARKOV_MATRICES:
         chain = M(entries)
         for r in range(1, 11):
-            assert sum(chain.word_measure(word) for word in enumerate_words(AB, r)) == 1
+            allowed = [word for word in enumerate_words(AB, r) if is_allowed(word, chain)]
+            assert sum(markov_weights(word, chain).measure for word in allowed) == 1
     _report(9, started, 120.0, "ordering laws, root counts, identities, partition of unity")
 
 

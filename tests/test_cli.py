@@ -191,6 +191,13 @@ class TestBounds:
             assert row[2] == "PRIME_FLAT" or row[2] == "TIE"
             assert float(row[6]) == 0.0  # rel_err_lower
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("r", ["5:3", "2:3:4"])
+    def test_malformed_range_is_a_usage_error(self, capsys, fmt, r):
+        code, out, err = run(capsys, "bounds", "--p", "1/2", "--r", r, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "N or lo:hi with lo <= hi" in err
+
 
 class TestOracle:
     def test_all_checks_pass(self, capsys):
@@ -354,6 +361,13 @@ class TestConfig:
         code, out, _ = run(capsys, *flag, "rate")
         assert code == 0
         assert json.loads(out)["z0_lower"] == "5/3"
+
+    def test_config_must_hold_an_object(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text("[1, 2]")
+        code, _, err = run(capsys, "--config", str(config), "rate")
+        assert code == 1
+        assert "config file must hold a JSON object" in err
 
     @pytest.mark.parametrize("argv", [["--config"], ["--config=", "rate"]])
     def test_config_without_path(self, capsys, argv):

@@ -16,12 +16,13 @@ from holerates.extremal import (
     markov_scan,
     max_rate_bounds,
     ordering_table,
-    run_pair_comparison,
     unbordered_lower_estimate,
     unbordered_rate_bounds,
 )
-from holerates.roots import compare, escape_rate
-from holerates.words import AB, Word, enumerate_words, is_unbordered, minimal_period
+from holerates.roots import compare, compare_with_rational, escape_rate
+from holerates.words import AB, Word, enumerate_words
+
+from _reference import brute_period, unbordered
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -59,7 +60,7 @@ class TestFamilies:
         assert [str(word) for word in gamma_max(6, B(["2/5", "3/5"]), TOL).witnesses] == [
             "bbbbba", "abbbbb"
         ]
-        assert is_unbordered(gamma_max(6, B(["3/5", "2/5"]), TOL).witnesses[0])
+        assert unbordered(gamma_max(6, B(["3/5", "2/5"]), TOL).witnesses[0])
 
 
 class TestGammaMax:
@@ -142,14 +143,19 @@ class TestBounds:
         assert math.isclose(upper, math.log(2), rel_tol=1e-12)
 
     def test_rejects_above_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the existence threshold"):
             unbordered_rate_bounds(3, Fraction(5, 27))
+
+    @pytest.mark.parametrize("r, m", [(3, 0), (3, Fraction(-1, 4)), (1, Fraction(1, 4))])
+    def test_rejects_outside_the_domain(self, r, m):
+        with pytest.raises(ValueError):
+            unbordered_rate_bounds(r, m)
 
     def test_bounds_contain_certified_rate_for_unbordered_holes(self):
         measure = B(["7/10", "3/10"])
         for text in ("ab", "aab", "aabb", "ababb"):
             word = w(text)
-            assert is_unbordered(word)
+            assert unbordered(word)
             lower, upper = unbordered_rate_bounds(len(word), hole_measure(word, measure))
             rate = escape_rate(word, measure, TOL)
             assert lower - 1e-12 <= rate.gamma <= upper + 1e-12
@@ -250,14 +256,14 @@ class TestCorrelationClasses:
             for c in classes:
                 first = c.words[0]
                 assert (c.measure, c.cycle_weight) == self._weights(first, measure)
-                assert c.unbordered == is_unbordered(first)
-                assert c.min_period == minimal_period(first)
+                assert c.unbordered == unbordered(first)
+                assert c.min_period == brute_period(first.letters)
                 poly = survival_denominator(first, measure)
                 for word in c.words[1:]:
                     assert survival_denominator(word, measure) == poly
                     assert self._weights(word, measure) == (c.measure, c.cycle_weight)
-                    assert is_unbordered(word) == c.unbordered
-                    assert minimal_period(word) == c.min_period
+                    assert unbordered(word) == c.unbordered
+                    assert brute_period(word.letters) == c.min_period
 
 
 class TestOneRootPerClass:
@@ -356,7 +362,8 @@ class TestMarkovScan:
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_run_pair_criterion_on_a_grid(self, r):
-        # bordered two-run word beats the unbordered one exactly when the
+        # a a b^(r-2) (unbordered) against a b^(r-2) a (bordered, of the same
+        # cycle weight): the bordered word leaks faster exactly when the
         # unbordered root is below 1/(1 + second eigenvalue)
         for num_a in (2, 10, 18):
             for num_b in (2, 10, 18):
@@ -368,5 +375,7 @@ class TestMarkovScan:
                         Fraction(num_b, 20),
                     ]
                 )
-                outcome = run_pair_comparison(r, chain, TOL)
-                assert outcome.consistent
+                two_runs = escape_rate(Word((0, 0) + (1,) * (r - 2), AB), chain, TOL)
+                cycled = escape_rate(Word((0,) + (1,) * (r - 2) + (0,), AB), chain, TOL)
+                threshold = 1 / (1 + chain.second_eigenvalue)
+                assert compare(two_runs, cycled) == compare_with_rational(two_runs, threshold)

@@ -9,12 +9,12 @@ from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_a
 from holerates.polynomials import (
     RationalPolynomial,
     markov_weighted_autocorrelation,
-    max_unbordered_denominator,
     survival_denominator,
-    unbordered_denominator,
     weighted_autocorrelation,
 )
 from holerates.words import AB, Word, enumerate_words
+
+from _reference import horner, trinomial
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -40,10 +40,10 @@ class TestRationalPolynomial:
         assert a * b == poly(-1, 0, 1)
         assert a + b == poly(0, 2)
         assert a - a == poly()
-        assert a.shift(2) == poly(0, 0, 1, 1)
+        assert a * poly(0, 0, 1) == poly(0, 0, 1, 1)
 
     def test_eval(self):
-        assert poly(1, -1, Fraction(6, 25)).eval(Fraction(5, 3)) == 0
+        assert horner(poly(1, -1, Fraction(6, 25)), Fraction(5, 3)) == 0
 
     def test_string_roundtrip(self):
         assert poly(1, Fraction(-1, 2)).coeff_strings() == ["1/1", "-1/2"]
@@ -96,13 +96,13 @@ class TestSurvivalDenominator:
         for r in range(2, 8):
             word = Word((0,) * (r - 1) + (1,), AB)
             mu = hole_measure(word, P35)
-            assert survival_denominator(word, P35) == unbordered_denominator(r, mu)
+            assert survival_denominator(word, P35) == trinomial(r, mu)
 
     def test_value_at_one_is_the_measure(self):
         for r in range(1, 7):
             for word in enumerate_words(AB, r):
                 tau = survival_denominator(word, P35)
-                assert tau.eval(Fraction(1)) == hole_measure(word, P35)
+                assert horner(tau, Fraction(1)) == hole_measure(word, P35)
                 assert tau[0] == 1
                 assert tau.degree == r
 
@@ -110,7 +110,7 @@ class TestSurvivalDenominator:
         for word in enumerate_words(AB, 5):
             tau = survival_denominator(word, P35)
             for k in range(0, 33):
-                assert tau.eval(Fraction(k, 32)) > 0
+                assert horner(tau, Fraction(k, 32)) > 0
 
     def test_run_word_identity(self):
         # (1 - p z) * denominator(a^r) == trinomial of length r+1 at measure p^r(1-p)
@@ -118,27 +118,32 @@ class TestSurvivalDenominator:
         for r in range(1, 8):
             run = Word((0,) * r, AB)
             lhs = poly(1, -p) * survival_denominator(run, P35)
-            assert lhs == max_unbordered_denominator(r + 1, p)
+            assert lhs == trinomial(r + 1, p**r * (1 - p))
+
+
+def _max_unbordered(r, p):
+    """The survival denominator of a^(r-1) b under Bernoulli(p, 1 - p)."""
+    return survival_denominator(Word((0,) * (r - 1) + (1,), AB), B([p, 1 - p]))
 
 
 class TestTrinomials:
     def test_direct_form(self):
-        assert unbordered_denominator(2, Fraction(1, 4)) == poly(1, -1, Fraction(1, 4))
+        assert trinomial(2, Fraction(1, 4)) == poly(1, -1, Fraction(1, 4))
 
     def test_critical_root(self):
-        assert unbordered_denominator(3, Fraction(4, 27)).eval(Fraction(3, 2)) == 0
-        assert unbordered_denominator(4, Fraction(27, 256)).eval(Fraction(4, 3)) == 0
+        assert horner(trinomial(3, Fraction(4, 27)), Fraction(3, 2)) == 0
+        assert horner(trinomial(4, Fraction(27, 256)), Fraction(4, 3)) == 0
 
     def test_max_unbordered_always_vanishes_at_inverse_p(self):
         for num in range(1, 10):
             p = Fraction(num, 10)
             for r in (2, 3, 5):
-                assert max_unbordered_denominator(r, p).eval(1 / p) == 0
+                assert horner(_max_unbordered(r, p), 1 / p) == 0
 
     def test_max_unbordered_coefficients(self):
         # r=2, p=1/2: (1/2)(1/2) z^2 - z + 1
-        assert max_unbordered_denominator(2, Fraction(1, 2)) == poly(1, -1, Fraction(1, 4))
-        assert max_unbordered_denominator(3, Fraction(2, 3)).eval(Fraction(3, 2)) == 0
+        assert _max_unbordered(2, Fraction(1, 2)) == poly(1, -1, Fraction(1, 4))
+        assert horner(_max_unbordered(3, Fraction(2, 3)), Fraction(3, 2)) == 0
 
 
 UNIFORM = M(["1/2", "1/2", "1/2", "1/2"])
@@ -187,7 +192,7 @@ class TestMarkovDenominator:
     def test_zero_eigenvalue_matches_product_measure(self):
         for entries in (["1/2", "1/2", "1/2", "1/2"], ["1/3", "2/3", "1/3", "2/3"]):
             chain = M(entries)
-            product = chain.product_measure()
+            product = BernoulliMeasure(chain.alphabet, chain.matrix[0])
             for r in range(1, 6):
                 for word in enumerate_words(AB, r):
                     assert survival_denominator(word, chain) == survival_denominator(
@@ -216,10 +221,12 @@ def _chain_forms(word, chain):
     equal_ends = letters[0] == letters[-1]
     factor = ONE_MINUS_Z * RationalPolynomial([1, -chi])
     head = RationalPolynomial([chain.matrix[letters[-1]][letters[0]]] + ([-chi] if equal_ends else []))
-    path_form = (head * weights.path_weight).shift(r) + factor * full
+    path_form = head * RationalPolynomial([0] * r + [weights.path_weight]) + factor * full
     cycle_form = RationalPolynomial([0] * r + [weights.cycle_weight]) + factor * reduced
     if equal_ends:
-        cycle_form = cycle_form + (RationalPolynomial([1, -(1 + chi)]) * weights.path_weight).shift(r - 1)
+        cycle_form = cycle_form + RationalPolynomial([1, -(1 + chi)]) * RationalPolynomial(
+            [0] * (r - 1) + [weights.path_weight]
+        )
     return path_form, cycle_form
 
 

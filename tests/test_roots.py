@@ -6,27 +6,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from holerates.errors import NoPositiveRootError
 from holerates.measures import BernoulliMeasure, MarkovChain
-from holerates.polynomials import (
-    RationalPolynomial,
-    survival_denominator,
-    unbordered_denominator,
-)
-from holerates.polynomials import _primitive
+from holerates.polynomials import RationalPolynomial, _primitive, survival_denominator
 from holerates.roots import (
     RootResult,
     _divide_out,
     _sign_at,
     compare,
     compare_with_rational,
-    count_positive_roots,
-    count_roots_between,
-    critical_values,
-    descartes_variations,
     escape_rate,
     refine,
     smallest_positive_root,
 )
 from holerates.words import AB, Word
+
+from _reference import count_roots, horner, trinomial
 
 B = BernoulliMeasure.from_rationals
 P35 = B(["3/5", "2/5"])
@@ -45,20 +38,15 @@ class TestSturmCounting:
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
     def test_trinomial_root_counts(self, r):
         threshold = Fraction(1, r) * (1 - Fraction(1, r)) ** (r - 1)
-        assert count_positive_roots(unbordered_denominator(r, threshold / 2)) == 2
-        assert count_positive_roots(unbordered_denominator(r, threshold)) == 1
-        assert count_positive_roots(unbordered_denominator(r, threshold * 2)) == 0
+        for m, count in ((threshold / 2, 2), (threshold, 1), (threshold * 2, 0)):
+            # every root of m z^r - z + 1 lies below the Cauchy bound 1 + 1/m
+            assert count_roots(trinomial(r, m), 0, 1 + 1 / m) == count
 
     def test_interval_counts(self):
         tau = survival_denominator(w("ab"), P35)  # roots 5/3 and 5/2
-        assert count_roots_between(tau, Fraction(0), Fraction(3, 2)) == 0
-        assert count_roots_between(tau, Fraction(0), Fraction(2)) == 1
-        assert count_roots_between(tau, Fraction(0), Fraction(3)) == 2
-
-    def test_descartes(self):
-        assert descartes_variations(poly(1, -1, Fraction(1, 4))) == 2
-        assert descartes_variations(poly(1, -1)) == 1
-        assert descartes_variations(poly(1, 1, 1)) == 0
+        assert count_roots(tau, 0, Fraction(3, 2)) == 0
+        assert count_roots(tau, 0, 2) == 1
+        assert count_roots(tau, 0, 3) == 2
 
 
 class TestSignAt:
@@ -67,7 +55,7 @@ class TestSignAt:
 
     @staticmethod
     def _check(ints, num, den):
-        value = RationalPolynomial(ints).eval(Fraction(num, den))
+        value = horner(RationalPolynomial(ints), Fraction(num, den))
         assert _sign_at(ints, num, den) == (value > 0) - (value < 0)
 
     @settings(max_examples=300, deadline=None)
@@ -114,16 +102,16 @@ def _int_cbrt(x: int) -> int:
 class TestSmallestPositiveRoot:
     def test_no_positive_root_above_threshold(self):
         with pytest.raises(NoPositiveRootError):
-            smallest_positive_root(unbordered_denominator(3, Fraction(5, 27)))
+            smallest_positive_root(trinomial(3, Fraction(5, 27)))
 
     def test_double_root_found_exactly_via_candidate(self):
         result = smallest_positive_root(
-            unbordered_denominator(3, Fraction(4, 27)), candidates=(Fraction(3, 2),)
+            trinomial(3, Fraction(4, 27)), candidates=(Fraction(3, 2),)
         )
         assert result.exact and result.lower == Fraction(3, 2)
 
     def test_double_root_without_candidate(self):
-        result = smallest_positive_root(unbordered_denominator(3, Fraction(4, 27)))
+        result = smallest_positive_root(trinomial(3, Fraction(4, 27)))
         assert result.lower <= Fraction(3, 2) <= result.upper
 
     def test_smaller_candidate_wins(self):
@@ -168,7 +156,7 @@ class TestSmallestPositiveRoot:
             for k, c in enumerate(tau.coeffs)
             if k
         )
-        assert abs(tau.eval(mid)) <= (result.upper - result.lower) * deriv_bound
+        assert abs(horner(tau, mid)) <= (result.upper - result.lower) * deriv_bound
 
 
 def _bisection_reference(p: RationalPolynomial, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -176,12 +164,12 @@ def _bisection_reference(p: RationalPolynomial, tol: Fraction) -> tuple[Fraction
     (0, hi] holds a root, then midpoints, counting roots at every step."""
     zero = Fraction(0)
     hi = Fraction(2)
-    while not count_roots_between(p, zero, hi):
+    while not count_roots(p, zero, hi):
         hi *= 2
     lo = zero
     while not (lo > 0 and hi - lo <= tol * lo):
         mid = (lo + hi) / 2
-        if count_roots_between(p, zero, mid):
+        if count_roots(p, zero, mid):
             hi = mid
         else:
             lo = mid
@@ -232,7 +220,7 @@ class TestIntegerDeflation:
     def test_divides_out_every_factor(self, g, ab, m):
         a, b = ab
         root = Fraction(a, b)
-        assume(RationalPolynomial(g).eval(root) != 0)
+        assume(horner(RationalPolynomial(g), root) != 0)
         product = RationalPolynomial(g)
         for _ in range(m):
             product = product * poly(-root, 1)  # z - a/b: b z - a in ints
@@ -283,8 +271,8 @@ class TestEscapeRate:
         if m1 == m2:
             return
         lo_m, hi_m = sorted((m1, m2))
-        root_lo = smallest_positive_root(unbordered_denominator(r, lo_m))
-        root_hi = smallest_positive_root(unbordered_denominator(r, hi_m))
+        root_lo = smallest_positive_root(trinomial(r, lo_m))
+        root_hi = smallest_positive_root(trinomial(r, hi_m))
         assert compare(root_hi, root_lo) > 0
 
 
@@ -296,15 +284,13 @@ class TestCompare:
 
     def test_equal_roots_of_different_polynomials(self):
         # trinomial and the run-word denominator share the root exactly
-        from holerates.polynomials import max_unbordered_denominator
-
         p = Fraction(7, 10)
         run_rate = escape_rate(Word((0,) * 4, AB), B([p, 1 - p]), tol=Fraction(1, 10**10))
-        trinomial = smallest_positive_root(
-            max_unbordered_denominator(5, p), candidates=(1 / p,), tol=Fraction(1, 10**10)
+        trinomial_rate = smallest_positive_root(
+            trinomial(5, p**4 * (1 - p)), candidates=(1 / p,), tol=Fraction(1, 10**10)
         )
         # the trinomial has roots {1/p, z}, the run denominator only {z}
-        deflated = compare(run_rate, trinomial)
+        deflated = compare(run_rate, trinomial_rate)
         assert deflated == 0
 
     def test_strict_separation(self):
@@ -384,26 +370,3 @@ class TestNoFalseCertificates:
         result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
         assert compare_with_rational(result, Fraction(7, 5)) == 1
         assert compare(result, smallest_positive_root(poly(-2, 0, 1) * poly(-3, 1))) == 0
-
-
-class TestCriticalValues:
-    def test_r2(self):
-        crit = critical_values(2, Fraction(1, 4))
-        assert crit.threshold == Fraction(1, 4)
-        assert crit.minimizer_exact == 2
-        assert crit.sign_at_minimum == 0
-
-    def test_r4_threshold(self):
-        crit = critical_values(4, Fraction(27, 256))
-        assert crit.threshold == Fraction(27, 256)
-        assert crit.minimizer_exact == Fraction(4, 3)
-        assert crit.sign_at_minimum == 0
-
-    def test_signs(self):
-        assert critical_values(3, Fraction(1, 10)).sign_at_minimum == -1
-        assert critical_values(3, Fraction(1, 5)).sign_at_minimum == 1
-
-    def test_irrational_minimizer_reported_as_float(self):
-        crit = critical_values(3, Fraction(1, 10))
-        assert crit.minimizer_exact is None
-        assert math.isclose(crit.minimizer, (3 * 0.1) ** (-1 / 2), rel_tol=1e-12)

@@ -200,7 +200,7 @@ class TestDirectEnumeration:
         for r in range(1, 4):
             for word in enumerate_words(AB, r):
                 assert direct_enumeration(word, chain, 8) == direct_enumeration(
-                    word, chain.product_measure(), 8
+                    word, BernoulliMeasure(chain.alphabet, chain.matrix[0]), 8
                 )
 
     def test_forbidden_transition_chain_matches_automaton(self):

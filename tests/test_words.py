@@ -8,9 +8,9 @@ from holerates.words import (
     Word,
     autocorrelation,
     enumerate_words,
-    is_unbordered,
-    minimal_period,
 )
+
+from _reference import brute_period, unbordered
 
 
 def w(text, alphabet=AB):
@@ -23,14 +23,6 @@ ABC = Alphabet.of_size(3)
 def brute_autocorrelation(letters):
     n = len(letters)
     return tuple(1 if letters[i:] == letters[: n - i] else 0 for i in range(n))
-
-
-def brute_period(letters):
-    n = len(letters)
-    for t in range(1, n + 1):
-        if all(letters[i] == letters[i + t] for i in range(n - t)):
-            return t
-    raise AssertionError
 
 
 class TestAlphabet:
@@ -84,29 +76,37 @@ class TestAutocorrelation:
         assert bits[0] == 1
 
 
+def period(word):
+    """The minimal period read from the autocorrelation: its first set bit
+    past bit 0, or the length."""
+    return (autocorrelation(word) + (1,)).index(1, 1)
+
+
 class TestUnborderedAndPeriod:
     def test_examples(self):
-        assert is_unbordered(w("ab"))
-        assert not is_unbordered(w("aa"))
-        assert minimal_period(w("aabbaa")) == 4
-        assert minimal_period(w("baaaab")) == 5
-        assert minimal_period(w("aaaa")) == 1
+        assert unbordered(w("ab"))
+        assert not unbordered(w("aa"))
+        assert period(w("aabbaa")) == brute_period(w("aabbaa").letters) == 4
+        assert period(w("baaaab")) == brute_period(w("baaaab").letters) == 5
+        assert period(w("aaaa")) == brute_period(w("aaaa").letters) == 1
 
     def test_two_run_words_are_unbordered(self):
         for r in range(3, 10):
-            assert is_unbordered(Word((0, 0) + (1,) * (r - 2), AB))
+            word = Word((0, 0) + (1,) * (r - 2), AB)
+            assert unbordered(word)
+            assert not any(autocorrelation(word)[1:])
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=14))
     def test_unbordered_iff_period_is_length(self, letters):
         word = Word(tuple(letters), AB)
         bits = autocorrelation(word)
-        assert is_unbordered(word) == (minimal_period(word) == len(word))
-        assert is_unbordered(word) == (not any(bits[1:]))
+        assert unbordered(word) == (period(word) == len(word))
+        assert unbordered(word) == (not any(bits[1:]))
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     def test_period_matches_brute_force(self, letters):
         word = Word(tuple(letters), ABC)
-        assert minimal_period(word) == brute_period(tuple(letters))
+        assert period(word) == brute_period(tuple(letters))
 
 
 class TestEnumeration:
