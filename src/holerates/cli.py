@@ -510,10 +510,14 @@ def _apply_config(parser: _Parser, path: str, argv: list[str]) -> None:
             value = str(Fraction(value))
         clean[key.replace("-", "_")] = value
     # Subparsers re-apply their own defaults over the namespace, so the
-    # config defaults must be installed on each of them as well.
+    # config defaults must be installed on each of them as well; a flag the
+    # config sets is no longer required on the command line.
     parser.set_defaults(**clean)
     for sub in parser.subcommands:
         sub.set_defaults(**clean)
+        for action in sub._actions:
+            if action.dest in clean:
+                action.required = False
 
 
 @functools.cache

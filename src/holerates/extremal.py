@@ -36,6 +36,7 @@ from .roots import (
     DEFAULT_TOL,
     RootResult,
     _frac_log,
+    _root_below,
     compare,
     rate_from_denominator,
 )
@@ -278,20 +279,38 @@ def brute_force_gamma_max(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[RootResult, tuple[Word, ...]]:
     """Certified maximum of the escape rate over every word of length r,
-    with the full argmax set in enumeration order.  The maximum is taken
-    over correlation classes, one denominator and one root per class; the
-    result is the snapshot of the first enumerated argmax word."""
+    with the full argmax set in enumeration order.
+
+    The maximum is taken over correlation classes, one denominator per
+    class, visited by decreasing hole measure (equal measures in class
+    order), since the holes of largest measure tend to leak fastest.  A
+    class whose denominator has a root in the open interval
+    (0, leader.lower) has a smaller root than the current leader, so a
+    smaller rate, and is dropped without isolating its root; every other
+    distinct denominator is rated and compared with the leader.  The
+    interval is open because a root at leader.lower may be the leader's own
+    exact root, which a tied class shares.  The result is the snapshot,
+    taken when it was rated, of the first enumerated argmax word."""
     classes = _hole_classes(r, measure, cap)
-    best: RootResult | None = None
-    top: list[_HoleClass] = []
-    for hole_class, res in zip(classes, _class_rates(classes, measure, tol)):
-        order = 1 if best is None else compare(res, best)
+    polys = [survival_denominator(c.words[0], measure) for c in classes]
+    rated: dict[tuple, RootResult | None] = {}  # None: pruned
+    leader: RootResult | None = None
+    top: set[tuple] = set()  # the denominators whose root ties the leader's
+    for i in sorted(range(len(classes)), key=lambda i: classes[i].measure, reverse=True):
+        poly = polys[i]
+        if poly.ints in rated:
+            continue
+        if leader is not None and _root_below(poly.ints, leader.lower):
+            rated[poly.ints] = None
+            continue
+        res = rated[poly.ints] = rate_from_denominator(poly, measure, tol)
+        order = 1 if leader is None else compare(res, leader)
         if order > 0:
-            best, top = res, [hole_class]
+            leader, top = res, {poly.ints}
         elif order == 0:
-            top.append(hole_class)
-    assert best is not None
-    return best, _in_order(top)
+            top.add(poly.ints)
+    argmax = [i for i, poly in enumerate(polys) if poly.ints in top]
+    return rated[polys[argmax[0]].ints], _in_order([classes[i] for i in argmax])
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,23 @@ def _variations_at_inf(chain: list[list[int]]) -> int:
     return _variations(p[-1] for p in chain)
 
 
+def _root_below(ints: Sequence[int], x: Fraction) -> bool:
+    """True when the core has a root in the open interval (0, x), x > 0.
+    A root at x itself does not count: x may be a root the caller ties with."""
+    if ints[0] < 0:
+        ints = [-c for c in ints]
+    s = _sign_at(ints, x.numerator, x.denominator)
+    if s <= 0:
+        # positive at 0, negative at x: a root in between; zero: x is a root
+        return s < 0
+    # Descartes: at most one positive root, a sign change, which a core
+    # still positive at x has not reached.
+    if _variations(ints) <= 1:
+        return False
+    chain = _sturm_chain(ints)
+    return _variations_at(chain, 0) > _variations_at(chain, x)
+
+
 # --------------------------------------------------------------------------
 # the enclosure
 # --------------------------------------------------------------------------

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from .polynomials import (
@@ -181,6 +179,8 @@ def _walk_length(size: int, factors: int, length: int, cap: int) -> int:
     """The longest length l <= ``length`` with at most ``cap`` words whose
     codes, below size^l, and weight keys, one base-(l+1) digit per factor,
     fit in an int64; -1 when there is none."""
+    import numpy as np  # only the enumeration oracle needs numpy
+
     int64 = int(np.iinfo(np.int64).max)
     top = -1
     while top < length and size ** (top + 1) <= min(cap, int64) and (top + 2) ** factors <= int64:
@@ -220,6 +220,8 @@ def direct_enumeration(
     top = _walk_length(size, len(nums), length, cap)
     if top < 0:
         return ()
+    import numpy as np
+
     base = top + 1  # no exponent exceeds the length
     place = np.array([base**i for i in range(len(nums))], dtype=np.int64)
     powers = [[num**e for e in range(base)] for num in nums]

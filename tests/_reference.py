@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+from holerates.extremal import _class_rates, _hole_classes
 from holerates.polynomials import RationalPolynomial
-from holerates.roots import _sturm_chain, _variations_at
+from holerates.roots import _sturm_chain, _variations_at, compare
+from holerates.words import DEFAULT_ENUMERATION_CAP
 
 
 def trinomial(r, m):
@@ -35,3 +37,19 @@ def brute_period(letters):
 
 def unbordered(word):
     return brute_period(word.letters) == len(word)
+
+
+def brute_force_max(r, measure, tol):
+    """The maximal escape rate over the words of length r by the plain loop:
+    every correlation class rated, the maximum kept with ``compare``.
+    Returns the snapshot of the first argmax word and every argmax word in
+    enumeration order."""
+    classes = _hole_classes(r, measure, DEFAULT_ENUMERATION_CAP)
+    best, top = None, []
+    for hole_class, res in zip(classes, _class_rates(classes, measure, tol)):
+        order = 1 if best is None else compare(res, best)
+        if order > 0:
+            best, top = res, [hole_class]
+        elif order == 0:
+            top.append(hole_class)
+    return best, tuple(sorted((w for c in top for w in c.words), key=lambda w: w.letters))

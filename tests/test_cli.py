@@ -386,6 +386,19 @@ class TestConfig:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_supplies_required_flags(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"r": 3, "p": "1/2"}))
+        code, out, _ = run(capsys, "--config", str(config), "max")
+        assert code == 0
+        assert (code, out) == run(capsys, "max", "--r", "3", "--p", "1/2")[:2]
+        config.write_text(json.dumps({"p": "1/2"}))
+        for argv in (["--config", str(config), "max"], ["max", "--p", "1/2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "required: --r" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rate.json"
         code, out, _ = run(
@@ -427,7 +440,7 @@ class TestSharedParser:
         assert run(capsys, *argv) == first
 
     def test_import_builds_no_parser(self):
-        script = textwrap.dedent(
+        _run_script(
             """
             import argparse
             built = []
@@ -445,9 +458,24 @@ class TestSharedParser:
             assert len(built) == once > 0, (once, len(built))
             """
         )
-        src = str(Path(holerates.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+
+
+def _run_script(script):
+    """Run the script in a fresh interpreter that imports this checkout."""
+    src = str(Path(holerates.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_numpy():
+    # numpy is imported only by the enumeration oracle
+    _run_script(
+        """
+        import sys
+        import holerates.cli
+        assert "numpy" not in sys.modules
+        """
+    )

@@ -22,7 +22,7 @@ from holerates.extremal import (
 from holerates.roots import compare, compare_with_rational, escape_rate
 from holerates.words import AB, Word, enumerate_words
 
-from _reference import brute_period, unbordered
+from _reference import brute_force_max, brute_period, unbordered
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -129,6 +129,43 @@ class TestBruteForce:
         best, witnesses = brute_force_gamma_max(r, measure, TOL)
         report = gamma_max(r, measure, TOL)
         assert compare(best, report.gamma) == 0
+
+
+def _brute_force_cases():
+    cases = []
+    for r in range(2, 9):
+        ps = {Fraction(1, 2), Fraction(7, 10), Fraction(19, 20), 1 - Fraction(1, r), 1 - Fraction(1, r + 1)}
+        cases += [(r, (p, 1 - p), TOL) for p in sorted(ps)]
+    for probs in (("1/2", "3/10", "1/5"), ("1/4", "1/4", "1/4", "1/4")):
+        cases += [(r, probs, TOL) for r in range(2, 6)]
+    for tol in (Fraction(1, 10**3), Fraction(1, 10**30)):
+        cases += [(6, ("7/10", "3/10"), tol), (4, ("1/2", "3/10", "1/5"), tol)]
+    return [
+        pytest.param(r, probs, tol, id=f"r{r}-{','.join(str(p).replace('/', ':') for p in probs)}-tol{float(tol):.0e}")
+        for r, probs, tol in cases
+    ]
+
+
+class TestPrunedBruteForce:
+    """The pruned search returns what rating every class returns, with a
+    root isolated only for the classes that can still win."""
+
+    @pytest.mark.parametrize("r,probs,tol", _brute_force_cases())
+    def test_matches_rating_every_class(self, r, probs, tol):
+        measure = B(list(probs))
+        best, witnesses = brute_force_gamma_max(r, measure, tol)
+        ref_best, ref_witnesses = brute_force_max(r, measure, tol)
+        assert (best.lower, best.upper, best.poly) == (ref_best.lower, ref_best.upper, ref_best.poly)
+        assert witnesses == ref_witnesses
+
+    @pytest.mark.parametrize("p", [Fraction(7, 10), Fraction(3, 4)], ids=["7:10", "3:4"])
+    def test_few_isolations_at_r7(self, monkeypatch, p):
+        measure = B([p, 1 - p])
+        distinct = {survival_denominator(w, measure) for w in enumerate_words(AB, 7)}
+        isolations = TestOneRootPerClass._count(monkeypatch, "rate_from_denominator")
+        brute_force_gamma_max(7, measure, TOL)
+        assert len(distinct) == 42
+        assert len(isolations) <= 4
 
 
 class TestBounds:

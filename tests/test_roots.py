@@ -10,6 +10,7 @@ from holerates.polynomials import RationalPolynomial, _primitive, survival_denom
 from holerates.roots import (
     RootResult,
     _divide_out,
+    _root_below,
     _sign_at,
     compare,
     compare_with_rational,
@@ -97,6 +98,46 @@ def _int_cbrt(x: int) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+class TestRootBelow:
+    """``_root_below`` certifies a root in the open interval (0, x)."""
+
+    @pytest.mark.parametrize(
+        "ints,x,expected",
+        [
+            ([2, -3, 1], Fraction(3, 2), True),  # roots 1, 2: sign change
+            ([1, -2, 1], 2, True),  # double root 1: no sign change, Sturm
+            ([-1, 2, -1], 2, True),  # the same, negative at 0
+            ([1, -2, 1], 1, False),  # x is the root itself
+            ([1, -2, 1], Fraction(1, 2), False),
+            ([1, -1], 1, False),  # one Descartes variation, root at x
+            ([1, -1], Fraction(1, 2), False),
+            ([1, 1, 1], 5, False),  # no positive root
+        ],
+    )
+    def test_cases(self, ints, x, expected):
+        assert _root_below(ints, Fraction(x)) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-50, 50), min_size=2, max_size=8),
+        head=st.integers(-50, 50).filter(bool),
+        x=st.fractions(min_value=Fraction(1, 100), max_value=10),
+    )
+    def test_matches_sturm_count(self, coeffs, head, x):
+        ints = [head, *coeffs]
+        assume(any(coeffs) and horner(RationalPolynomial(ints), x) != 0)
+        assert _root_below(ints, x) == (count_roots(RationalPolynomial(ints), 0, x) > 0)
+
+    def test_tied_root_is_not_below(self):
+        # at p = 3/4, r = 3, the unbordered and the maximal-measure holes
+        # both have the exact root 4/3; neither prunes the other
+        measure = B(["3/4", "1/4"])
+        for word in ("aab", "aaa"):
+            tau = survival_denominator(w(word), measure)
+            assert escape_rate(w(word), measure).lower == Fraction(4, 3)
+            assert not _root_below(tau.ints, Fraction(4, 3))
 
 
 class TestSmallestPositiveRoot:
