@@ -1,10 +1,12 @@
 """Small independent references that tests check the package against."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 from holerates.extremal import _class_rates, _hole_classes
 from holerates.polynomials import RationalPolynomial
-from holerates.roots import _sturm_chain, _variations_at, compare
+from holerates.roots import _Enclosure, _sturm_chain, _variations_at, compare
 from holerates.words import DEFAULT_ENUMERATION_CAP
 
 
@@ -53,3 +55,26 @@ def brute_force_max(r, measure, tol):
         elif order == 0:
             top.append(hole_class)
     return best, tuple(sorted((w for c in top for w in c.words), key=lambda w: w.letters))
+
+
+def bisection_refine(enclosure, tol):
+    """``enclosure`` narrowed by plain bisection: ``step`` until the relative
+    width is at most tol and the interval lies below the cap.  Quadratic
+    interval refinement must end on the same endpoints."""
+    tn, td = tol.numerator, tol.denominator
+    while enclosure.exact is None and not (
+        enclosure.lo_n > 0
+        and (enclosure.hi_n - enclosure.lo_n) * td <= tn * enclosure.lo_n
+        and (
+            enclosure.cap is None
+            or enclosure.hi_n * enclosure.cap.denominator <= enclosure.cap.numerator << enclosure.k
+        )
+    ):
+        enclosure.step()
+
+
+@contextmanager
+def plain_bisection():
+    """Every enclosure refined by ``bisection_refine`` inside the block."""
+    with mock.patch.object(_Enclosure, "refine", bisection_refine):
+        yield

@@ -1,14 +1,17 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from holerates import roots
 from holerates.errors import NoPositiveRootError
 from holerates.measures import BernoulliMeasure, MarkovChain
 from holerates.polynomials import RationalPolynomial, _primitive, survival_denominator
 from holerates.roots import (
     RootResult,
+    _Enclosure,
     _divide_out,
     _root_below,
     _sign_at,
@@ -20,7 +23,7 @@ from holerates.roots import (
 )
 from holerates.words import AB, Word
 
-from _reference import count_roots, horner, trinomial
+from _reference import count_roots, horner, plain_bisection, trinomial
 
 B = BernoulliMeasure.from_rationals
 P35 = B(["3/5", "2/5"])
@@ -242,13 +245,80 @@ def _non_dyadic_polys(draw):
 
 
 class TestDyadicEndpoints:
-    @given(_non_dyadic_polys(), st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**10)]))
+    @given(
+        _non_dyadic_polys(),
+        st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**10), Fraction(1, 10**30)]),
+    )
     @settings(max_examples=60, deadline=None)
     def test_endpoints_match_fraction_bisection(self, p, tol):
         result = smallest_positive_root(p, tol=tol)
         assert (result.lower, result.upper) == _bisection_reference(p, tol)
         for end in (result.lower, result.upper):
             assert end.denominator & (end.denominator - 1) == 0
+
+
+class TestQuadraticRefinement:
+    """Quadratic interval refinement ends on the endpoints of plain
+    bisection, pins the same exact roots, and needs fewer evaluations."""
+
+    @given(
+        st.text("ab", min_size=20, max_size=80),
+        st.sampled_from([B(["7/10", "3/10"]), MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_escape_rates_match_plain_bisection(self, text, measure):
+        # from about r = 40 on the first enclosure reaches below 1, and
+        # rate_from_denominator narrows it again until lower > 1
+        result = escape_rate(w(text), measure)
+        with plain_bisection():
+            expected = escape_rate(w(text), measure)
+        assert (result.lower, result.upper) == (expected.lower, expected.upper)
+
+    @pytest.mark.parametrize(
+        "linear, quadratic, path",
+        [
+            ((-9, 8), (2, -2, 1), ("_jump",)),
+            ((-1297029319, 1 << 30), (4133, -5133, 6165), ("_jump",)),
+            # the secant misses, and the bisection after the miss hits the root
+            ((-5, 4), (17, -32, 16), ("step", "_jump")),
+            ((-285, 256), (3944, -9088, 8837), ("step", "_jump")),
+        ],
+    )
+    def test_dyadic_root_is_pinned(self, monkeypatch, linear, quadratic, path):
+        # a dyadic root below the complex pair of an irreducible quadratic
+        callers = []
+        hit = _Enclosure._hit
+
+        def spy(enclosure, num):
+            callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+            hit(enclosure, num)
+
+        monkeypatch.setattr(_Enclosure, "_hit", spy)
+        p = poly(*linear) * poly(*quadratic)
+        result = smallest_positive_root(p)
+        root = Fraction(-linear[0], linear[1])
+        assert result.exact and result.lower == root
+        assert [c[: len(path)] for c in callers] == [path]
+        with plain_bisection():
+            assert smallest_positive_root(p).lower == root
+
+    @pytest.mark.parametrize(
+        "text, most", [("a" * 199 + "b", 40), ("ab" * 50, 80)], ids=["a^199 b", "(ab)^50"]
+    )
+    def test_evaluation_count(self, monkeypatch, text, most):
+        # every evaluation at a dyadic point, Sturm chains included, goes
+        # through _dyadic_value: 113 and 159 of them under plain bisection
+        calls = 0
+        value = roots._dyadic_value
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return value(*args)
+
+        monkeypatch.setattr(roots, "_dyadic_value", counting)
+        escape_rate(w(text), B(["7/10", "3/10"]))
+        assert calls <= most
 
 
 class TestIntegerDeflation:
