@@ -11,9 +11,10 @@ ordering tables and Markov-chain scans complete the module.
 
 Every scan over all words of a length (families, brute-force maxima,
 ordering tables) walks the words once and groups them into correlation
-classes: words whose keys (border shifts, and symbol or transition counts of
-the word and of each border's overhang) agree have one survival
-denominator, measure and border pattern, so each is computed once per class.
+classes by ``polynomials.border_data``, everything a survival denominator
+depends on: words with equal data have one denominator, measure and border
+pattern, so each is computed once per class.  Under a product measure the
+classes are exactly the distinct denominators.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .measures import (
     hole_measure,
     markov_weights,
 )
-from .polynomials import survival_denominator
+from .polynomials import border_data, survival_denominator
 from .roots import (
     DEFAULT_TOL,
     RootResult,
@@ -41,12 +42,7 @@ from .roots import (
     rate_from_denominator,
 )
 from .roots import escape_rate as _escape_rate
-from .words import (
-    DEFAULT_ENUMERATION_CAP,
-    Word,
-    enumerate_words,
-    failure_function,
-)
+from .words import DEFAULT_ENUMERATION_CAP, Word, enumerate_words
 
 
 # --------------------------------------------------------------------------
@@ -56,7 +52,7 @@ from .words import (
 
 @dataclass
 class _HoleClass:
-    """Words of one length with equal class keys, hence one survival
+    """Words of one length with equal border data, hence one survival
     denominator, one measure (and cycle weight), one border pattern.
     ``words`` are in enumeration order; the first stands for the class."""
 
@@ -67,74 +63,30 @@ class _HoleClass:
     min_period: int
 
 
-def _border_lengths(fail: tuple[int, ...]) -> list[int]:
-    """Lengths of the proper borders of the whole word, longest first."""
-    out = []
-    b = fail[-1]
-    while b:
-        out.append(b)
-        b = fail[b]
-    return out
-
-
-def _bernoulli_key(letters: tuple[int, ...], borders: list[int], size: int) -> tuple:
-    # Under a product measure the denominator is mu z^r + (1 - z) sum_j w_j z^j,
-    # with w_j the measure of the last j letters for each border shift j: the
-    # symbol counts of the word and of those overhangs fix it.
-    r = len(letters)
-    counts = tuple(letters.count(a) for a in range(size))
-    overhangs = tuple(
-        (r - b, tuple(letters[b:].count(a) for a in range(size))) for b in borders
-    )
-    return counts, overhangs
-
-
-def _markov_key(letters: tuple[int, ...], borders: list[int]) -> tuple:
-    # Under a chain the weights are products of transitions: all of the
-    # word's for the path weight (the endpoints add the wrap-around for the
-    # cycle weight and the stationary factor for the measure), and the last j
-    # for the overhang of border shift j.  Allowedness reads the counts too.
-    r = len(letters)
-    steps = [2 * x + y for x, y in zip(letters, letters[1:])]
-    counts = tuple(steps.count(t) for t in range(4))
-    overhangs = tuple((r - b, tuple(steps[b - 1 :].count(t) for t in range(4))) for b in borders)
-    return letters[0], letters[-1], counts, overhangs
-
-
 def _hole_classes(
     r: int, measure: BernoulliMeasure | MarkovChain, cap: int
 ) -> list[_HoleClass]:
     """Every word of length r (every allowed word, for a chain) in one pass,
-    grouped by class key, classes in order of their first word.  The key
-    comes from one failure-function pass; measures and border data are
-    computed once per class, from its first word."""
-    markov = isinstance(measure, MarkovChain)
-    if markov:
-        forbidden = [t for t in range(4) if measure.matrix[t >> 1][t & 1] == 0]
-    size = measure.alphabet.size
-    classes: dict[tuple, _HoleClass | None] = {}
+    grouped by border data, classes in order of their first word.  The
+    period is the least border shift j > 0 in the data (its entry r is never
+    0); measures are computed once per class, from its first word."""
+    classes: dict[tuple[int, ...], _HoleClass] = {}
     for w in enumerate_words(measure.alphabet, r, cap):
-        fail = failure_function(w.letters)
-        borders = _border_lengths(fail)
-        if markov:
-            key = _markov_key(w.letters, borders)
-        else:
-            key = _bernoulli_key(w.letters, borders, size)
-        if key in classes:
-            hole_class = classes[key]
-            if hole_class is not None:
-                hole_class.words.append(w)
+        data = border_data(w, measure)
+        if data is None:
             continue
-        if markov:
-            if any(key[2][t] for t in forbidden):
-                classes[key] = None
-                continue
+        hole_class = classes.get(data)
+        if hole_class is not None:
+            hole_class.words.append(w)
+            continue
+        if isinstance(measure, MarkovChain):
             weights = markov_weights(w, measure)
             mu, cw = weights.measure, weights.cycle_weight
         else:
             mu, cw = hole_measure(w, measure), None
-        classes[key] = _HoleClass([w], mu, cw, fail[r] == 0, r - fail[r])
-    return [c for c in classes.values() if c is not None]
+        period = next(j for j in range(1, r + 1) if data[j])
+        classes[data] = _HoleClass([w], mu, cw, period == r, period)
+    return list(classes.values())
 
 
 def _class_rates(

@@ -6,8 +6,10 @@ that converts decimal input, and it does so exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
@@ -22,6 +24,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass a Fraction or a string like '3/5'")
     return Fraction(value)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(d, (v * d for v in values)) with d the lcm of the denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,13 @@ class BernoulliMeasure:
     ) -> "BernoulliMeasure":
         probs = tuple(as_fraction(v) for v in values)
         return cls(alphabet or Alphabet.of_size(len(probs)), probs)
+
+    @cached_property
+    def integer_factors(self) -> tuple[int, tuple[int, ...]]:
+        """(b, nums): the probabilities as nums[i] / b over their least
+        common denominator b, so every word of length n weighs an integer
+        over b^n."""
+        return _over_common_denominator(self.probs)
 
     def top_two(self) -> tuple[int, int]:
         """Indices of the most probable and second most probable symbols,
@@ -138,6 +153,13 @@ class MarkovChain:
     @property
     def second_eigenvalue(self) -> Fraction:
         return self.matrix[0][0] + self.matrix[1][1] - 1
+
+    @cached_property
+    def integer_factors(self) -> tuple[int, tuple[int, ...]]:
+        """(D, nums): the four transitions, row-major, then the two
+        stationary weights, as nums[i] / D over their least common
+        denominator D; a word of length n weighs an integer over D^n."""
+        return _over_common_denominator([*self.matrix[0], *self.matrix[1], *self.stationary])
 
 
 @dataclass(frozen=True)

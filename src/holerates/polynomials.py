@@ -6,10 +6,15 @@ The key objects:
 * ``weighted_autocorrelation(word, measure)``: the border polynomial of a
   word with each border term weighted by the product measure of the
   overhanging suffix.
+* ``border_data(word, measure_or_chain)``: the same border terms as small
+  integers over the measure's ``integer_factors``, with what the rest of
+  the denominator reads of the word.  It is everything the denominator
+  depends on, so scans group words by it.
 * ``survival_denominator(word, measure_or_chain)``: the polynomial whose
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
-  the survival probabilities (see the ``survival`` module).
+  the survival probabilities (see the ``survival`` module), built from the
+  border data alone.
 
 Every polynomial also has ``ints``, its coefficients as integers with
 content 1 and the same signs, which is all that root isolation reads.  A
@@ -21,10 +26,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain
+from .measures import BernoulliMeasure, MarkovChain, _over_common_denominator
 from .words import Word, autocorrelation
 
 
@@ -142,7 +147,7 @@ def _primitive(ints: list[int]) -> list[int]:
 
 def _int_coeffs(poly: RationalPolynomial) -> list[int]:
     """Scale to integer coefficients with content 1; sign pattern preserved."""
-    return _primitive(_over_common_denominator(poly.coeffs)[1])
+    return _primitive(list(_over_common_denominator(poly.coeffs)[1]))
 
 
 def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalPolynomial:
@@ -158,23 +163,26 @@ def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalP
     return RationalPolynomial(coeffs)
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [v * d for v in values]) with d the lcm of the denominators."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _border_weights(bits: Sequence[int], factors: Sequence[int], d: int) -> tuple[list[int], int]:
-    """d^(n-j) times the product of the last j factors where bit j is set,
-    else 0, for j = 0..n with n = len(bits) - 1; and the product of all the
-    factors."""
-    n = len(bits) - 1
-    weights, prod = [], 1
-    for j, bit in enumerate(bits):
+def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[int, ...] | None:
+    """Everything the survival denominator of ``word`` depends on, as small
+    integers over the measure's ``integer_factors``: entry j is the product
+    of the numerators of the last j factors (letters, or a chain's
+    transitions) on a border shift j, else 0; then the whole word's product
+    (entry r), and for a chain the first and last letters.  Words with equal
+    data have one denominator; None for a word the chain forbids.  The
+    alphabet is not checked."""
+    w = word.letters
+    nums = measure.integer_factors[1]
+    chain = isinstance(measure, MarkovChain)
+    factors = [nums[2 * x + y] for x, y in zip(w, w[1:])] if chain else [nums[x] for x in w]
+    if chain and 0 in factors:
+        return None
+    data, prod = [], 1
+    for j, bit in enumerate(autocorrelation(word)):
         if j:
             prod *= factors[-j]
-        weights.append(d ** (n - j) * prod if bit else 0)
-    return weights, prod
+        data.append(prod if bit else 0)
+    return (*data, prod, w[0], w[-1]) if chain else (*data, prod * factors[0])
 
 
 def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:
@@ -182,18 +190,15 @@ def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:
     return [c0 * a + c1 * b for a, b in zip(seq + [0], [0] + seq)]
 
 
-def _bernoulli_denominator(word: Word, measure: BernoulliMeasure) -> RationalPolynomial:
+def _bernoulli_denominator(data: tuple[int, ...], b: int) -> RationalPolynomial:
     # With probabilities a_i / b, b^r times mu z^r + (1 - z) * (border
-    # polynomial) is (1 - z) * sum_{j<=r} B_j z^j without its z^(r+1) term,
-    # where B_j = b^(r-j) N_j on a border shift j and at j = r (the mu z^r
-    # term), else 0, and N_j is the product of the last j numerators.
-    if word.alphabet != measure.alphabet:
-        raise AlphabetMismatchError("word and measure use different alphabets")
-    b, nums = _over_common_denominator(measure.probs)
-    weights, _ = _border_weights(autocorrelation(word) + (1,), [nums[i] for i in word.letters], b)
+    # polynomial) is (1 - z) * sum_{j<=r} b^(r-j) data_j z^j without its
+    # z^(r+1) term (see border_data).
+    r = len(data) - 1
+    weights = [b ** (r - j) * v if v else 0 for j, v in enumerate(data)]
     ints = _primitive(_times_linear(weights, 1, -1)[:-1])
-    if len(ints) != len(word) + 1:
-        raise AssertionError(f"survival denominator of {word} has degree {len(ints) - 1}, expected {len(word)}")
+    if len(ints) != r + 1:
+        raise AssertionError(f"survival denominator of length {r} has degree {len(ints) - 1}")
     return RationalPolynomial._from_ints(ints)
 
 
@@ -217,36 +222,33 @@ def markov_weighted_autocorrelation(
     return RationalPolynomial(coeffs), RationalPolynomial(coeffs[:-1])
 
 
-def _markov_denominator(word: Word, chain: MarkovChain) -> RationalPolynomial:
+def _markov_denominator(
+    data: tuple[int, ...], factors: tuple[int, tuple[int, ...]]
+) -> RationalPolynomial:
     # With entries e_xy / D and x = chi D, D^r times the path-weight form
     # (wrap - chi z) * path * z^r + (1 - z)(1 - chi z) * full is
-    # (e_wrap - x z) * E z^r + (D - x z)(1 - z) * sum_{j<r} A_j z^j, where
-    # A_j = D^(r-1-j) E_j on a border shift j, else 0, E_j is the product of
-    # the last j transition numerators and E = E_(r-1); the x z term of the
-    # head is there only when the word starts and ends with the same letter.
-    if word.alphabet != chain.alphabet:
-        raise AlphabetMismatchError("word and chain use different alphabets")
-    d, flat = _over_common_denominator([e for row in chain.matrix for e in row])
-    e = (flat[:2], flat[2:])
+    # (e_wrap - x z) * E z^r + (D - x z)(1 - z) * sum_{j<r} D^(r-1-j) data_j z^j,
+    # where E is the product of all the transition numerators (see
+    # border_data); the x z term of the head is there only when the word
+    # starts and ends with the same letter.
+    d, nums = factors
+    e = (nums[:2], nums[2:4])
     x = e[0][0] + e[1][1] - d
-    w = word.letters
-    r = len(w)
-    steps = [e[i][j] for i, j in zip(w, w[1:])]
-    if 0 in steps:
-        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
-    weights, path = _border_weights(autocorrelation(word), steps, d)
+    *weights, path, first, last = data
+    r = len(weights)
+    weights = [d ** (r - 1 - j) * v if v else 0 for j, v in enumerate(weights)]
     ints = _times_linear(_times_linear(weights, 1, -1), d, -x)
-    ints[r] += e[w[-1]][w[0]] * path
-    if w[0] == w[-1]:
+    ints[r] += e[last][first] * path
+    if first == last:
         ints[r + 1] -= x * path
     ints = _primitive(ints)
     # The degree-(r+1) terms always cancel.  For a strictly positive matrix
     # the degree is exactly r; a vanishing diagonal entry can cancel further
     # (e.g. the word bab when the aa-transition is forbidden).
     if len(ints) > r + 1:
-        raise AssertionError(f"survival denominator of {word} has degree {len(ints) - 1} > {r}")
-    if len(ints) != r + 1 and 0 not in flat:
-        raise AssertionError(f"degree dropped below {r} for {word} under a positive matrix")
+        raise AssertionError(f"survival denominator of length {r} has degree {len(ints) - 1}")
+    if len(ints) != r + 1 and 0 not in nums:
+        raise AssertionError(f"degree dropped below {r} under a positive matrix")
     return RationalPolynomial._from_ints(ints)
 
 
@@ -257,8 +259,13 @@ def survival_denominator(
     escape rate = log(z0), for a Bernoulli measure or a two-symbol Markov
     chain.  Raises ForbiddenWordError when the word is not allowed under the
     chain."""
+    if not isinstance(measure, (BernoulliMeasure, MarkovChain)):
+        raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
+    data = border_data(word, measure)
+    if data is None:
+        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
     if isinstance(measure, BernoulliMeasure):
-        return _bernoulli_denominator(word, measure)
-    if isinstance(measure, MarkovChain):
-        return _markov_denominator(word, measure)
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
+        return _bernoulli_denominator(data, measure.integer_factors[0])
+    return _markov_denominator(data, measure.integer_factors)

@@ -39,6 +39,8 @@ Every endpoint is dyadic, so the enclosure keeps both as integers over one
 power of two, 2^k: a step doubles the two numerators and takes their sum as
 the midpoint, values come from one integer Horner evaluation with shifts,
 2^(kd) p(n / 2^k), and the width and order tests are integer comparisons.
+No point is evaluated twice: a count reuses the core's value at its point
+when the caller has it, and a count at 0 reads the constant terms.
 ``Fraction`` endpoints are made only for snapshots and comparisons with
 other rationals.
 """
@@ -152,10 +154,18 @@ def _variations(values: Iterable[Fraction | int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(chain: list[list[int]], x: Fraction | int, den: int = 1) -> int:
-    """Sign variations of the chain at x / den."""
+def _variations_at(
+    chain: list[list[int]], x: Fraction | int, den: int = 1, head: int | None = None
+) -> int:
+    """Sign variations of the chain at x / den; ``head``, when given, has the
+    sign of chain[0] there, which is then not evaluated again."""
     num, den = x.numerator, x.denominator * den
-    return _variations([_sign_at(p, num, den) for p in chain])
+    signs = [_sign_at(p, num, den) for p in (chain if head is None else chain[1:])]
+    return _variations(signs if head is None else [head, *signs])
+
+
+def _variations_at_zero(chain: list[list[int]]) -> int:
+    return _variations(p[0] for p in chain)
 
 
 def _variations_at_inf(chain: list[list[int]]) -> int:
@@ -176,7 +186,7 @@ def _root_below(ints: Sequence[int], x: Fraction) -> bool:
     if _variations(ints) <= 1:
         return False
     chain = _sturm_chain(ints)
-    return _variations_at(chain, 0) > _variations_at(chain, x)
+    return _variations_at_zero(chain) > _variations_at(chain, x, head=s)
 
 
 # --------------------------------------------------------------------------
@@ -210,9 +220,10 @@ class _Enclosure:
             raise NoPositiveRootError(f"{poly!r} has no positive root")
         probe = 2
         while self.exact is None and self.hi_n is None:
-            if self.sign(probe) == 0:
+            sign = self.sign(probe)
+            if sign == 0:
                 self._hit(probe)
-            elif self.count_upto(probe):
+            elif self.count_upto(probe, 1, sign):
                 self.hi_n = probe
             probe *= 2
 
@@ -229,7 +240,7 @@ class _Enclosure:
     def chain(self) -> list[list[int]]:
         if self._chain is None:
             self._chain = _sturm_chain(self.ints)
-            self._count_at_zero = _variations_at(self._chain, 0)
+            self._count_at_zero = _variations_at_zero(self._chain)
         return self._chain
 
     @property
@@ -244,12 +255,15 @@ class _Enclosure:
         """Sign of the core at x / den."""
         return _sign_at(self.ints, x.numerator, x.denominator * den)
 
-    def count_upto(self, x: Fraction | int | None, den: int = 1) -> int:
+    def count_upto(self, x: Fraction | int | None, den: int = 1, value: int | None = None) -> int:
         """Distinct roots of the core in (0, x / den], or in (0, inf) for
-        None; x / den must not be a root of the core."""
+        None; x / den must not be a root of the core.  ``value``, when the
+        caller has it, has the sign of the core at x / den."""
         if self._descartes <= 1:
-            return self._descartes if x is None else int(self.sign(x, den) < 0)
-        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x, den)
+            if x is None:
+                return self._descartes
+            return int((self.sign(x, den) if value is None else value) < 0)
+        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x, den, value)
         return self._count_at_zero - top
 
     def _deflate(self, roots: list[Fraction]) -> None:
@@ -284,7 +298,7 @@ class _Enclosure:
         if self._single:
             below = value < 0
         else:
-            count = self.count_upto(mid, 1 << self.k)
+            count = self.count_upto(mid, 1 << self.k, value)
             below = count > 0
             self._single = count == 1 and value < 0
         if below:
@@ -365,8 +379,9 @@ class _Enclosure:
                 return 1
             if value >= self.hi:
                 return -1
-            if self.sign(value) != 0:
-                return -1 if self.count_upto(value) else 1
+            sign = self.sign(value)
+            if sign != 0:
+                return -1 if self.count_upto(value, 1, sign) else 1
             self._deflate([value])
             if self.exact is None:
                 return -1

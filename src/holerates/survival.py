@@ -15,8 +15,8 @@ so they can cross-check one another and the root-isolation layer:
   expands by linear recurrence.
 
 The automaton and the enumerator put the weight of every length-n word over
-b^n, b the common denominator of the measure's factors, so they add
-integers and make one ``Fraction`` per length.
+b^n, b the common denominator of the measure's ``integer_factors``, so they
+add integers and make one ``Fraction`` per length.
 
 The classical word-counting equations (append a letter / append the whole
 pattern) are also solved symbolically, by Cramer's rule on polynomial
@@ -34,7 +34,6 @@ from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, m
 from .polynomials import (
     ONE,
     RationalPolynomial,
-    _over_common_denominator,
     markov_weighted_autocorrelation,
     survival_denominator,
     weighted_autocorrelation,
@@ -63,10 +62,10 @@ class AvoidanceAutomaton:
     def survival_totals(self, max_length: int) -> list[Fraction]:
         """Total non-absorbed weight after reading 0..max_length symbols.
 
-        After n symbols every weight is an integer over b^n (see
-        ``_integer_factors``), so the live states carry integers and each
-        total is divided by b^n once."""
-        b, nums = _integer_factors(self.measure)
+        After n symbols every weight is an integer over b^n (see the
+        measure's ``integer_factors``), so the live states carry integers and
+        each total is divided by b^n once."""
+        b, nums = self.measure.integer_factors
         chain = isinstance(self.measure, MarkovChain)
         r = self.absorbing
         # (prefix length matched, offset in nums of the next letter's
@@ -164,17 +163,6 @@ def survival_series(
 # --------------------------------------------------------------------------
 
 
-def _integer_factors(measure: BernoulliMeasure | MarkovChain) -> tuple[int, list[int]]:
-    """(b, nums): the measure's factors as nums[i] / b over their least
-    common denominator b, so that every word of length n weighs an integer
-    over b^n.  The factors are the probabilities, or a chain's four
-    transitions, row-major, then its two stationary weights."""
-    if isinstance(measure, BernoulliMeasure):
-        return _over_common_denominator(measure.probs)
-    factors = [e for row in measure.matrix for e in row] + list(measure.stationary)
-    return _over_common_denominator(factors)
-
-
 def _walk_length(size: int, factors: int, length: int, cap: int) -> int:
     """The longest length l <= ``length`` with at most ``cap`` words whose
     codes, below size^l, and weight keys, one base-(l+1) digit per factor,
@@ -205,10 +193,10 @@ def direct_enumeration(
 
     Every word is built letter by letter as its base-A code; a word survives
     if its prefix survived and its last r letters are not the hole.  A word
-    of length n weighs a product of the factors' numerators over b^n (see
-    ``_integer_factors``), whose exponents are packed into one int64 key; at
-    each length the survivors are grouped by key and their integer weights
-    summed exactly.
+    of length n weighs a product of the numerators of the measure's
+    ``integer_factors`` over b^n, whose exponents are packed into one int64
+    key; at each length the survivors are grouped by key and their integer
+    weights summed exactly.
     """
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
@@ -216,7 +204,7 @@ def direct_enumeration(
         raise ValueError("length must be >= 0")
     size = word.alphabet.size
     bernoulli = isinstance(measure, BernoulliMeasure)
-    b, nums = _integer_factors(measure)
+    b, nums = measure.integer_factors
     top = _walk_length(size, len(nums), length, cap)
     if top < 0:
         return ()

@@ -260,8 +260,10 @@ class TestOrderingTable:
 
 
 class TestCorrelationClasses:
-    """Words grouped under one class key must share everything a scan reads
-    from the class's first word."""
+    """Words grouped under equal border data must share everything a scan
+    reads from the class's first word.  The last two cases have equal
+    factors, so words of different symbol or transition counts share a
+    class."""
 
     CASES = [
         (B(["1/2", "1/2"]), 10),
@@ -269,6 +271,8 @@ class TestCorrelationClasses:
         (B(["1/2", "3/10", "1/5"]), 6),
         (M(["3/4", "1/4", "1/3", "2/3"]), 10),
         (M(["0", "1", "1/2", "1/2"]), 10),
+        (B(["1/3", "1/3", "1/3"]), 6),
+        (M(["1/2", "1/2", "1/2", "1/2"]), 10),
     ]
 
     @staticmethod
@@ -337,6 +341,15 @@ class TestOneRootPerClass:
         assert len(isolations) == len(distinct)
         assert len({iso[0] for iso in isolations}) == len(distinct)
         assert len(distinct) <= len(builds) < 2**9
+
+    @pytest.mark.parametrize(
+        "probs, r", [(["1/2", "1/2"], 10), (["7/10", "3/10"], 10), (["1/3", "1/3", "1/3"], 6)]
+    )
+    def test_product_measure_classes_are_the_distinct_denominators(self, probs, r):
+        # 21 denominators at p = 1/2; grouping by symbol counts made 128 classes
+        measure = B(probs)
+        distinct = {survival_denominator(w, measure) for w in enumerate_words(measure.alphabet, r)}
+        assert len(extremal._hole_classes(r, measure, 1 << 20)) == len(distinct)
 
     def test_brute_force_and_families_run_per_class(self, monkeypatch):
         measure = B(["3/5", "2/5"])

@@ -51,6 +51,8 @@ CASES["max_r3_ternary_q_small"] = ["max", "--r", "3", "--bernoulli", "7/10,1/5,1
 CASES["max_r3_ternary_p_large"] = ["max", "--r", "3", "--bernoulli", "17/20,1/10,1/20"]
 CASES["max_r4_ternary_direct"] = ["max", "--r", "4", "--bernoulli", "3/5,39/100,1/100"]
 CASES["figure_relerr"] = ["figure", "relerr"]
+CASES["markov_scan_r8_uniform"] = ["markov-scan", "--r", "8", "--markov", "1/2,1/2,1/2,1/2"]
+CASES["scan_r5_ternary_uniform"] = ["scan", "--r", "5", "--bernoulli", "1/3,1/3,1/3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -103,6 +103,19 @@ def _int_cbrt(x: int) -> int:
     return lo
 
 
+def _record_points(monkeypatch):
+    """(polynomial, point) of every dyadic evaluation from here on."""
+    points = []
+    value = roots._dyadic_value
+
+    def recording(ints, num, k):
+        points.append((tuple(ints), Fraction(num, 1 << k)))
+        return value(ints, num, k)
+
+    monkeypatch.setattr(roots, "_dyadic_value", recording)
+    return points
+
+
 class TestRootBelow:
     """``_root_below`` certifies a root in the open interval (0, x)."""
 
@@ -132,6 +145,13 @@ class TestRootBelow:
         ints = [head, *coeffs]
         assume(any(coeffs) and horner(RationalPolynomial(ints), x) != 0)
         assert _root_below(ints, x) == (count_roots(RationalPolynomial(ints), 0, x) > 0)
+
+    def test_sturm_count_reuses_the_sign_at_x(self, monkeypatch):
+        # two sign variations and positive at x: the Sturm chain decides
+        points = _record_points(monkeypatch)
+        assert not _root_below([1, -2, 1], Fraction(1, 2))
+        assert len(points) == len(set(points))
+        assert all(point != 0 for _, point in points)
 
     def test_tied_root_is_not_below(self):
         # at p = 3/4, r = 3, the unbordered and the maximal-measure holes
@@ -319,6 +339,15 @@ class TestQuadraticRefinement:
         monkeypatch.setattr(roots, "_dyadic_value", counting)
         escape_rate(w(text), B(["7/10", "3/10"]))
         assert calls <= most
+
+    @pytest.mark.parametrize("text", ["a" * 59 + "b", "ab" * 10, "aab" * 7])
+    def test_no_point_is_evaluated_twice(self, monkeypatch, text):
+        # a count at a probe or a bisection midpoint reuses the core's value
+        # there, and a count at 0 reads the constant terms
+        points = _record_points(monkeypatch)
+        escape_rate(w(text), B(["7/10", "3/10"]))
+        assert len(points) == len(set(points))
+        assert all(point != 0 for _, point in points)
 
 
 class TestIntegerDeflation:
