@@ -25,13 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-from .measures import (
-    BernoulliMeasure,
-    MarkovChain,
-    as_fraction,
-    hole_measure,
-    markov_weights,
-)
+from .measures import BernoulliMeasure, MarkovChain, as_fraction
 from .polynomials import border_data, survival_denominator
 from .roots import (
     DEFAULT_TOL,
@@ -67,9 +61,11 @@ def _hole_classes(
     r: int, measure: BernoulliMeasure | MarkovChain, cap: int
 ) -> list[_HoleClass]:
     """Every word of length r (every allowed word, for a chain) in one pass,
-    grouped by border data, classes in order of their first word.  The
-    period is the least border shift j > 0 in the data (its entry r is never
-    0); measures are computed once per class, from its first word."""
+    grouped by border data, classes in order of their first word.  Weights:
+    the data's whole-word product over d^r, for a chain times a stationary
+    weight or the wrap-around transition.  Period: least border shift j > 0."""
+    d, nums = measure.integer_factors
+    chain = isinstance(measure, MarkovChain)
     classes: dict[tuple[int, ...], _HoleClass] = {}
     for w in enumerate_words(measure.alphabet, r, cap):
         data = border_data(w, measure)
@@ -79,11 +75,8 @@ def _hole_classes(
         if hole_class is not None:
             hole_class.words.append(w)
             continue
-        if isinstance(measure, MarkovChain):
-            weights = markov_weights(w, measure)
-            mu, cw = weights.measure, weights.cycle_weight
-        else:
-            mu, cw = hole_measure(w, measure), None
+        mu = Fraction(data[r] * (nums[4 + data[-2]] if chain else 1), d**r)
+        cw = Fraction(data[r] * nums[2 * data[-1] + data[-2]], d**r) if chain else None
         period = next(j for j in range(1, r + 1) if data[j])
         classes[data] = _HoleClass([w], mu, cw, period == r, period)
     return list(classes.values())

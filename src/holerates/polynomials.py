@@ -30,7 +30,7 @@ from typing import Iterable, Union
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, _over_common_denominator
-from .words import Word, autocorrelation
+from .words import Word, autocorrelation, failure_function
 
 
 class RationalPolynomial:
@@ -170,19 +170,27 @@ def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[in
     transitions) on a border shift j, else 0; then the whole word's product
     (entry r), and for a chain the first and last letters.  Words with equal
     data have one denominator; None for a word the chain forbids.  The
-    alphabet is not checked."""
+    alphabet is not checked.  One pass: pp[L] is the length-L prefix product,
+    and each border L on the failure-link chain sets entry r - L to pp[r] // pp[L]."""
     w = word.letters
     nums = measure.integer_factors[1]
     chain = isinstance(measure, MarkovChain)
-    factors = [nums[2 * x + y] for x, y in zip(w, w[1:])] if chain else [nums[x] for x in w]
-    if chain and 0 in factors:
-        return None
-    data, prod = [], 1
-    for j, bit in enumerate(autocorrelation(word)):
-        if j:
-            prod *= factors[-j]
-        data.append(prod if bit else 0)
-    return (*data, prod, w[0], w[-1]) if chain else (*data, prod * factors[0])
+    pp = [1, 1] if chain else [1]
+    if chain:
+        for x, y in zip(w, w[1:]):
+            if not nums[2 * x + y]:
+                return None
+            pp.append(pp[-1] * nums[2 * x + y])
+    else:
+        for x in w:
+            pp.append(pp[-1] * nums[x])
+    fail = failure_function(w)
+    data = [1] + [0] * (len(w) - 1)
+    border = fail[-1]
+    while border:
+        data[-border] = pp[-1] // pp[border]
+        border = fail[border]
+    return (*data, pp[-1], w[0], w[-1]) if chain else (*data, pp[-1])
 
 
 def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:

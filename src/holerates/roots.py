@@ -213,7 +213,7 @@ class _Enclosure:
         self._set_core(poly.ints)
         self._single = False  # (lo, hi) holds one root, of odd multiplicity
         self._m = 2  # a refinement jump splits (lo, hi) into 2^m cells
-        roots = [c for c in {as_fraction(c) for c in candidates} if c > 0 and self.sign(c) == 0]
+        roots = [c for c in set(candidates) if c > 0 and self.sign(c) == 0]
         if roots:
             self._deflate(roots)
         if self.exact is None and self.count_upto(None) == 0:
@@ -472,7 +472,7 @@ def smallest_positive_root(
 ) -> RootResult:
     """Certified enclosure of the smallest root of ``poly`` in (0, inf).
 
-    ``candidates`` are rational values to try as exact roots first; any that
+    ``candidates`` are Fractions to try as exact roots first; any that
     check out are deflated away by exact synthetic division, which is what
     pins regime-boundary roots like 1/p exactly instead of enclosing them.
     Raises NoPositiveRootError when there is no positive root.
@@ -552,12 +552,11 @@ def rate_from_denominator(
 ) -> RootResult:
     """Escape rate from a prebuilt survival denominator; the enclosure is
     refined until it certifies z0 > 1."""
-    result = smallest_positive_root(poly, as_fraction(tol), _root_candidates(measure))
+    result = smallest_positive_root(poly, tol, _root_candidates(measure))
     if result.lower <= 1:
-        # tau(1) = mu > 0 and no root of the core in (0, 1] certify z0 > 1
-        # once, so the narrowing below ends.
-        enclosure = result._state()
-        if result.exact or sum(poly.ints) == 0 or enclosure.count_upto(1):
+        # z0 > 1, so the narrowing ends: at lower = 1 by the enclosure's invariant
+        # (no root of the core in (0, lo]), below by tau(1) = mu > 0 and a zero count.
+        if result.exact or result.lower < 1 and (sum(poly.ints) == 0 or result._state().count_upto(1)):
             raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
         while result.lower <= 1:
             result = refine(result, result.rel_width() / 1024)

@@ -5,9 +5,10 @@ from fractions import Fraction
 from unittest import mock
 
 from holerates.extremal import _class_rates, _hole_classes
+from holerates.measures import MarkovChain
 from holerates.polynomials import RationalPolynomial
 from holerates.roots import _Enclosure, _sturm_chain, _variations_at, compare
-from holerates.words import DEFAULT_ENUMERATION_CAP
+from holerates.words import DEFAULT_ENUMERATION_CAP, autocorrelation
 
 
 def trinomial(r, m):
@@ -28,6 +29,24 @@ def horner(poly, x):
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def border_data(word, measure):
+    """``polynomials.border_data`` from the autocorrelation bits times a
+    running product of the factors from the end of the word, every shift
+    visited."""
+    w = word.letters
+    nums = measure.integer_factors[1]
+    chain = isinstance(measure, MarkovChain)
+    factors = [nums[2 * x + y] for x, y in zip(w, w[1:])] if chain else [nums[x] for x in w]
+    if chain and 0 in factors:
+        return None
+    data, prod = [], 1
+    for j, bit in enumerate(autocorrelation(word)):
+        if j:
+            prod *= factors[-j]
+        data.append(prod if bit else 0)
+    return (*data, prod, w[0], w[-1]) if chain else (*data, prod * factors[0])
 
 
 def brute_period(letters):

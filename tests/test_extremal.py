@@ -323,6 +323,22 @@ class TestOneRootPerClass:
         monkeypatch.setattr(extremal, name, counting)
         return calls
 
+    @pytest.mark.parametrize("measure", [B(["7/10", "3/10"]), M(["3/4", "1/4", "1/3", "2/3"])])
+    def test_one_border_pass_per_word_and_no_fraction_product(self, monkeypatch, measure):
+        # a class's weights are read from its border data, with no product
+        # of Fractions over its letters
+        passes = self._count(monkeypatch, "border_data")
+        products = []
+        for name in ("__mul__", "__rmul__"):
+            multiply = getattr(Fraction, name)
+            monkeypatch.setattr(
+                Fraction, name, lambda a, b, multiply=multiply: products.append(b) or multiply(a, b)
+            )
+        classes = extremal._hole_classes(10, measure, 1 << 20)
+        assert len(passes) == 1024
+        assert products == []
+        assert classes[0].measure > 0
+
     def test_bernoulli_denominators_equal_distinct_ones(self, monkeypatch):
         measure = B(["7/10", "3/10"])
         distinct = {survival_denominator(w, measure) for w in enumerate_words(AB, 10)}

@@ -2,18 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from holerates.errors import ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import (
     RationalPolynomial,
+    border_data,
     markov_weighted_autocorrelation,
     survival_denominator,
     weighted_autocorrelation,
 )
 from holerates.words import AB, Word, enumerate_words
 
+from _reference import border_data as reference_border_data
 from _reference import horner, trinomial
 
 B = BernoulliMeasure.from_rationals
@@ -84,6 +86,50 @@ class TestWeightedAutocorrelation:
     def test_constant_term_is_one(self, letters):
         word = Word(tuple(letters), AB)
         assert weighted_autocorrelation(word, P35)[0] == 1
+
+
+class TestBorderData:
+    """The one-pass border data (prefix products, failure links) against
+    the autocorrelation bits times suffix products, every shift visited."""
+
+    MEASURES = [
+        B(["7/10", "3/10"]),
+        B(["1/2", "3/10", "1/5"]),
+        M(["3/4", "1/4", "1/3", "2/3"]),
+        M(["0", "1", "1/2", "1/2"]),
+    ]
+
+    @given(st.sampled_from(MEASURES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, measure, data):
+        size = measure.alphabet.size
+        letters = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40))
+        word = Word(tuple(letters), measure.alphabet)
+        assert border_data(word, measure) == reference_border_data(word, measure)
+
+    @given(st.lists(st.sampled_from([(1,), (0, 1)]), min_size=1, max_size=25), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_long_words_the_subshift_allows(self, blocks, end_in_a):
+        # blocks b and ab, then maybe an a: no aa, the forbidden transition
+        measure = self.MEASURES[3]
+        word = Word(sum(blocks, ()) + (0,) * end_in_a, AB)
+        data = border_data(word, measure)
+        assert data is not None and data == reference_border_data(word, measure)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_every_short_word(self, measure):
+        # r = 1, and every forbidden word of the subshift chain
+        for r in range(1, 9):
+            for word in enumerate_words(measure.alphabet, r):
+                assert border_data(word, measure) == reference_border_data(word, measure), str(word)
+
+    def test_examples(self):
+        # aabaa at 7/10: borders aa (shift 3, last letters baa) and a
+        # (shift 4, last letters abaa), then the whole word's product
+        assert border_data(w("aabaa"), B(["7/10", "3/10"])) == (1, 0, 0, 147, 1029, 7203)
+        # the chain forbids aa
+        assert border_data(w("baab"), M(["0", "1", "1/2", "1/2"])) is None
+        assert border_data(w("b"), M(["0", "1", "1/2", "1/2"])) == (1, 1, 1, 1)
 
 
 class TestSurvivalDenominator:

@@ -18,6 +18,7 @@ from holerates.roots import (
     compare,
     compare_with_rational,
     escape_rate,
+    rate_from_denominator,
     refine,
     smallest_positive_root,
 )
@@ -348,6 +349,32 @@ class TestQuadraticRefinement:
         escape_rate(w(text), B(["7/10", "3/10"]))
         assert len(points) == len(set(points))
         assert all(point != 0 for _, point in points)
+
+    @pytest.mark.parametrize("text", ["a" * 99 + "b", "ab" * 30])
+    def test_lower_one_certifies_without_a_count(self, monkeypatch, text):
+        # the first enclosure ends at lower = 1, where the enclosure's own
+        # invariant certifies z0 > 1: z = 1, the first bisection midpoint,
+        # is not evaluated again for a count there
+        firsts = []
+        isolate = roots.smallest_positive_root
+
+        def spy(*args):
+            firsts.append(isolate(*args))
+            return firsts[-1]
+
+        monkeypatch.setattr(roots, "smallest_positive_root", spy)
+        points = _record_points(monkeypatch)
+        result = escape_rate(w(text), B(["7/10", "3/10"]))
+        assert firsts[0].lower == 1 < result.lower
+        assert any(point == 1 for _, point in points)
+        assert len(points) == len(set(points))
+
+    @pytest.mark.parametrize(
+        "tau", [poly(1, -3, 1), poly(1, -1)], ids=["root below 1", "exact root 1"]
+    )
+    def test_root_not_above_one_is_refused(self, tau):
+        with pytest.raises(AssertionError, match="not above 1"):
+            rate_from_denominator(tau, B(["7/10", "3/10"]))
 
 
 class TestIntegerDeflation:
