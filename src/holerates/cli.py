@@ -283,7 +283,8 @@ def cmd_oracle(args) -> tuple:
     gf = survival.genfun(word, measure)
     genfun_match = gf.series(n + 1) == list(series.values)
 
-    # the walk stops at the longest length within --enum-cap, maybe below r
+    # window states stop growing by length max(r - 1, 1), so under --enum-cap
+    # the walk reaches r + n or stops short of r
     enumerated = survival.direct_enumeration(word, measure, r + n, cap=args.enum_cap)[r:]
     enum_max = r + len(enumerated) - 1 if enumerated else 0
     enum_match = enumerated == series.values[: len(enumerated)]
@@ -453,7 +454,7 @@ def build_parser() -> _Parser:
     oracle.add_argument("--word")
     oracle.add_argument("--n", type=int, default=20, help="series terms (default 20)")
     oracle.add_argument("--enum-cap", dest="enum_cap", type=int, default=1 << 16,
-                        help="word-count cap for the brute-force oracle")
+                        help="window-state cap for the brute-force oracle")
     _add_common(oracle, "json")
     oracle.set_defaults(func=cmd_oracle)
 

@@ -51,6 +51,7 @@ class _HoleClass:
     ``words`` are in enumeration order; the first stands for the class."""
 
     words: list[Word]
+    weight: int  # numerator of ``measure`` over d^r, one denominator for all classes
     measure: Fraction
     cycle_weight: Fraction | None  # set for Markov chains only
     unbordered: bool
@@ -75,10 +76,10 @@ def _hole_classes(
         if hole_class is not None:
             hole_class.words.append(w)
             continue
-        mu = Fraction(data[r] * (nums[4 + data[-2]] if chain else 1), d**r)
+        weight = data[r] * (nums[4 + data[-2]] if chain else 1)
         cw = Fraction(data[r] * nums[2 * data[-1] + data[-2]], d**r) if chain else None
         period = next(j for j in range(1, r + 1) if data[j])
-        classes[data] = _HoleClass([w], mu, cw, period == r, period)
+        classes[data] = _HoleClass([w], weight, Fraction(weight, d**r), cw, period == r, period)
     return list(classes.values())
 
 
@@ -241,7 +242,7 @@ def brute_force_gamma_max(
     rated: dict[tuple, RootResult | None] = {}  # None: pruned
     leader: RootResult | None = None
     top: set[tuple] = set()  # the denominators whose root ties the leader's
-    for i in sorted(range(len(classes)), key=lambda i: classes[i].measure, reverse=True):
+    for i in sorted(range(len(classes)), key=lambda i: classes[i].weight, reverse=True):
         poly = polys[i]
         if poly.ints in rated:
             continue

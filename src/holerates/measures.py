@@ -63,6 +63,12 @@ class BernoulliMeasure:
         over b^n."""
         return _over_common_denominator(self.probs)
 
+    @cached_property
+    def root_candidates(self) -> tuple[Fraction, ...]:
+        """The values 1/p, sorted: rational roots a survival denominator
+        often has, tested exactly before any bisection."""
+        return tuple(sorted({1 / p for p in self.probs}))
+
     def top_two(self) -> tuple[int, int]:
         """Indices of the most probable and second most probable symbols,
         breaking ties by symbol order."""
@@ -160,6 +166,13 @@ class MarkovChain:
         stationary weights, as nums[i] / D over their least common
         denominator D; a word of length n weighs an integer over D^n."""
         return _over_common_denominator([*self.matrix[0], *self.matrix[1], *self.stationary])
+
+    @cached_property
+    def root_candidates(self) -> tuple[Fraction, ...]:
+        """The reciprocals of the positive transitions, sorted: rational
+        roots a survival denominator often has, tested exactly before any
+        bisection."""
+        return tuple(sorted({1 / e for row in self.matrix for e in row if e > 0}))
 
 
 @dataclass(frozen=True)

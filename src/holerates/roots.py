@@ -538,13 +538,6 @@ def compare(a: RootResult, b: RootResult) -> int:
 # --------------------------------------------------------------------------
 
 
-def _root_candidates(measure: BernoulliMeasure | MarkovChain) -> tuple[Fraction, ...]:
-    if isinstance(measure, BernoulliMeasure):
-        return tuple(sorted({1 / p for p in measure.probs}))
-    vals = {1 / e for row in measure.matrix for e in row if e > 0}
-    return tuple(sorted(vals))
-
-
 def rate_from_denominator(
     poly: RationalPolynomial,
     measure: BernoulliMeasure | MarkovChain,
@@ -552,7 +545,7 @@ def rate_from_denominator(
 ) -> RootResult:
     """Escape rate from a prebuilt survival denominator; the enclosure is
     refined until it certifies z0 > 1."""
-    result = smallest_positive_root(poly, tol, _root_candidates(measure))
+    result = smallest_positive_root(poly, tol, measure.root_candidates)
     if result.lower <= 1:
         # z0 > 1, so the narrowing ends: at lower = 1 by the enclosure's invariant
         # (no root of the core in (0, lo]), below by tau(1) = mu > 0 and a zero count.

@@ -6,10 +6,10 @@ so they can cross-check one another and the root-isolation layer:
 
 * a weighted pattern-avoidance automaton (KMP prefix states), stepped
   exactly on integer weights;
-* one brute-force enumerator for both measures: one walk over the words of
-  every length up to a given one, each built letter by letter, with an
-  explicit test of each window and the survivors' weights summed exactly
-  at each length;
+* one brute-force enumerator for both measures: one walk over the window
+  states (the last r - 1 letters) of every length up to a given one, with
+  an explicit test of each length-r window and the survivors' weights
+  summed exactly per state;
 * the rational generating function sum p_n z^n, whose denominator is the
   survival denominator from the ``polynomials`` module and whose series
   expands by linear recurrence.
@@ -163,19 +163,6 @@ def survival_series(
 # --------------------------------------------------------------------------
 
 
-def _walk_length(size: int, factors: int, length: int, cap: int) -> int:
-    """The longest length l <= ``length`` with at most ``cap`` words whose
-    codes, below size^l, and weight keys, one base-(l+1) digit per factor,
-    fit in an int64; -1 when there is none."""
-    import numpy as np  # only the enumeration oracle needs numpy
-
-    int64 = int(np.iinfo(np.int64).max)
-    top = -1
-    while top < length and size ** (top + 1) <= min(cap, int64) and (top + 2) ** factors <= int64:
-        top += 1
-    return top
-
-
 def direct_enumeration(
     word: Word,
     measure: BernoulliMeasure | MarkovChain,
@@ -183,60 +170,57 @@ def direct_enumeration(
     cap: int = _ENUM_CAP,
 ) -> tuple[Fraction, ...]:
     """Measures of the words of each length 0, 1, ..., L avoiding ``word``
-    as a factor, summed word by word in one walk.  Deliberately
+    as a factor, summed in one walk over window states.  Deliberately
     simple-minded: this is the oracle the automaton and the generating
     function are checked against.
 
-    L is the largest length up to ``length`` with at most ``cap`` words
-    whose codes and weight keys fit in an int64; the walk stops there, so
-    the tuple may be shorter than ``length + 1`` (empty when ``cap < 1``).
+    A state is the base-A code of the last k letters of a surviving word,
+    k = r - 1 for a product measure and max(r - 1, 1) for a chain (whose
+    next factor depends on the last letter), and it carries the exact
+    integer sum of the weights of the survivors that end in it.  Each
+    length appends every letter c to every state: a pair survives if its
+    factor numerator is nonzero and, from length r on, its last r letters,
+    (state * A + c) mod A^r, are not the hole; it moves to state
+    (state * A + c) mod A^k with its weight times that numerator, the
+    measure's ``integer_factors`` (a chain's stationary weight for the first
+    letter, the row of the last letter after it).  Survival thus depends on
+    the windows alone, with no failure links.  p_n is the sum over b^n.
 
-    Every word is built letter by letter as its base-A code; a word survives
-    if its prefix survived and its last r letters are not the hole.  A word
-    of length n weighs a product of the numerators of the measure's
-    ``integer_factors`` over b^n, whose exponents are packed into one int64
-    key; at each length the survivors are grouped by key and their integer
-    weights summed exactly.
+    At length n the walk holds A^min(n, k) states.  L is ``length``, or the
+    length before the first one whose state count exceeds ``cap``; the
+    tuple may be shorter than ``length + 1`` (empty when ``cap < 1``).
     """
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
     if length < 0:
         raise ValueError("length must be >= 0")
-    size = word.alphabet.size
-    bernoulli = isinstance(measure, BernoulliMeasure)
-    b, nums = measure.integer_factors
-    top = _walk_length(size, len(nums), length, cap)
-    if top < 0:
+    if cap < 1:
         return ()
-    import numpy as np
-
-    base = top + 1  # no exponent exceeds the length
-    place = np.array([base**i for i in range(len(nums))], dtype=np.int64)
-    powers = [[num**e for e in range(base)] for num in nums]
+    size = word.alphabet.size
+    chain = isinstance(measure, MarkovChain)
+    b, nums = measure.integer_factors
     r = len(word)
+    k = max(r - 1, 1) if chain else r - 1
+    window, states = size**r, size**k
     needle = 0
     for c in word.letters:
         needle = needle * size + c
-    letters = np.arange(size, dtype=np.int64)
-    codes = letters
-    keys = place[letters] if bernoulli else place[4 + letters]
+    weights = {0: 1}
     totals = [Fraction(1)]
-    for n in range(1, top + 1):
-        if n > 1:  # append every letter to every surviving word
-            step = letters if bernoulli else 2 * (codes % size)[:, None] + letters
-            keys = (keys[:, None] + place[step]).ravel()
-            codes = (codes[:, None] * size + letters).ravel()
-        if n >= r:
-            alive = codes % size**r != needle
-            codes, keys = codes[alive], keys[alive]
-        unique, counts = np.unique(keys, return_counts=True)
-        total = 0
-        for key, weight in zip(unique.tolist(), counts.tolist()):
-            for factor_powers in powers:
-                key, exponent = divmod(key, base)
-                weight *= factor_powers[exponent]
-            total += weight
-        totals.append(Fraction(total, b**n))
+    for n in range(1, length + 1):
+        if size ** min(n, k) > cap:
+            break
+        nxt: dict[int, int] = {}
+        for state, weight in weights.items():
+            row = (4 if n == 1 else 2 * (state % size)) if chain else 0
+            for c in range(size):
+                num = nums[row + c]
+                code = state * size + c
+                if num and (n < r or code % window != needle):
+                    code %= states
+                    nxt[code] = nxt.get(code, 0) + weight * num
+        weights = nxt
+        totals.append(Fraction(sum(weights.values()), b**n))
     return tuple(totals)
 
 

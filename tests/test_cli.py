@@ -236,8 +236,7 @@ class TestOracle:
         assert lines[3].split(",")[1] == "1/8"
 
     def test_twenty_symbols(self, capsys):
-        # 20**4 words exceed the default --enum-cap, so enumeration stops
-        # after length 3; no table is sized by the 4**19 possible weight keys
+        # hole ab keeps one letter per window state: 20 states walk every length
         code, out, _ = run(
             capsys,
             "oracle", "--word", "ab", "--bernoulli", ",".join(["1/20"] * 20),
@@ -245,7 +244,7 @@ class TestOracle:
         )
         assert code == 0
         checks = json.loads(out)["checks"]
-        assert checks.pop("direct_enumeration_matches_up_to_length") == 3
+        assert checks.pop("direct_enumeration_matches_up_to_length") == 12
         assert all(checks.values())
 
     def test_one_enumeration_walk_per_run(self, capsys, monkeypatch):
@@ -260,11 +259,13 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--word", "aab", "--p", "3/5", "--n", "20")
         assert code == 0
         assert len(calls) == 1
-        assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == 16
+        assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == 23
 
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]
-        for cap, expected in ((1 << 16, 12), (1 << 5, 5), (3, 0)):
+        # two window states from length 1 on: a cap below 2 stops the walk
+        # at length 0, short of r, so no length is matched
+        for cap, expected in ((1 << 16, 12), (2, 12), (1, 0), (0, 0)):
             code, out, _ = run(capsys, *argv, "--enum-cap", str(cap))
             assert code == 0
             assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == expected
@@ -471,11 +472,23 @@ def _run_script(script):
 
 
 def test_import_loads_no_numpy():
-    # numpy is imported only by the enumeration oracle
+    # the package never imports numpy
     _run_script(
         """
         import sys
         import holerates.cli
         assert "numpy" not in sys.modules
+        """
+    )
+
+
+def test_oracle_runs_with_numpy_blocked():
+    _run_script(
+        """
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        import holerates
+        import holerates.cli
+        assert holerates.cli.main(["oracle", "--word", "aab", "--p", "3/5"]) == 0
         """
     )

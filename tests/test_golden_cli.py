@@ -45,6 +45,11 @@ CASES["rate_abba_markov"] = ["rate", "--word", "abba", "--markov", "2/5,3/5,1/3,
 CASES["oracle_abab_markov_cap1000"] = [
     "oracle", "--word", "abab", "--markov", "2/5,3/5,1/3,2/3", "--n", "20", "--enum-cap", "1000"
 ]
+#: 8 window states exceed --enum-cap 4 at length 3, short of r = 4, so the
+#: walk matches no length and reports 0.
+CASES["oracle_abab_markov_cap4"] = [
+    "oracle", "--word", "abab", "--markov", "2/5,3/5,1/3,2/3", "--n", "20", "--enum-cap", "4"
+]
 CASES["max_r4_measure_max"] = ["max", "--r", "4", "--p", "9/10"]
 CASES["max_r4_tie"] = ["max", "--r", "4", "--p", "4/5"]
 CASES["max_r3_ternary_q_small"] = ["max", "--r", "3", "--bernoulli", "7/10,1/5,1/10"]

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from holerates import polynomials, survival, words
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
 from holerates.polynomials import (
@@ -16,7 +17,6 @@ from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
     RationalGenFun,
     SurvivalSeries,
-    _walk_length,
     build_automaton,
     direct_enumeration,
     empirical_rate,
@@ -31,6 +31,16 @@ M = MarkovChain.from_rationals
 P35 = B(["3/5", "2/5"])
 HALF = B(["1/2", "1/2"])
 ABC = Alphabet.of_size(3)
+
+
+#: The measures the enumeration walk is checked under, chains included.
+WALK_MEASURES = [
+    P35,
+    B(["7/10", "3/10"]),
+    B(["1/2", "3/10", "1/5"], ABC),
+    M(["3/4", "1/4", "1/3", "2/3"]),
+    M(["0", "1", "1/2", "1/2"]),
+]
 
 
 def w(text, alphabet=AB):
@@ -217,33 +227,58 @@ class TestDirectEnumeration:
             direct_enumeration(w("ab", ABC), M(["3/4", "1/4", "1/3", "2/3"]), 5)
 
     def test_cap(self):
-        # 2^10 words fit a cap of 1024, 2^11 do not: the walk stops at 10
-        totals = build_automaton(w("ab"), P35).survival_totals(11)
-        assert direct_enumeration(w("ab"), P35, 10, cap=1024) == tuple(totals[:11])
-        assert direct_enumeration(w("ab"), P35, 11, cap=1024) == tuple(totals[:11])
-        assert direct_enumeration(w("ab"), P35, 11, cap=2047) == tuple(totals[:11])
-        assert direct_enumeration(w("ab"), P35, 11, cap=2048) == tuple(totals)
-        assert direct_enumeration(w("ab"), P35, 11, cap=1) == (1,)
-        assert direct_enumeration(w("ab"), P35, 11, cap=0) == ()
-
-    def test_weight_keys_must_fit_in_an_int64(self):
-        twenty = Alphabet.of_size(20)
-        measure = B(["1/20"] * 20, twenty)
-        word = Word((0, 1), twenty)
-        assert direct_enumeration(word, measure, 2, cap=1 << 40) == (1, 1, Fraction(399, 400))
-        # the key base follows the length walked, not the length asked for
-        assert direct_enumeration(word, measure, 50, cap=20**2) == (1, 1, Fraction(399, 400))
-        # 20 exponents in base 8 fit an int64, in base 9 they do not; walking
-        # to length 7 would take 20^7 words, so the limit is checked alone
-        assert _walk_length(20, 20, 8, 1 << 40) == 7
-        assert _walk_length(20, 20, 6, 1 << 40) == 6
-
-    def test_word_codes_must_fit_in_an_int64(self):
-        # only b^n avoids a, so the words stay few while their codes grow
+        # at length n the walk holds A^min(n, k) window states, k = r - 1
+        # (at least 1 for a chain); it stops before the first length whose
+        # count exceeds the cap
+        totals = build_automaton(w("aab"), P35).survival_totals(11)
+        assert direct_enumeration(w("aab"), P35, 11, cap=4) == tuple(totals)
+        assert direct_enumeration(w("aab"), P35, 11, cap=3) == tuple(totals[:2])
+        assert direct_enumeration(w("aab"), P35, 11, cap=2) == tuple(totals[:2])
+        assert direct_enumeration(w("aab"), P35, 11, cap=1) == (1,)
+        assert direct_enumeration(w("aab"), P35, 11, cap=0) == ()
+        ternary = B(["1/2", "3/10", "1/5"], ABC)
+        totals = build_automaton(w("abc", ABC), ternary).survival_totals(6)
+        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=9) == tuple(totals)
+        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=8) == tuple(totals[:2])
+        # r = 1: one state for a product measure, a chain keeps the last letter
+        totals = build_automaton(w("a"), P35).survival_totals(5)
+        assert direct_enumeration(w("a"), P35, 5, cap=1) == tuple(totals)
         chain = M(["3/4", "1/4", "1/3", "2/3"])
-        totals = build_automaton(w("a"), chain).survival_totals(62)
-        assert direct_enumeration(w("a"), chain, 62, cap=1 << 70) == tuple(totals)
-        assert direct_enumeration(w("a"), chain, 63, cap=1 << 70) == tuple(totals)
+        totals = build_automaton(w("a"), chain).survival_totals(5)
+        assert direct_enumeration(w("a"), chain, 5, cap=2) == tuple(totals)
+        assert direct_enumeration(w("a"), chain, 5, cap=1) == (1,)
+
+    def test_two_hundred_letters_match_automaton(self):
+        # only b^n avoids a: one live state, while the words grow long
+        chain = M(["3/4", "1/4", "1/3", "2/3"])
+        totals = build_automaton(w("a"), chain).survival_totals(200)
+        assert direct_enumeration(w("a"), chain, 200) == tuple(totals)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_automaton_at_every_length(self, data):
+        measure = data.draw(st.sampled_from(WALK_MEASURES))
+        size = measure.alphabet.size
+        letters = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+        word = Word(tuple(letters), measure.alphabet)
+        assume(not isinstance(measure, MarkovChain) or is_allowed(word, measure))
+        length = data.draw(st.integers(0, 12))
+        totals = build_automaton(word, measure).survival_totals(length)
+        assert direct_enumeration(word, measure, length) == tuple(totals)
+
+    def test_walk_uses_no_failure_links(self, monkeypatch):
+        cases = [(w("abab"), P35), (w("abc", ABC), B(["1/2", "3/10", "1/5"], ABC)),
+                 (w("bab"), M(["3/4", "1/4", "1/3", "2/3"]))]
+        expected = [tuple(build_automaton(word, m).survival_totals(9)) for word, m in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumeration oracle used the automaton's machinery")
+
+        for module, name in ((survival, "failure_function"), (survival, "build_automaton"),
+                             (words, "failure_function"), (polynomials, "failure_function"),
+                             (polynomials, "border_data")):
+            monkeypatch.setattr(module, name, refuse)
+        assert [direct_enumeration(word, m, 9) for word, m in cases] == expected
 
 
 class TestGenFun:
