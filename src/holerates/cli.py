@@ -128,9 +128,9 @@ def _emit(args, payload, rows) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buffer)  # every row has the keys of the first, in order
+        writer.writerow(rows[0].keys())
+        writer.writerows(map(dict.values, rows))
         text = buffer.getvalue()
     if args.out:
         with open(args.out, "w") as handle:
@@ -174,16 +174,25 @@ def cmd_rate(args) -> tuple:
 
 
 def _table_rows(prefix: dict, table) -> list[dict]:
+    """One row per word; a class's rows share (so keep alive) its measure and
+    RootResult, so its numeric columns are formatted once, keyed by id."""
+    columns: dict[tuple[int, int], dict] = {}
     rows = []
     for entry in table:
-        rows.append(
-            {
-                **prefix,
-                "word": str(entry.word),
+        key = (id(entry.measure), id(entry.gamma))
+        shared = columns.get(key)
+        if shared is None:
+            shared = columns[key] = {
                 "measure": frac_str(entry.measure),
                 "mu_tilde": frac_str(entry.cycle_weight) if entry.cycle_weight is not None else "",
                 "gamma_lower": float_str(entry.gamma.gamma_lower),
                 "gamma_upper": float_str(entry.gamma.gamma_upper),
+            }
+        rows.append(
+            {
+                **prefix,
+                "word": str(entry.word),
+                **shared,
                 "prime": entry.unbordered,
                 "min_period": entry.min_period,
                 "rank": entry.rank,

@@ -10,11 +10,11 @@ symbols, q < p(1-p) over more.  Rigorous bounds, brute-force maxima,
 ordering tables and Markov-chain scans complete the module.
 
 Every scan over all words of a length (families, brute-force maxima,
-ordering tables) walks the words once and groups them into correlation
-classes by ``polynomials.border_data``, everything a survival denominator
-depends on: words with equal data have one denominator, measure and border
-pattern, so each is computed once per class.  Under a product measure the
-classes are exactly the distinct denominators.
+ordering tables) checks the cap, then groups the words of one
+``polynomials.border_walk`` into correlation classes by border data, all a
+survival denominator depends on: words with equal data share denominator,
+measure and border pattern, so each is computed once per class.  Under a
+product measure the classes are exactly the distinct denominators.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .measures import BernoulliMeasure, MarkovChain, as_fraction
-from .polynomials import border_data, survival_denominator
+from .polynomials import border_walk, survival_denominator
 from .roots import (
     DEFAULT_TOL,
     RootResult,
@@ -36,7 +36,7 @@ from .roots import (
     rate_from_denominator,
 )
 from .roots import escape_rate as _escape_rate
-from .words import DEFAULT_ENUMERATION_CAP, Word, enumerate_words
+from .words import DEFAULT_ENUMERATION_CAP, Word, check_enumeration
 
 
 # --------------------------------------------------------------------------
@@ -61,17 +61,17 @@ class _HoleClass:
 def _hole_classes(
     r: int, measure: BernoulliMeasure | MarkovChain, cap: int
 ) -> list[_HoleClass]:
-    """Every word of length r (every allowed word, for a chain) in one pass,
+    """Every word of length r (every allowed word, for a chain) in one walk,
     grouped by border data, classes in order of their first word.  Weights:
     the data's whole-word product over d^r, for a chain times a stationary
     weight or the wrap-around transition.  Period: least border shift j > 0."""
+    alphabet = measure.alphabet
+    check_enumeration(alphabet, r, cap)
     d, nums = measure.integer_factors
     chain = isinstance(measure, MarkovChain)
     classes: dict[tuple[int, ...], _HoleClass] = {}
-    for w in enumerate_words(measure.alphabet, r, cap):
-        data = border_data(w, measure)
-        if data is None:
-            continue
+    for letters, data in border_walk([range(alphabet.size)] * r, measure):
+        w = Word._in_range(letters, alphabet)  # the walk's letters index the alphabet
         hole_class = classes.get(data)
         if hole_class is not None:
             hole_class.words.append(w)
@@ -364,26 +364,16 @@ def ordering_table(
     classes = _hole_classes(r, measure, cap)
     rates = _class_rates(classes, measure, tol)
     groups = _descending_groups(rates)
-    entries = sorted(
-        ((groups[i], w.letters, w, i) for i, c in enumerate(classes) for w in c.words),
-        key=lambda entry: entry[:2],
-    )
+    # letters are distinct, so tuple order never reaches the class or word
+    entries = sorted((groups[i], w.letters, i, w) for i, c in enumerate(classes) for w in c.words)
     rows: list[OrderingRow] = []
     rank = 1
-    for position, (group, _, w, i) in enumerate(entries):
+    for position, (group, _, i, w) in enumerate(entries):
         if position and group != entries[position - 1][0]:
             rank = position + 1
         c = classes[i]
         rows.append(
-            OrderingRow(
-                word=w,
-                measure=c.measure,
-                cycle_weight=c.cycle_weight,
-                gamma=rates[i],
-                unbordered=c.unbordered,
-                min_period=c.min_period,
-                rank=rank,
-            )
+            OrderingRow(w, c.measure, c.cycle_weight, rates[i], c.unbordered, c.min_period, rank)
         )
     return rows
 

@@ -9,7 +9,7 @@ The key objects:
 * ``border_data(word, measure_or_chain)``: the same border terms as small
   integers over the measure's ``integer_factors``, with what the rest of
   the denominator reads of the word.  It is everything the denominator
-  depends on, so scans group words by it.
+  depends on, so scans group words by it; ``border_walk`` computes it.
 * ``survival_denominator(word, measure_or_chain)``: the polynomial whose
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, _over_common_denominator
-from .words import Word, autocorrelation, failure_function
+from .words import Word, autocorrelation
 
 
 class RationalPolynomial:
@@ -163,6 +163,46 @@ def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalP
     return RationalPolynomial(coeffs)
 
 
+def border_walk(
+    branches: Sequence[Iterable[int]], measure: BernoulliMeasure | MarkovChain
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(letters, ``border_data``) of every word whose letter i is taken from
+    ``branches[i]``, depth first in branch order; a chain's zero transition
+    prunes its subtree.  Each depth extends its parent's prefix product pp
+    and failure links fail, on an explicit stack so any length works; a leaf
+    sets entry r - L to pp[r] // pp[L] for each border L down its failure links."""
+    r = len(branches)
+    nums = measure.integer_factors[1]
+    chain = isinstance(measure, MarkovChain)
+    w, pp, fail = [0] * r, [1] * (r + 1), [-1] + [0] * r  # fail[0] = -1 ends every chain
+    untried = []  # the letter iterators of the depths above i
+    i, letters = 0, iter(branches[0])
+    while True:
+        c = next(letters, None)
+        if c is None:
+            if not untried:
+                return
+            i, letters = i - 1, untried.pop()
+            continue
+        factor = (nums[2 * w[i - 1] + c] if i else 1) if chain else nums[c]
+        if not factor:
+            continue
+        w[i], pp[i + 1] = c, pp[i] * factor
+        k = fail[i]
+        while k >= 0 and c != w[k]:
+            k = fail[k]
+        fail[i + 1] = k = k + 1
+        if i + 1 < r:
+            untried.append(letters)
+            i, letters = i + 1, iter(branches[i + 1])
+            continue
+        data = [1] + [0] * (r - 1)
+        while k:
+            data[-k] = pp[r] // pp[k]
+            k = fail[k]
+        yield tuple(w), (*data, pp[r], w[0], c) if chain else (*data, pp[r])
+
+
 def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[int, ...] | None:
     """Everything the survival denominator of ``word`` depends on, as small
     integers over the measure's ``integer_factors``: entry j is the product
@@ -170,27 +210,10 @@ def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[in
     transitions) on a border shift j, else 0; then the whole word's product
     (entry r), and for a chain the first and last letters.  Words with equal
     data have one denominator; None for a word the chain forbids.  The
-    alphabet is not checked.  One pass: pp[L] is the length-L prefix product,
-    and each border L on the failure-link chain sets entry r - L to pp[r] // pp[L]."""
-    w = word.letters
-    nums = measure.integer_factors[1]
-    chain = isinstance(measure, MarkovChain)
-    pp = [1, 1] if chain else [1]
-    if chain:
-        for x, y in zip(w, w[1:]):
-            if not nums[2 * x + y]:
-                return None
-            pp.append(pp[-1] * nums[2 * x + y])
-    else:
-        for x in w:
-            pp.append(pp[-1] * nums[x])
-    fail = failure_function(w)
-    data = [1] + [0] * (len(w) - 1)
-    border = fail[-1]
-    while border:
-        data[-border] = pp[-1] // pp[border]
-        border = fail[border]
-    return (*data, pp[-1], w[0], w[-1]) if chain else (*data, pp[-1])
+    alphabet is not checked.  This is ``border_walk`` down one branch."""
+    for _, data in border_walk([(x,) for x in word.letters], measure):
+        return data
+    return None
 
 
 def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import EnumerationCapError
@@ -29,6 +30,11 @@ class Alphabet:
             raise ValueError("alphabet symbols must be pairwise distinct")
         if any(not s for s in self.symbols):
             raise ValueError("alphabet symbols must be non-empty strings")
+
+    @cached_property
+    def separator(self) -> str:
+        """'' when every symbol is one character, else ','."""
+        return "" if all(len(s) == 1 for s in self.symbols) else ","
 
     @property
     def size(self) -> int:
@@ -66,14 +72,20 @@ class Word:
         if min(letters) < 0 or max(letters) >= len(self.alphabet.symbols):
             raise ValueError("letter index out of range for alphabet")
 
+    @classmethod
+    def _in_range(cls, letters: tuple[int, ...], alphabet: Alphabet) -> "Word":
+        """A word of letters already known to be valid indices, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "alphabet", alphabet)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        names = [self.alphabet.symbols[i] for i in self.letters]
-        if all(len(s) == 1 for s in self.alphabet.symbols):
-            return "".join(names)
-        return ",".join(names)
+        symbols = self.alphabet.symbols
+        return self.alphabet.separator.join([symbols[i] for i in self.letters])
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet) -> "Word":
@@ -82,7 +94,7 @@ class Word:
         Single-character alphabets are written with no separator ('aab');
         alphabets with any multi-character symbol use commas ('s1,s0,s1').
         """
-        if "," in text or any(len(s) > 1 for s in alphabet.symbols):
+        if "," in text or alphabet.separator:
             names = [t for t in text.split(",") if t]
         else:
             names = list(text)
@@ -119,12 +131,9 @@ def autocorrelation(word: Word) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def enumerate_words(
-    alphabet: Alphabet, length: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Word]:
-    """Yield all alphabet.size ** length words of the given length, in
-    lexicographic order of letter indices.  Raises EnumerationCapError
-    before yielding anything if the count would exceed ``cap``."""
+def check_enumeration(alphabet: Alphabet, length: int, cap: int) -> None:
+    """Raise unless the alphabet.size ** length words of the given length
+    (length >= 1) are at most ``cap``: every scan's first step."""
     if length < 1:
         raise ValueError("length must be >= 1")
     total = alphabet.size**length
@@ -132,5 +141,14 @@ def enumerate_words(
         raise EnumerationCapError(
             f"{alphabet.size}^{length} = {total} words exceeds the cap of {cap}"
         )
+
+
+def enumerate_words(
+    alphabet: Alphabet, length: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[Word]:
+    """Yield all alphabet.size ** length words of the given length, in
+    lexicographic order of letter indices.  Raises EnumerationCapError
+    before yielding anything if the count would exceed ``cap``."""
+    check_enumeration(alphabet, length, cap)
     for letters in itertools.product(range(alphabet.size), repeat=length):
         yield Word(letters, alphabet)

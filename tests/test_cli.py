@@ -86,11 +86,23 @@ class TestRate:
 
 
 class TestScan:
-    def test_cap_exit_code(self, capsys):
-        code, out, err = run(capsys, "scan", "--r", "8", "--p", "1/2", "--cap", "100")
-        assert code == 4
-        assert out == ""
-        assert "enumeration cap" in err
+    def test_cap_exit_code(self, capsys, monkeypatch):
+        # every command that enumerates words checks the cap before any walk
+        def refuse(*args):
+            raise AssertionError("words were walked before the cap check")
+
+        monkeypatch.setattr(extremal, "border_walk", refuse)
+        monkeypatch.setattr(polynomials, "border_walk", refuse)
+        for argv, message in (
+            (["scan", "--r", "8", "--p", "1/2"], "2^8 = 256"),
+            (["markov-scan", "--r", "8", "--markov", "3/5,2/5,2/7,5/7"], "2^8 = 256"),
+            (["families", "--r", "8", "--p", "7/10"], "2^8 = 256"),
+            (["scan", "--r", "5", "--bernoulli", "1/2,3/10,1/5"], "3^5 = 243"),
+            (["figure", "fig1", "--grid", "1/2:3/5:1/10"], "2^4 = 16"),
+        ):
+            code, out, err = run(capsys, *argv, "--cap", "15")
+            assert (code, out) == (4, "")
+            assert err == f"enumeration cap: {message} words exceeds the cap of 15\n"
 
     def test_survival_denominators_never_rescaled(self, capsys, monkeypatch):
         calls = []

@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from holerates import extremal
+from holerates import extremal, polynomials
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
-from holerates.polynomials import survival_denominator
+from holerates.polynomials import border_data, survival_denominator
 from holerates.extremal import (
     Regime,
     brute_force_gamma_max,
@@ -22,6 +23,7 @@ from holerates.extremal import (
 from holerates.roots import compare, compare_with_rational, escape_rate
 from holerates.words import AB, Word, enumerate_words
 
+from _reference import border_data as reference_border_data
 from _reference import brute_force_max, brute_period, unbordered
 
 B = BernoulliMeasure.from_rationals
@@ -307,6 +309,36 @@ class TestCorrelationClasses:
                     assert brute_period(word.letters) == c.min_period
 
 
+    WALK_MEASURES = [
+        B(["3/5", "2/5"]),
+        B(["1/2", "1/2"]),
+        B(["1/2", "3/10", "1/5"]),
+        B(["1/3", "1/3", "1/3"]),
+        M(["3/4", "1/4", "1/3", "2/3"]),
+        M(["0", "1", "1/2", "1/2"]),
+        M(["1/2", "1/2", "1/2", "1/2"]),
+    ]
+
+    @given(st.sampled_from(WALK_MEASURES), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_reference_grouping(self, measure, r):
+        # the prefix-tree walk against enumerate_words grouped by the
+        # reference border data, forbidden words dropped
+        groups: dict = {}
+        for word in enumerate_words(measure.alphabet, r):
+            data = reference_border_data(word, measure)
+            if data is not None:
+                groups.setdefault(data, []).append(word)
+        classes = extremal._hole_classes(r, measure, 1 << 20)
+        assert [c.words for c in classes] == list(groups.values())
+        for c, data in zip(classes, groups):
+            first = c.words[0]
+            assert border_data(first, measure) == data
+            assert (c.measure, c.cycle_weight) == self._weights(first, measure)
+            assert c.min_period == brute_period(first.letters)
+            assert c.unbordered == (c.min_period == r)
+
+
 class TestOneRootPerClass:
     """Scans build one denominator per correlation class and isolate one
     root per distinct denominator."""
@@ -325,9 +357,24 @@ class TestOneRootPerClass:
 
     @pytest.mark.parametrize("measure", [B(["7/10", "3/10"]), M(["3/4", "1/4", "1/3", "2/3"])])
     def test_one_border_pass_per_word_and_no_fraction_product(self, monkeypatch, measure):
-        # a class's weights are read from its border data, with no product
-        # of Fractions over its letters
-        passes = self._count(monkeypatch, "border_data")
+        # one prefix-tree walk reads each allowed word's border data once,
+        # with no per-word border_data call, and a class's weights are read
+        # from that data, with no product of Fractions over its letters
+        walks, leaves = [], []
+        walk = extremal.border_walk
+
+        def counting(*args):
+            walks.append(args)
+            for leaf in walk(*args):
+                leaves.append(leaf[0])
+                yield leaf
+
+        monkeypatch.setattr(extremal, "border_walk", counting)
+
+        def refuse(*args):
+            raise AssertionError("a scan called border_data")
+
+        monkeypatch.setattr(polynomials, "border_data", refuse)
         products = []
         for name in ("__mul__", "__rmul__"):
             multiply = getattr(Fraction, name)
@@ -335,7 +382,14 @@ class TestOneRootPerClass:
                 Fraction, name, lambda a, b, multiply=multiply: products.append(b) or multiply(a, b)
             )
         classes = extremal._hole_classes(10, measure, 1 << 20)
-        assert len(passes) == 1024
+        allowed = [
+            word.letters
+            for word in enumerate_words(AB, 10)
+            if not isinstance(measure, MarkovChain) or is_allowed(word, measure)
+        ]
+        assert len(walks) == 1
+        assert leaves == allowed
+        assert sorted(w.letters for c in classes for w in c.words) == allowed
         assert products == []
         assert classes[0].measure > 0
 

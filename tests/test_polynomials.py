@@ -89,8 +89,9 @@ class TestWeightedAutocorrelation:
 
 
 class TestBorderData:
-    """The one-pass border data (prefix products, failure links) against
-    the autocorrelation bits times suffix products, every shift visited."""
+    """The border data of one branch of the prefix-tree walk (prefix
+    products, failure links) against the autocorrelation bits times suffix
+    products, every shift visited."""
 
     MEASURES = [
         B(["7/10", "3/10"]),
@@ -115,6 +116,17 @@ class TestBorderData:
         word = Word(sum(blocks, ()) + (0,) * end_in_a, AB)
         data = border_data(word, measure)
         assert data is not None and data == reference_border_data(word, measure)
+
+    @given(st.sampled_from(MEASURES), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_words_past_the_recursion_limit(self, measure, data):
+        # a repeated block with a short tail: long words with many borders
+        size = measure.alphabet.size
+        block = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
+        tail = data.draw(st.lists(st.integers(0, size - 1), max_size=3))
+        length = data.draw(st.integers(1000, 2000))
+        word = Word(tuple((block * length)[: length - len(tail)] + tail), measure.alphabet)
+        assert border_data(word, measure) == reference_border_data(word, measure)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_every_short_word(self, measure):

@@ -275,7 +275,7 @@ class TestDirectEnumeration:
             raise AssertionError("the enumeration oracle used the automaton's machinery")
 
         for module, name in ((survival, "failure_function"), (survival, "build_automaton"),
-                             (words, "failure_function"), (polynomials, "failure_function"),
+                             (words, "failure_function"), (polynomials, "border_walk"),
                              (polynomials, "border_data")):
             monkeypatch.setattr(module, name, refuse)
         assert [direct_enumeration(word, m, 9) for word, m in cases] == expected
