@@ -36,9 +36,7 @@ from .measures import (
 )
 from .polynomials import (
     RationalPolynomial,
-    markov_weighted_autocorrelation,
     survival_denominator,
-    weighted_autocorrelation,
 )
 from .roots import (
     RootResult,
@@ -63,7 +61,6 @@ from .survival import (
 from .words import (
     Alphabet,
     Word,
-    autocorrelation,
     enumerate_words,
 )
 

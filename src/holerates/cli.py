@@ -462,7 +462,7 @@ def build_parser() -> _Parser:
     oracle = subs.add_parser("oracle", help="cross-check all survival oracles for one hole")
     oracle.add_argument("--word")
     oracle.add_argument("--n", type=int, default=20, help="series terms (default 20)")
-    oracle.add_argument("--enum-cap", dest="enum_cap", type=int, default=1 << 16,
+    oracle.add_argument("--enum-cap", dest="enum_cap", type=int, default=survival.DEFAULT_STATE_CAP,
                         help="window-state cap for the brute-force oracle")
     _add_common(oracle, "json")
     oracle.set_defaults(func=cmd_oracle)

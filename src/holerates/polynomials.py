@@ -3,13 +3,14 @@ for every survival-denominator polynomial used by the escape-rate theory.
 
 The key objects:
 
-* ``weighted_autocorrelation(word, measure)``: the border polynomial of a
-  word with each border term weighted by the product measure of the
-  overhanging suffix.
-* ``border_data(word, measure_or_chain)``: the same border terms as small
-  integers over the measure's ``integer_factors``, with what the rest of
-  the denominator reads of the word.  It is everything the denominator
-  depends on, so scans group words by it; ``border_walk`` computes it.
+* ``border_data(word, measure_or_chain)``: the border (autocorrelation)
+  polynomial of a word as small integers over the measure's
+  ``integer_factors`` -- entry j over b^j, or over D^j for a chain, is the
+  z^j term weighted by the overhanging suffix -- with what the rest of the
+  denominator reads of the word.  It is everything the denominator depends
+  on, so scans group words by it, and the survival oracles read their
+  border polynomials from it; ``border_walk`` computes it, the one border
+  routine of the package.
 * ``survival_denominator(word, measure_or_chain)``: the polynomial whose
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
@@ -18,19 +19,21 @@ The key objects:
 
 Every polynomial also has ``ints``, its coefficients as integers with
 content 1 and the same signs, which is all that root isolation reads.  A
-survival denominator is built directly as these primitive integers, with no
-``Fraction`` polynomial arithmetic; any other polynomial computes them once.
+survival denominator is built directly as these primitive integers, and no
+polynomial arithmetic is done on ``Fraction`` coefficients anywhere: a
+``RationalPolynomial`` is a value to compare and print, and any polynomial
+not built from integers computes them once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, _over_common_denominator
-from .words import Word, autocorrelation
+from .words import Word
 
 
 class RationalPolynomial:
@@ -84,9 +87,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return self.degree < 0
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
@@ -101,40 +101,11 @@ class RationalPolynomial:
         terms = [f"{c}*z^{k}" if k > 1 else f"{c}*z" if k else str(c) for k, c in enumerate(self.coeffs) if c]
         return "RationalPolynomial(" + (" + ".join(terms) or "0") + ")"
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(self[k] + other[k] for k in range(n))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(self[k] - other[k] for k in range(n))
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(-c for c in self.coeffs)
-
-    def __mul__(self, other: Union["RationalPolynomial", Fraction, int]) -> "RationalPolynomial":
-        if isinstance(other, (Fraction, int)):
-            return RationalPolynomial(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
     # -- output ------------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
         """Coefficients as 'num/den' strings, index = degree."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-
-ONE = RationalPolynomial([1])
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -148,19 +119,6 @@ def _primitive(ints: list[int]) -> list[int]:
 def _int_coeffs(poly: RationalPolynomial) -> list[int]:
     """Scale to integer coefficients with content 1; sign pattern preserved."""
     return _primitive(list(_over_common_denominator(poly.coeffs)[1]))
-
-
-def weighted_autocorrelation(word: Word, measure: BernoulliMeasure) -> RationalPolynomial:
-    """Border polynomial of ``word`` with the z^j term weighted by the
-    measure of the last j letters.  Constant term is always 1."""
-    if word.alphabet != measure.alphabet:
-        raise AlphabetMismatchError("word and measure use different alphabets")
-    coeffs = []
-    weight = Fraction(1)
-    for bit, letter in zip(autocorrelation(word), reversed(word.letters)):
-        coeffs.append(weight if bit else 0)
-        weight *= measure.probs[letter]
-    return RationalPolynomial(coeffs)
 
 
 def border_walk(
@@ -231,26 +189,6 @@ def _bernoulli_denominator(data: tuple[int, ...], b: int) -> RationalPolynomial:
     if len(ints) != r + 1:
         raise AssertionError(f"survival denominator of length {r} has degree {len(ints) - 1}")
     return RationalPolynomial._from_ints(ints)
-
-
-def markov_weighted_autocorrelation(
-    word: Word, chain: MarkovChain
-) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """Border polynomial of ``word`` weighted by transition probabilities.
-
-    Returns (full, reduced): the z^j term of ``full`` carries the product of
-    the last j transition probabilities of the word; ``reduced`` drops the
-    j = r-1 term (present exactly when the word starts and ends with the
-    same letter).
-    """
-    if word.alphabet != chain.alphabet:
-        raise AlphabetMismatchError("word and chain use different alphabets")
-    w = word.letters
-    weights = [Fraction(1)]
-    for i, j in zip(w[-2::-1], w[:0:-1]):
-        weights.append(weights[-1] * chain.matrix[i][j])
-    coeffs = [c if bit else 0 for bit, c in zip(autocorrelation(word), weights)]
-    return RationalPolynomial(coeffs), RationalPolynomial(coeffs[:-1])
 
 
 def _markov_denominator(

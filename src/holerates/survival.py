@@ -19,29 +19,30 @@ b^n, b the common denominator of the measure's ``integer_factors``, so they
 add integers and make one ``Fraction`` per length.
 
 The classical word-counting equations (append a letter / append the whole
-pattern) are also solved symbolically, by Cramer's rule on polynomial
-determinants; that path exists for tests and the ``oracle`` CLI command.
+pattern) are also solved symbolically, by Cramer's rule on determinants of
+integer polynomials, each equation scaled to integers once; that path
+exists for tests and the ``oracle`` CLI command.  The generating function
+and the equations read the word's border polynomial from
+``polynomials.border_data`` and work on integer coefficient lists
+throughout; a ``Fraction`` appears only in the ``RationalPolynomial`` they
+return.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
-from .polynomials import (
-    ONE,
-    RationalPolynomial,
-    markov_weighted_autocorrelation,
-    survival_denominator,
-    weighted_autocorrelation,
-)
+from .polynomials import RationalPolynomial, border_data, survival_denominator
 from .roots import _frac_log
 from .words import Word, failure_function
 
-_ENUM_CAP = 1 << 21
+#: Default cap on the window states of the brute-force enumerator.
+DEFAULT_STATE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,21 +60,19 @@ class AvoidanceAutomaton:
     def absorbing(self) -> int:
         return len(self.word)
 
-    def survival_totals(self, max_length: int) -> list[Fraction]:
-        """Total non-absorbed weight after reading 0..max_length symbols.
-
-        After n symbols every weight is an integer over b^n (see the
-        measure's ``integer_factors``), so the live states carry integers and
-        each total is divided by b^n once."""
-        b, nums = self.measure.integer_factors
+    def integer_totals(self, max_length: int) -> list[int]:
+        """b^n times the total non-absorbed weight after reading n symbols,
+        n = 0..max_length: after n symbols every weight is an integer over
+        b^n (see the measure's ``integer_factors``), so the live states
+        carry integers."""
+        nums = self.measure.integer_factors[1]
         chain = isinstance(self.measure, MarkovChain)
         r = self.absorbing
         # (prefix length matched, offset in nums of the next letter's
         # factors): a chain's row of the last letter read, its stationary
         # weights before the first; the probabilities for a product measure
         vec = {(0, 4 if chain else 0): 1}
-        totals = [Fraction(1)]
-        scale = 1
+        totals = [1]
         for _ in range(max_length):
             nxt: dict[tuple[int, int], int] = {}
             for (state, row), weight in vec.items():
@@ -83,9 +82,14 @@ class AvoidanceAutomaton:
                         key = (target, 2 * c if chain else 0)
                         nxt[key] = nxt.get(key, 0) + weight * num
             vec = nxt
-            scale *= b
-            totals.append(Fraction(sum(vec.values()), scale))
+            totals.append(sum(vec.values()))
         return totals
+
+    def survival_totals(self, max_length: int) -> list[Fraction]:
+        """Total non-absorbed weight after reading 0..max_length symbols:
+        each of ``integer_totals`` over its b^n."""
+        b = self.measure.integer_factors[0]
+        return [Fraction(t, b**n) for n, t in enumerate(self.integer_totals(max_length))]
 
 
 def build_automaton(
@@ -167,7 +171,7 @@ def direct_enumeration(
     word: Word,
     measure: BernoulliMeasure | MarkovChain,
     length: int,
-    cap: int = _ENUM_CAP,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[Fraction, ...]:
     """Measures of the words of each length 0, 1, ..., L avoiding ``word``
     as a factor, summed in one walk over window states.  Deliberately
@@ -256,43 +260,58 @@ class RationalGenFun:
         return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
 
 
-def _survival_part(
-    avoiding: RationalPolynomial, denominator: RationalPolynomial, r: int
-) -> RationalGenFun:
-    """sum p_n z^n from the avoiding-words generating function
-    avoiding / denominator: every word shorter than r avoids the hole, so
-    subtracting that window leaves a multiple of z^r, which is verified."""
-    shifted = avoiding - denominator * RationalPolynomial([1] * r)
-    if any(shifted[k] != 0 for k in range(r)):
+def _survival_part(avoiding: list[int], den: list[int], r: int) -> RationalPolynomial:
+    """The numerator of sum p_n z^n over den / den[0], from the integer
+    numerator ``avoiding`` of the avoiding-words generating function over
+    ``den``: every word shorter than r avoids the hole, so subtracting that
+    window, den * (1 + z + ... + z^(r-1)), leaves a multiple of z^r, which
+    is verified."""
+    padded = avoiding + [0] * (len(den) + r - 1 - len(avoiding))
+    shifted = [a - sum(den[max(k - r + 1, 0) : k + 1]) for k, a in enumerate(padded)]
+    if any(shifted[:r]):
         raise AssertionError("avoiding numerator minus the window is not divisible by z^r")
-    return RationalGenFun(RationalPolynomial(shifted.coeffs[r:]), denominator)
+    return RationalPolynomial(Fraction(c, den[0]) for c in shifted[r:])
+
+
+def _scaled_border(word: Word, measure: BernoulliMeasure | MarkovChain) -> list[int]:
+    """b^r times the border polynomial of ``word`` (D^r for a chain): entry
+    j of its ``border_data`` is the z^j term times b^j."""
+    r, b = len(word), measure.integer_factors[0]
+    return [b ** (r - j) * v for j, v in enumerate(border_data(word, measure)[:r])]
 
 
 def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFun:
     """The survival generating function as an explicit rational function.
 
     The denominator is the survival denominator in both cases.  For a
-    product measure the numerator is closed-form.  For a chain the
-    numerator is recovered from the first few automaton values: multiplying
-    the series by the known denominator must truncate to a polynomial of
-    degree < r, which is verified, and all later coefficients are then pure
+    product measure the numerator is closed-form: b^r times the border
+    polynomial over b^r times the denominator.  For a chain the numerator
+    is recovered from the first few automaton values: multiplying the
+    series by the known denominator must truncate to a polynomial of degree
+    < r, which is verified, and all later coefficients are then pure
     predictions of the linear recurrence.
     """
     r = len(word)
     denominator = survival_denominator(word, measure)
+    ints = denominator.ints
+    b = measure.integer_factors[0]
     if isinstance(measure, BernoulliMeasure):
-        return _survival_part(weighted_autocorrelation(word, measure), denominator, r)
+        scaled = [b**r // ints[0] * c for c in ints]
+        return RationalGenFun(_survival_part(_scaled_border(word, measure), scaled, r), denominator)
     seed_len = 2 * r + 8
-    # Raw automaton totals: unlike SurvivalSeries these may legitimately hit
-    # zero (a hole that covers everything in a subshift).
-    seeds = build_automaton(word, measure).survival_totals(seed_len + r)[r:]
+    # b^n times the weight at length n: unlike SurvivalSeries these may
+    # legitimately hit zero (a hole that covers everything in a subshift)
+    totals = build_automaton(word, measure).integer_totals(seed_len + r)
+    # term n of the series times ints, over ints[0] b^(n+r); a zero entry
+    # can drop the denominator's degree below r, so i runs to its real degree
     conv = [
-        sum(denominator[i] * seeds[n - i] for i in range(min(n, r) + 1))
+        sum(c * totals[n - i + r] * b**i for i, c in enumerate(ints[: n + 1]))
         for n in range(seed_len + 1)
     ]
-    if any(c != 0 for c in conv[r:]):
+    if any(conv[r:]):
         raise AssertionError("series times denominator did not truncate to degree < r")
-    return RationalGenFun(RationalPolynomial(conv[:r]), denominator)
+    numerator = RationalPolynomial(Fraction(c, ints[0] * b ** (n + r)) for n, c in enumerate(conv[:r]))
+    return RationalGenFun(numerator, denominator)
 
 
 # --------------------------------------------------------------------------
@@ -300,26 +319,28 @@ def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFu
 # --------------------------------------------------------------------------
 
 
-def _det(matrix: list[list[RationalPolynomial]]) -> RationalPolynomial:
-    """Determinant by cofactor expansion along the first row."""
+def _det(matrix: list[list[list[int]]]) -> list[int]:
+    """Determinant of a matrix of integer coefficient lists, by cofactor
+    expansion along the first row."""
     if len(matrix) == 1:
         return matrix[0][0]
-    total = RationalPolynomial([])
+    total = [0] * sum(max(map(len, row)) for row in matrix)
     for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        term = entry * _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
-        total = total - term if j % 2 else total + term
+        minor = _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for a, x in enumerate(entry):
+            for b, y in enumerate(minor):
+                total[a + b] += (-1) ** j * x * y
     return total
 
 
 def _cramer(
-    matrix: list[list[RationalPolynomial]], rhs: list[RationalPolynomial]
-) -> tuple[list[RationalPolynomial], RationalPolynomial]:
-    """Numerators of the unknowns over the common denominator det(matrix)."""
+    matrix: list[list[list[int]]], rhs: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Numerators of the unknowns over the common denominator det(matrix),
+    whose constant term must not vanish."""
     det = _det(matrix)
-    if det.is_zero():
-        raise ValueError("singular system")
+    if not det[0]:
+        raise ValueError("the determinant vanishes at z = 0")
     numerators = [
         _det([row[:j] + [b] + row[j + 1 :] for row, b in zip(matrix, rhs)])
         for j in range(len(matrix))
@@ -327,24 +348,23 @@ def _cramer(
     return numerators, det
 
 
-def _monomial(k: int, c: Fraction | int) -> RationalPolynomial:
-    """c * z**k."""
-    return RationalPolynomial([0] * k + [c])
-
-
 @dataclass(frozen=True)
 class WordEquationSolution:
     """Generating functions obtained by solving the append-a-letter /
-    append-the-pattern equations symbolically in z; each is a numerator over
-    the one ``denominator``, the determinant of the system."""
+    append-the-pattern equations symbolically in z.  Cramer's rule leaves
+    each an integer numerator over the system's integer determinant; every
+    field divides them by the determinant's constant term, so
+    ``denominator`` has constant term 1."""
 
     avoiding: RationalPolynomial  # words with no occurrence of the pattern
     terminal: RationalPolynomial  # words whose single occurrence is a suffix
     avoiding_by_last: tuple[RationalPolynomial, ...] | None  # chains: split by last letter
     denominator: RationalPolynomial
+    #: the integer numerator of ``avoiding`` and the determinant
+    _ints: tuple[list[int], list[int]] = field(repr=False, compare=False)
 
     def survival_genfun(self, r: int) -> RationalGenFun:
-        return _survival_part(self.avoiding, self.denominator, r)
+        return RationalGenFun(_survival_part(*self._ints, r), self.denominator)
 
 
 def genfun_from_word_equations(
@@ -356,34 +376,44 @@ def genfun_from_word_equations(
     Product measure: appending one letter to an avoiding word yields an
     avoiding or a terminal word (equation 1); appending the whole pattern
     yields a terminal word followed by one of the pattern's borders
-    (equation 2).  Chains: the same two moves, with the avoiding words split
-    by their last letter.
+    (equation 2), which is scaled by b^r.  Chains: the same two moves, with
+    the avoiding words split by their last letter; the two letter rows are
+    scaled by D and the pattern row by D^r.
     """
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
     r = len(word)
-    zero = RationalPolynomial([])
+    d, nums = measure.integer_factors
     if isinstance(measure, BernoulliMeasure):
-        border = weighted_autocorrelation(word, measure)
+        mu = int(hole_measure(word, measure) * d**r)
+        border = _scaled_border(word, measure)
         # (1 - z) * avoiding + terminal = 1 ;  mu z^r * avoiding - border * terminal = 0
-        (sigma, terminal), det = _cramer(
-            [[ONE - _monomial(1, 1), ONE], [_monomial(r, hole_measure(word, measure)), -border]],
-            [ONE, zero],
+        (avoiding, terminal), det = _cramer(
+            [[[1, -1], [1]], [[0] * r + [mu], [-c for c in border]]], [[1], []]
         )
-        return WordEquationSolution(sigma, terminal, None, det)
+        by_last = None
+    else:
+        first, last = word.letters[0], word.letters[-1]
+        # raises on a forbidden word; D^(r-1) times the product of the transitions
+        path = int(markov_weights(word, measure).path_weight * d ** (r - 1))
+        border = _scaled_border(word, measure)
+        stationary = [int(x * d) for x in measure.stationary]  # times D
+        # nums[2i + j] is D times the transition i -> j; unknowns:
+        # avoiding-ending-in-a, avoiding-ending-in-b, terminal
+        matrix = [
+            [[-d, nums[0]], [0, nums[2]], [-d] if last == 0 else []],
+            [[0, nums[1]], [-d, nums[3]], [-d] if last == 1 else []],
+            [[0] * r + [nums[first] * path], [0] * r + [nums[2 + first] * path], [-c for c in border]],
+        ]
+        rhs = [[0, -stationary[0]], [0, -stationary[1]], [0] * r + [-stationary[first] * path]]
+        (*by_last, terminal), det = _cramer(matrix, rhs)
+        avoiding = [sum(c) for c in itertools.zip_longest(det, *by_last, fillvalue=0)]
 
-    first, last = word.letters[0], word.letters[-1]
-    pi = measure.matrix
-    x = measure.stationary
-    path = markov_weights(word, measure).path_weight  # raises on a forbidden word
-    border_full, _ = markov_weighted_autocorrelation(word, measure)
-    # unknowns: avoiding-ending-in-a, avoiding-ending-in-b, terminal
-    matrix = [
-        [_monomial(1, pi[0][0]) - ONE, _monomial(1, pi[1][0]), -ONE if last == 0 else zero],
-        [_monomial(1, pi[0][1]), _monomial(1, pi[1][1]) - ONE, -ONE if last == 1 else zero],
-        [_monomial(r, pi[0][first] * path), _monomial(r, pi[1][first] * path), -border_full],
-    ]
-    rhs = [_monomial(1, -x[0]), _monomial(1, -x[1]), _monomial(r, -x[first] * path)]
-    (sigma_a, sigma_b, terminal), det = _cramer(matrix, rhs)
-    return WordEquationSolution(det + sigma_a + sigma_b, terminal, (sigma_a, sigma_b), det)
+    def over(ints: list[int]) -> RationalPolynomial:
+        return RationalPolynomial(Fraction(c, det[0]) for c in ints)
+
+    split = by_last and tuple(map(over, by_last))
+    return WordEquationSolution(over(avoiding), over(terminal), split, over(det), (avoiding, det))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Finite words over a finite alphabet: borders and enumeration.
+"""Finite words over a finite alphabet: failure links and enumeration.
 
 Symbols are stored as integer indices into an :class:`Alphabet`; textual
-symbol names appear only when parsing or printing.
+symbol names appear only when parsing or printing.  The failure links here
+serve the avoidance automaton; the weighted borders of a word, which every
+survival denominator and generating function reads, come from
+``polynomials.border_data`` alone.
 """
 
 from __future__ import annotations
@@ -115,20 +118,6 @@ def failure_function(letters: tuple[int, ...]) -> tuple[int, ...]:
             k += 1
         fail[i + 1] = k
     return tuple(fail)
-
-
-def autocorrelation(word: Word) -> tuple[int, ...]:
-    """The 0/1 border vector: bit i is 1 iff the suffix starting at i equals
-    the prefix of the same length.  Bit 0 is always 1.  The borders are the
-    chain of failure links from the whole word, longest first."""
-    n = len(word)
-    fail = failure_function(word.letters)
-    bits = [1] + [0] * (n - 1)
-    border = fail[n]
-    while border:
-        bits[n - border] = 1
-        border = fail[border]
-    return tuple(bits)
 
 
 def check_enumeration(alphabet: Alphabet, length: int, cap: int) -> None:

@@ -37,7 +37,7 @@ from holerates.survival import (
 )
 from holerates.words import AB, Alphabet, Word, enumerate_words
 
-from _reference import brute_period, count_roots, horner, trinomial, unbordered
+from _reference import brute_period, count_roots, horner, poly_mul, trinomial, unbordered
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -349,7 +349,7 @@ def test_criterion_9_property_suites():
         run_measure = B([p, 1 - p])
         for r in range(1, 9):
             run = Word((0,) * r, AB)
-            product = RationalPolynomial([1, -p]) * survival_denominator(run, run_measure)
+            product = poly_mul(RationalPolynomial([1, -p]), survival_denominator(run, run_measure))
             assert product == trinomial(r + 1, p**r * (1 - p))
     # Markov partition of unity
     for entries in _MARKOV_MATRICES:

@@ -62,6 +62,13 @@ CASES["scan_r5_ternary_uniform"] = ["scan", "--r", "5", "--bernoulli", "1/3,1/3,
 #: of them shared by two classes, so one root object serves the columns of
 #: several classes.
 CASES["markov_scan_r10_tilted"] = ["markov-scan", "--r", "10", "--markov", "3/5,2/5,2/7,5/7"]
+#: Bordered holes for the oracle: a chain hole with equal ends (degree 5),
+#: a chain hole whose denominator drops to degree 4 on a zero transition, a
+#: bordered ternary hole, and a binary hole of length 12.
+CASES["oracle_aabaa_markov"] = ["oracle", "--word", "aabaa", "--markov", "3/5,2/5,2/7,5/7"]
+CASES["oracle_abbab_forbidden"] = ["oracle", "--word", "abbab", "--markov", "0,1,1/2,1/2"]
+CASES["oracle_abcab_ternary"] = ["oracle", "--word", "abcab", "--bernoulli", "1/2,3/10,1/5"]
+CASES["oracle_aabaab_r12"] = ["oracle", "--word", "aabaabaabaab", "--p", "7/10"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

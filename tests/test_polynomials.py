@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holerates.errors import ForbiddenWordError
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
-from holerates.polynomials import (
-    RationalPolynomial,
-    border_data,
-    markov_weighted_autocorrelation,
-    survival_denominator,
-    weighted_autocorrelation,
-)
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
+from holerates.polynomials import RationalPolynomial, border_data, survival_denominator
 from holerates.words import AB, Word, enumerate_words
 
+from _reference import (
+    bernoulli_form,
+    chain_forms,
+    horner,
+    markov_weighted_autocorrelation,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    trinomial,
+    weighted_autocorrelation,
+)
 from _reference import border_data as reference_border_data
-from _reference import horner, trinomial
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -38,11 +42,12 @@ class TestRationalPolynomial:
         assert poly().degree == -1
 
     def test_arithmetic(self):
+        # the Fraction arithmetic the references build their forms with
         a, b = poly(1, 1), poly(-1, 1)
-        assert a * b == poly(-1, 0, 1)
-        assert a + b == poly(0, 2)
-        assert a - a == poly()
-        assert a * poly(0, 0, 1) == poly(0, 0, 1, 1)
+        assert poly_mul(a, b) == poly(-1, 0, 1)
+        assert poly_add(a, b) == poly(0, 2)
+        assert poly_sub(a, a) == poly()
+        assert poly_mul(a, poly(0, 0, 1)) == poly(0, 0, 1, 1)
 
     def test_eval(self):
         assert horner(poly(1, -1, Fraction(6, 25)), Fraction(5, 3)) == 0
@@ -68,24 +73,36 @@ class TestRationalPolynomial:
         assert double.ints == single.ints and double != single
 
 
+def border_polynomial(word, measure):
+    """The border polynomial read from ``border_data``: entry j over b^j
+    (D^j for a chain)."""
+    b = measure.integer_factors[0]
+    return RationalPolynomial(
+        Fraction(v, b**j) for j, v in enumerate(border_data(word, measure)[: len(word)])
+    )
+
+
 class TestWeightedAutocorrelation:
+    """The Fraction reference, and ``border_data`` read as a polynomial."""
+
     def test_worked_examples(self):
         p = Fraction(3, 5)
-        assert weighted_autocorrelation(w("aa"), P35) == poly(1, p)
-        assert weighted_autocorrelation(w("ab"), P35) == poly(1)
+        for form in (weighted_autocorrelation, border_polynomial):
+            assert form(w("aa"), P35) == poly(1, p)
+            assert form(w("ab"), P35) == poly(1)
 
     def test_single_symbol_run_is_geometric(self):
         p = Fraction(3, 5)
         for r in range(1, 7):
             run = Word((0,) * r, AB)
-            assert weighted_autocorrelation(run, P35) == RationalPolynomial(
-                [p**j for j in range(r)]
-            )
+            geometric = RationalPolynomial([p**j for j in range(r)])
+            assert weighted_autocorrelation(run, P35) == border_polynomial(run, P35) == geometric
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=10))
     def test_constant_term_is_one(self, letters):
         word = Word(tuple(letters), AB)
-        assert weighted_autocorrelation(word, P35)[0] == 1
+        assert weighted_autocorrelation(word, P35).coeffs[0] == 1
+        assert border_polynomial(word, P35) == weighted_autocorrelation(word, P35)
 
 
 class TestBorderData:
@@ -161,7 +178,7 @@ class TestSurvivalDenominator:
             for word in enumerate_words(AB, r):
                 tau = survival_denominator(word, P35)
                 assert horner(tau, Fraction(1)) == hole_measure(word, P35)
-                assert tau[0] == 1
+                assert tau.coeffs[0] == 1
                 assert tau.degree == r
 
     def test_positive_on_unit_interval(self):
@@ -175,7 +192,7 @@ class TestSurvivalDenominator:
         p = Fraction(3, 5)
         for r in range(1, 8):
             run = Word((0,) * r, AB)
-            lhs = poly(1, -p) * survival_denominator(run, P35)
+            lhs = poly_mul(poly(1, -p), survival_denominator(run, P35))
             assert lhs == trinomial(r + 1, p**r * (1 - p))
 
 
@@ -212,12 +229,13 @@ SUBSHIFT = M(["0", "1", "1/2", "1/2"])
 class TestMarkovDenominator:
     def test_border_polynomials(self):
         full, reduced = markov_weighted_autocorrelation(w("aa"), TILTED)
-        assert full == poly(1, Fraction(3, 4))
+        assert full == poly(1, Fraction(3, 4)) == border_polynomial(w("aa"), TILTED)
         assert reduced == poly(1)
         full, reduced = markov_weighted_autocorrelation(w("ab"), TILTED)
-        assert full == poly(1) and reduced == poly(1)
+        assert full == poly(1) == border_polynomial(w("ab"), TILTED) and reduced == poly(1)
         full, reduced = markov_weighted_autocorrelation(w("aba"), UNIFORM)
-        assert full == poly(1, 0, Fraction(1, 4)) and reduced == poly(1)
+        assert full == poly(1, 0, Fraction(1, 4)) == border_polynomial(w("aba"), UNIFORM)
+        assert reduced == poly(1)
 
     def test_length_two_closed_forms(self):
         for chain in (UNIFORM, TILTED):
@@ -258,34 +276,7 @@ class TestMarkovDenominator:
                     )
 
 
-ONE_MINUS_Z = RationalPolynomial([1, -1])
 TERNARY = BernoulliMeasure.from_rationals(["1/2", "1/3", "1/6"])
-
-
-def _bernoulli_form(word, measure):
-    """mu z^r + (1 - z) * weighted autocorrelation, in Fraction arithmetic."""
-    mu_zr = RationalPolynomial([0] * len(word) + [hole_measure(word, measure)])
-    return mu_zr + ONE_MINUS_Z * weighted_autocorrelation(word, measure)
-
-
-def _chain_forms(word, chain):
-    """The path-weight and the cycle-weight forms of the chain denominator,
-    in Fraction arithmetic; their degree-(r+1) terms cancel."""
-    weights = markov_weights(word, chain)
-    full, reduced = markov_weighted_autocorrelation(word, chain)
-    letters = word.letters
-    r = len(letters)
-    chi = chain.second_eigenvalue
-    equal_ends = letters[0] == letters[-1]
-    factor = ONE_MINUS_Z * RationalPolynomial([1, -chi])
-    head = RationalPolynomial([chain.matrix[letters[-1]][letters[0]]] + ([-chi] if equal_ends else []))
-    path_form = head * RationalPolynomial([0] * r + [weights.path_weight]) + factor * full
-    cycle_form = RationalPolynomial([0] * r + [weights.cycle_weight]) + factor * reduced
-    if equal_ends:
-        cycle_form = cycle_form + RationalPolynomial([1, -(1 + chi)]) * RationalPolynomial(
-            [0] * (r - 1) + [weights.path_weight]
-        )
-    return path_form, cycle_form
 
 
 class TestIntegerBuilders:
@@ -304,14 +295,14 @@ class TestIntegerBuilders:
         for r in range(1, 11):
             for word in enumerate_words(AB, r):
                 tau = survival_denominator(word, measure)
-                assert tau == _bernoulli_form(word, measure), str(word)
+                assert tau == bernoulli_form(word, measure), str(word)
                 self._check_ints(tau)
 
     def test_ternary_words(self):
         for r in range(1, 7):
             for word in enumerate_words(TERNARY.alphabet, r):
                 tau = survival_denominator(word, TERNARY)
-                assert tau == _bernoulli_form(word, TERNARY), str(word)
+                assert tau == bernoulli_form(word, TERNARY), str(word)
                 self._check_ints(tau)
 
     @pytest.mark.parametrize(
@@ -326,7 +317,7 @@ class TestIntegerBuilders:
                         survival_denominator(word, chain)
                     continue
                 tau = survival_denominator(word, chain)
-                path_form, cycle_form = _chain_forms(word, chain)
+                path_form, cycle_form = chain_forms(word, chain)
                 assert tau == path_form == cycle_form, str(word)
                 self._check_ints(tau)
 
@@ -341,6 +332,6 @@ class TestIntegerBuilders:
             Word(tuple((k * k + k // 3) % 2 for k in range(60)), AB),
         ]
         for word in words:
-            assert survival_denominator(word, measure) == _bernoulli_form(word, measure), str(word)
-            path_form, cycle_form = _chain_forms(word, chain)
+            assert survival_denominator(word, measure) == bernoulli_form(word, measure), str(word)
+            path_form, cycle_form = chain_forms(word, chain)
             assert survival_denominator(word, chain) == path_form == cycle_form, str(word)

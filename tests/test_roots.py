@@ -24,7 +24,7 @@ from holerates.roots import (
 )
 from holerates.words import AB, Word
 
-from _reference import count_roots, horner, plain_bisection, trinomial
+from _reference import count_roots, horner, plain_bisection, poly_mul, trinomial
 
 B = BernoulliMeasure.from_rationals
 P35 = B(["3/5", "2/5"])
@@ -189,7 +189,7 @@ class TestSmallestPositiveRoot:
         # true smallest root of the aa-denominator at p=q=1/2 is sqrt(5)-1,
         # below the supplied rational candidate 2
         tau = survival_denominator(w("aa"), HALF)
-        result = smallest_positive_root(tau * poly(1, Fraction(-1, 2)), candidates=(Fraction(2),))
+        result = smallest_positive_root(poly_mul(tau, poly(1, Fraction(-1, 2))), candidates=(Fraction(2),))
         assert not result.exact
         assert result.upper < 2
 
@@ -261,7 +261,7 @@ def _non_dyadic_polys(draw):
     )
     product = poly(f, e, 1)
     for root in roots:
-        product = product * poly(-root, 1)
+        product = poly_mul(product, poly(-root, 1))
     return product
 
 
@@ -315,7 +315,7 @@ class TestQuadraticRefinement:
             hit(enclosure, num)
 
         monkeypatch.setattr(_Enclosure, "_hit", spy)
-        p = poly(*linear) * poly(*quadratic)
+        p = poly_mul(poly(*linear), poly(*quadratic))
         result = smallest_positive_root(p)
         root = Fraction(-linear[0], linear[1])
         assert result.exact and result.lower == root
@@ -390,7 +390,7 @@ class TestIntegerDeflation:
         assume(horner(RationalPolynomial(g), root) != 0)
         product = RationalPolynomial(g)
         for _ in range(m):
-            product = product * poly(-root, 1)  # z - a/b: b z - a in ints
+            product = poly_mul(product, poly(-root, 1))  # z - a/b: b z - a in ints
         assert _divide_out(list(product.ints), root) == _primitive(list(g))
 
 
@@ -488,7 +488,7 @@ class TestNoFalseCertificates:
         # bracket does not isolate the smallest one
         cubic = poly(1)
         for root in (Fraction(11, 10), Fraction(12, 10), Fraction(13, 10)):
-            cubic = cubic * poly(-root, 1)
+            cubic = poly_mul(cubic, poly(-root, 1))
         result = smallest_positive_root(cubic)
         assert result.lower <= Fraction(11, 10) <= result.upper
 
@@ -501,8 +501,8 @@ class TestNoFalseCertificates:
 
     def test_equal_irrational_roots_of_different_polynomials(self):
         root2 = poly(-2, 0, 1)
-        first = smallest_positive_root(root2 * poly(-3, 1))
-        second = smallest_positive_root(root2 * root2 * poly(5, -1))
+        first = smallest_positive_root(poly_mul(root2, poly(-3, 1)))
+        second = smallest_positive_root(poly_mul(poly_mul(root2, root2), poly(5, -1)))
         assert first.poly != second.poly
         assert compare(first, second) == 0
         nearby = smallest_positive_root(poly(-2 - Fraction(1, 10**40), 0, 1))
@@ -517,7 +517,7 @@ class TestNoFalseCertificates:
 
     def test_compare_with_a_larger_root_inside_the_enclosure(self):
         # roots sqrt(2) and 29/20; a loose enclosure of sqrt(2) contains 29/20
-        result = smallest_positive_root(poly(-2, 0, 1) * poly(-29, 20), tol=Fraction(1, 2))
+        result = smallest_positive_root(poly_mul(poly(-2, 0, 1), poly(-29, 20)), tol=Fraction(1, 2))
         assert result.lower < Fraction(29, 20) < result.upper
         assert compare_with_rational(result, Fraction(29, 20)) == -1
         assert compare_with_rational(result, Fraction(7, 5)) == 1
@@ -527,7 +527,7 @@ class TestNoFalseCertificates:
         # roots sqrt(2) and the candidate 10/7: at tol 1/2 the width test
         # alone would stop at (1, 3/2), which reaches above 10/7
         result = smallest_positive_root(
-            poly(-2, 0, 1) * poly(-10, 7), tol=Fraction(1, 2), candidates=(Fraction(10, 7),)
+            poly_mul(poly(-2, 0, 1), poly(-10, 7)), tol=Fraction(1, 2), candidates=(Fraction(10, 7),)
         )
         assert not result.exact
         assert result.lower ** 2 < 2 < result.upper ** 2
@@ -536,4 +536,4 @@ class TestNoFalseCertificates:
     def test_snapshot_without_shared_state(self):
         result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
         assert compare_with_rational(result, Fraction(7, 5)) == 1
-        assert compare(result, smallest_positive_root(poly(-2, 0, 1) * poly(-3, 1))) == 0
+        assert compare(result, smallest_positive_root(poly_mul(poly(-2, 0, 1), poly(-3, 1)))) == 0

@@ -7,12 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from holerates import polynomials, survival, words
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
-from holerates.polynomials import (
-    RationalPolynomial,
-    markov_weighted_autocorrelation,
-    survival_denominator,
-    weighted_autocorrelation,
-)
+from holerates.polynomials import RationalPolynomial, survival_denominator
 from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
     RationalGenFun,
@@ -24,7 +19,20 @@ from holerates.survival import (
     genfun_from_word_equations,
     survival_series,
 )
-from holerates.words import AB, Alphabet, Word, autocorrelation, enumerate_words
+from holerates.words import AB, Alphabet, Word, enumerate_words
+
+from _reference import (
+    autocorrelation,
+    fraction_genfun,
+    fraction_series,
+    fraction_word_equations,
+    markov_weighted_autocorrelation,
+    monomial,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    weighted_autocorrelation,
+)
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -318,13 +326,7 @@ class TestGenFun:
 
 
 def _fraction_series(gf, count):
-    """The plain Fraction recurrence sum_i d_i p_(n-i) = N_n, solved for p_n."""
-    num, den = gf.numerator, gf.denominator
-    out = []
-    for n in range(count):
-        acc = num[n] - sum(den[i] * out[n - i] for i in range(1, min(n, den.degree) + 1))
-        out.append(acc / den[0])
-    return out
+    return fraction_series(gf.numerator, gf.denominator, count)
 
 
 def _gf(num, den):
@@ -383,18 +385,18 @@ class TestWordEquations:
     identity after clearing D."""
 
     def test_bernoulli_identities(self):
-        z = RationalPolynomial([0, 1])
+        one_minus_z = RationalPolynomial([1, -1])
         for text in ("a", "ab", "aab", "abba", "aabbaa"):
             word = w(text)
             solution = genfun_from_word_equations(word, P35)
             sigma, terminal, den = solution.avoiding, solution.terminal, solution.denominator
             assert solution.avoiding_by_last is None
             # (1 - z) * avoiding + terminal = 1
-            assert (RationalPolynomial([1]) - z) * sigma + terminal == den
+            assert poly_add(poly_mul(one_minus_z, sigma), terminal) == den
             # mu z^r * avoiding = border * terminal
-            mu_zr = RationalPolynomial([0] * len(word) + [hole_measure(word, P35)])
+            mu_zr = monomial(len(word), hole_measure(word, P35))
             border = weighted_autocorrelation(word, P35)
-            assert mu_zr * sigma == border * terminal
+            assert poly_mul(mu_zr, sigma) == poly_mul(border, terminal)
 
     def test_bernoulli_sigma_closed_form(self):
         # avoiding / D = border / tau, the closed form with the survival denominator
@@ -403,7 +405,7 @@ class TestWordEquations:
             solution = genfun_from_word_equations(word, P35)
             tau = survival_denominator(word, P35)
             border = weighted_autocorrelation(word, P35)
-            assert solution.avoiding * tau == border * solution.denominator
+            assert poly_mul(solution.avoiding, tau) == poly_mul(border, solution.denominator)
 
     def test_markov_identities(self):
         chains = [
@@ -411,9 +413,6 @@ class TestWordEquations:
             M(["3/4", "1/4", "1/3", "2/3"]),
             M(["0", "1", "1/2", "1/2"]),
         ]
-
-        def z_power(k, c):
-            return RationalPolynomial([0] * k + [c])
 
         for chain in chains:
             pi, x = chain.matrix, chain.stationary
@@ -431,20 +430,21 @@ class TestWordEquations:
                     border, _ = markov_weighted_autocorrelation(word, chain)
                     # appending a letter c to an avoiding word ending in a or b
                     for c, sigma_c in ((0, sigma_a), (1, sigma_b)):
-                        lhs = (
-                            z_power(1, x[c]) * den
-                            + sigma_a * z_power(1, pi[0][c])
-                            + sigma_b * z_power(1, pi[1][c])
+                        lhs = poly_add(
+                            poly_mul(monomial(1, x[c]), den),
+                            poly_mul(sigma_a, monomial(1, pi[0][c])),
+                            poly_mul(sigma_b, monomial(1, pi[1][c])),
                         )
-                        assert lhs == sigma_c + (terminal if last == c else RationalPolynomial([]))
+                        assert poly_sub(lhs, sigma_c) == (terminal if last == c else RationalPolynomial([]))
                     # appending the whole pattern to an avoiding word (or to nothing)
-                    lhs_w = z_power(r, x[first] * path) * den + (
-                        sigma_a * z_power(r, pi[0][first] * path)
-                        + sigma_b * z_power(r, pi[1][first] * path)
+                    lhs_w = poly_add(
+                        poly_mul(monomial(r, x[first] * path), den),
+                        poly_mul(sigma_a, monomial(r, pi[0][first] * path)),
+                        poly_mul(sigma_b, monomial(r, pi[1][first] * path)),
                     )
-                    assert lhs_w == terminal * border
+                    assert lhs_w == poly_mul(terminal, border)
                     # the empty word plus the two halves
-                    assert solution.avoiding == den + sigma_a + sigma_b
+                    assert solution.avoiding == poly_add(den, sigma_a, sigma_b)
 
     def test_survival_from_equations_matches_automaton(self):
         for measure in (P35, M(["3/4", "1/4", "1/3", "2/3"]), M(["0", "1", "1/2", "1/2"])):
@@ -457,6 +457,74 @@ class TestWordEquations:
                 assert gf.denominator == solution.denominator
                 series = survival_series(word, measure, 14)
                 assert gf.series(15) == list(series.values)
+
+
+class TestWordFromAnotherAlphabet:
+    """Neither generating function reads the alphabet off the border data,
+    so each checks it."""
+
+    @pytest.mark.parametrize("build", [genfun, genfun_from_word_equations])
+    def test_binary_word_under_a_ternary_measure(self, build):
+        with pytest.raises(AlphabetMismatchError):
+            build(w("abab"), B(["1/2", "3/10", "1/5"]))
+
+    @pytest.mark.parametrize("build", [genfun, genfun_from_word_equations])
+    def test_ternary_word_under_a_chain(self, build):
+        with pytest.raises(AlphabetMismatchError):
+            build(w("abab", ABC), M(["3/4", "1/4", "1/3", "2/3"]))
+
+
+#: The measures the integer oracles are checked under against their Fraction
+#: forms; the last chain forbids aa, which can drop a denominator's degree.
+FORM_MEASURES = [
+    P35,
+    B(["1/2", "3/10", "1/5"], ABC),
+    M(["3/4", "1/4", "1/3", "2/3"]),
+    M(["0", "1", "1/2", "1/2"]),
+]
+
+
+class TestAgainstFractionForms:
+    """The generating function and the word equations, run on integer
+    coefficient lists, against the same constructions in Fraction
+    arithmetic from the autocorrelation bits (``tests/_reference.py``)."""
+
+    @staticmethod
+    def _word(data, measure):
+        size = measure.alphabet.size
+        letters = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12))
+        word = Word(tuple(letters), measure.alphabet)
+        assume(not isinstance(measure, MarkovChain) or is_allowed(word, measure))
+        return word
+
+    @given(st.sampled_from(FORM_MEASURES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_genfun(self, measure, data):
+        word = self._word(data, measure)
+        gf = genfun(word, measure)
+        assert (gf.numerator, gf.denominator) == fraction_genfun(word, measure)
+
+    @given(st.sampled_from(FORM_MEASURES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_word_equations(self, measure, data):
+        word = self._word(data, measure)
+        solution = genfun_from_word_equations(word, measure)
+        avoiding, terminal, by_last, det = fraction_word_equations(word, measure)
+        fields = (solution.avoiding, solution.terminal, solution.avoiding_by_last, solution.denominator)
+        assert fields == (avoiding, terminal, by_last, det)
+        r = len(word)
+        numerator = solution.survival_genfun(r).numerator
+        assert solution.survival_genfun(r).series(r + 20) == fraction_series(
+            numerator, det, r + 20
+        ) == build_automaton(word, measure).survival_totals(2 * r + 19)[r:]
+
+    def test_degree_drop(self):
+        # abbab forbids nothing under the chain without aa, yet its
+        # denominator has degree 4
+        word, chain = w("abbab"), FORM_MEASURES[3]
+        gf = genfun(word, chain)
+        assert gf.denominator.degree == 4
+        assert (gf.numerator, gf.denominator) == fraction_genfun(word, chain)
 
 
 class TestEmpiricalRate:

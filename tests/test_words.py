@@ -2,15 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from holerates.errors import EnumerationCapError
-from holerates.words import (
-    AB,
-    Alphabet,
-    Word,
-    autocorrelation,
-    enumerate_words,
-)
+from holerates.words import AB, Alphabet, Word, enumerate_words
 
-from _reference import brute_period, unbordered
+from _reference import autocorrelation, brute_period, unbordered
 
 
 def w(text, alphabet=AB):
