@@ -17,6 +17,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -24,7 +25,7 @@ from fractions import Fraction
 from . import extremal, survival
 from .errors import EnumerationCapError, ForbiddenWordError, NoPositiveRootError
 from .measures import BernoulliMeasure, MarkovChain
-from .roots import RootResult, escape_rate
+from .roots import RootResult, escape_rate, rate_from_denominator
 from .words import DEFAULT_ENUMERATION_CAP, Alphabet, Word
 
 EXIT_OK = 0
@@ -218,10 +219,11 @@ def _sweep_point(job) -> list[dict]:
 
 
 def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict]:
-    """The ordering tables of length ``r`` at every ``(prefix, measure)``
-    point, in point order: serially, or on ``n_workers`` processes."""
+    """The ordering tables of length ``r`` at every ``(prefix, measure)`` point, in
+    point order: serially, or on at most ``n_workers`` processes, one per point and CPU."""
     jobs = [(r, prefix, measure, tol, cap) for prefix, measure in points]
-    if n_workers <= 1 or len(jobs) <= 1:
+    n_workers = min(n_workers, len(jobs), os.cpu_count() or 1)
+    if n_workers <= 1:
         tables = map(_sweep_point, jobs)
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -288,8 +290,10 @@ def cmd_oracle(args) -> tuple:
     tol = _tol_from_args(args)
     n = args.n
     r = len(word)
-    series = survival.survival_series(word, measure, n)
     gf = survival.genfun(word, measure)
+    # rated before the series, so a hole that covers everything exits as no root
+    rate = rate_from_denominator(gf.denominator, measure, tol)
+    series = survival.survival_series(word, measure, n)
     genfun_match = gf.series(n + 1) == list(series.values)
 
     # window states stop growing by length max(r - 1, 1), so under --enum-cap
@@ -300,9 +304,6 @@ def cmd_oracle(args) -> tuple:
 
     solution = survival.genfun_from_word_equations(word, measure)
     equations_match = solution.survival_genfun(r).series(n + 1) == list(series.values)
-
-    rate = escape_rate(word, measure, tol)
-    pole_in_enclosure = rate.poly == gf.denominator
 
     estimates = survival.empirical_rate(series) if n >= 10 else None
     ratios = series.ratio_estimates()
@@ -316,7 +317,7 @@ def cmd_oracle(args) -> tuple:
             "direct_enumeration_matches_up_to_length": enum_max,
             "direct_enumeration_matches": enum_match,
             "word_equations_match": equations_match,
-            "denominator_is_rate_polynomial": pole_in_enclosure,
+            "denominator_is_rate_polynomial": rate.poly == gf.denominator,
         },
         **_root_fields(rate),
     }

@@ -17,12 +17,13 @@ The key objects:
   the survival probabilities (see the ``survival`` module), built from the
   border data alone.
 
-Every polynomial also has ``ints``, its coefficients as integers with
-content 1 and the same signs, which is all that root isolation reads.  A
-survival denominator is built directly as these primitive integers, and no
-polynomial arithmetic is done on ``Fraction`` coefficients anywhere: a
-``RationalPolynomial`` is a value to compare and print, and any polynomial
-not built from integers computes them once.
+A ``RationalPolynomial`` has one form: ``ints``, its coefficients as
+integers with content 1 and the same signs, which is all that root
+isolation reads, times one positive rational ``scale``.  Survival
+denominators and the survival oracles' polynomials are built as integer
+numerators over one integer; no polynomial arithmetic is done on
+``Fraction`` coefficients anywhere, and the ``Fraction`` coefficients are
+made only when printed or asked for.
 """
 
 from __future__ import annotations
@@ -32,34 +33,38 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain, _over_common_denominator
+from .measures import BernoulliMeasure, MarkovChain
 from .words import Word
 
 
 class RationalPolynomial:
-    """Immutable dense polynomial with Fraction coefficients, index = degree.
+    """Immutable dense polynomial with rational coefficients, index = degree.
 
-    The zero polynomial has an empty coefficient tuple; trailing zero
-    coefficients are trimmed on construction.
+    It is held as ``ints``, integers with content 1, the signs of the
+    coefficients and trailing zeros trimmed (empty for the zero
+    polynomial), times one positive rational ``scale`` (1 for the zero
+    polynomial): coefficient i is scale * ints[i].  That pair is canonical,
+    so equality and hashing read it; the ``Fraction`` coefficients are made
+    on first access.
     """
 
-    __slots__ = ("_coeffs", "_ints")
+    __slots__ = ("ints", "scale", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
-        object.__setattr__(self, "_ints", None)
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        poly = self._over([c.numerator * (den // c.denominator) for c in cs], den)
+        self.ints, self.scale, self._coeffs = poly.ints, poly.scale, None
 
     @classmethod
-    def _from_ints(cls, ints: list[int]) -> "RationalPolynomial":
-        """The polynomial ints / ints[0], from integers with content 1 and a
-        positive constant term, which become its ``ints``; its ``coeffs``
-        are made on first access."""
+    def _over(cls, nums: list[int], den: int) -> "RationalPolynomial":
+        """The polynomial sum_i nums[i] / den z^i, for a nonzero ``den``."""
+        while nums and nums[-1] == 0:
+            nums = nums[:-1]
+        g = math.gcd(*nums) if nums else abs(den)  # the content; scale 1 for zero
+        g = g if den > 0 else -g
         poly = cls.__new__(cls)
-        object.__setattr__(poly, "_coeffs", None)
-        object.__setattr__(poly, "_ints", tuple(ints))
+        poly.ints, poly.scale, poly._coeffs = tuple(v // g for v in nums), Fraction(g, den), None
         return poly
 
     # -- basic structure -------------------------------------------------
@@ -68,34 +73,25 @@ class RationalPolynomial:
     def coeffs(self) -> tuple[Fraction, ...]:
         """Fraction coefficients, index = degree."""
         if self._coeffs is None:
-            lead = self._ints[0]
-            object.__setattr__(self, "_coeffs", tuple(Fraction(c, lead) for c in self._ints))
+            n, d = self.scale.numerator, self.scale.denominator
+            self._coeffs = tuple(Fraction(n * c, d) for c in self.ints)
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs if self._ints is None else self._ints) - 1
-
-    @property
-    def ints(self) -> tuple[int, ...]:
-        """Integer coefficients with content 1 and the signs of ``coeffs``."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", tuple(_int_coeffs(self)))
-        return self._ints
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return self.degree < 0
+        return not self.ints
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        if self._coeffs is None and other._coeffs is None:
-            return self._ints == other._ints  # both are ints / ints[0]
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.scale == other.scale
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.scale))
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{k}" if k > 1 else f"{c}*z" if k else str(c) for k, c in enumerate(self.coeffs) if c]
@@ -114,11 +110,6 @@ def _primitive(ints: list[int]) -> list[int]:
         ints.pop()
     g = math.gcd(*ints)
     return [v // g for v in ints]
-
-
-def _int_coeffs(poly: RationalPolynomial) -> list[int]:
-    """Scale to integer coefficients with content 1; sign pattern preserved."""
-    return _primitive(list(_over_common_denominator(poly.coeffs)[1]))
 
 
 def border_walk(
@@ -185,10 +176,11 @@ def _bernoulli_denominator(data: tuple[int, ...], b: int) -> RationalPolynomial:
     # z^(r+1) term (see border_data).
     r = len(data) - 1
     weights = [b ** (r - j) * v if v else 0 for j, v in enumerate(data)]
-    ints = _primitive(_times_linear(weights, 1, -1)[:-1])
-    if len(ints) != r + 1:
-        raise AssertionError(f"survival denominator of length {r} has degree {len(ints) - 1}")
-    return RationalPolynomial._from_ints(ints)
+    ints = _times_linear(weights, 1, -1)[:-1]
+    poly = RationalPolynomial._over(ints, ints[0])
+    if poly.degree != r:
+        raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
+    return poly
 
 
 def _markov_denominator(
@@ -210,15 +202,15 @@ def _markov_denominator(
     ints[r] += e[last][first] * path
     if first == last:
         ints[r + 1] -= x * path
-    ints = _primitive(ints)
+    poly = RationalPolynomial._over(ints, ints[0])
     # The degree-(r+1) terms always cancel.  For a strictly positive matrix
     # the degree is exactly r; a vanishing diagonal entry can cancel further
     # (e.g. the word bab when the aa-transition is forbidden).
-    if len(ints) > r + 1:
-        raise AssertionError(f"survival denominator of length {r} has degree {len(ints) - 1}")
-    if len(ints) != r + 1 and 0 not in nums:
+    if poly.degree > r:
+        raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
+    if poly.degree != r and 0 not in nums:
         raise AssertionError(f"degree dropped below {r} under a positive matrix")
-    return RationalPolynomial._from_ints(ints)
+    return poly
 
 
 def survival_denominator(

@@ -178,9 +178,10 @@ def _root_below(ints: Sequence[int], x: Fraction) -> bool:
     if ints[0] < 0:
         ints = [-c for c in ints]
     s = _sign_at(ints, x.numerator, x.denominator)
-    if s <= 0:
-        # positive at 0, negative at x: a root in between; zero: x is a root
-        return s < 0
+    if s == 0:  # x is a root: divided out, the quotient decides
+        return _root_below(_divide_out(ints, x), x)
+    if s < 0:
+        return True  # positive at 0, negative at x: a root in between
     # Descartes: at most one positive root, a sign change, which a core
     # still positive at x has not reached.
     if _variations(ints) <= 1:

@@ -24,15 +24,15 @@ integer polynomials, each equation scaled to integers once; that path
 exists for tests and the ``oracle`` CLI command.  The generating function
 and the equations read the word's border polynomial from
 ``polynomials.border_data`` and work on integer coefficient lists
-throughout; a ``Fraction`` appears only in the ``RationalPolynomial`` they
-return.
+throughout.  Every polynomial they return is built as integer numerators
+over one integer, and a series is read off the ``ints`` and ``scale`` of
+its two polynomials, so no polynomial here has ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
@@ -242,13 +242,10 @@ class RationalGenFun:
     denominator: RationalPolynomial
 
     def series(self, count: int) -> list[Fraction]:
-        """The first ``count`` coefficients.  Over one common integer
-        denominator, term n is q_n / d_0^(n+1) with the integer recurrence
-        q_n = N_n d_0^n - sum_{i>=1} d_i d_0^(i-1) q_(n-i)."""
-        num, den = self.numerator.coeffs, self.denominator.coeffs
-        scale = math.lcm(*(c.denominator for c in num + den))
-        nums = [c.numerator * (scale // c.denominator) for c in num]
-        dens = [c.numerator * (scale // c.denominator) for c in den]
+        """The first ``count`` coefficients.  With both polynomials as integers
+        N and d times one factor (``_over_one``), term n is q_n / d_0^(n+1)
+        with the integer recurrence q_n = N_n d_0^n - sum_{i>=1} d_i d_0^(i-1) q_(n-i)."""
+        nums, dens = _over_one(self.numerator, self.denominator)
         if not dens or dens[0] == 0:
             raise ValueError("denominator must not vanish at 0")
         d0 = dens[0]
@@ -258,6 +255,12 @@ class RationalGenFun:
             acc = nums[n] * d0**n if n < len(nums) else 0
             q.append(acc - sum(w * q[n - 1 - j] for j, w in enumerate(weights[:n])))
         return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
+
+
+def _over_one(num: RationalPolynomial, den: RationalPolynomial) -> tuple[list[int], list[int]]:
+    """The coefficients of the two polynomials as integers times one factor."""
+    ratio = num.scale / den.scale
+    return [ratio.numerator * c for c in num.ints], [ratio.denominator * c for c in den.ints]
 
 
 def _survival_part(avoiding: list[int], den: list[int], r: int) -> RationalPolynomial:
@@ -270,7 +273,7 @@ def _survival_part(avoiding: list[int], den: list[int], r: int) -> RationalPolyn
     shifted = [a - sum(den[max(k - r + 1, 0) : k + 1]) for k, a in enumerate(padded)]
     if any(shifted[:r]):
         raise AssertionError("avoiding numerator minus the window is not divisible by z^r")
-    return RationalPolynomial(Fraction(c, den[0]) for c in shifted[r:])
+    return RationalPolynomial._over(shifted[r:], den[0])
 
 
 def _scaled_border(word: Word, measure: BernoulliMeasure | MarkovChain) -> list[int]:
@@ -310,8 +313,8 @@ def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFu
     ]
     if any(conv[r:]):
         raise AssertionError("series times denominator did not truncate to degree < r")
-    numerator = RationalPolynomial(Fraction(c, ints[0] * b ** (n + r)) for n, c in enumerate(conv[:r]))
-    return RationalGenFun(numerator, denominator)
+    numerator = [c * b ** (r - 1 - n) for n, c in enumerate(conv[:r])]
+    return RationalGenFun(RationalPolynomial._over(numerator, ints[0] * b ** (2 * r - 1)), denominator)
 
 
 # --------------------------------------------------------------------------
@@ -360,11 +363,10 @@ class WordEquationSolution:
     terminal: RationalPolynomial  # words whose single occurrence is a suffix
     avoiding_by_last: tuple[RationalPolynomial, ...] | None  # chains: split by last letter
     denominator: RationalPolynomial
-    #: the integer numerator of ``avoiding`` and the determinant
-    _ints: tuple[list[int], list[int]] = field(repr=False, compare=False)
 
     def survival_genfun(self, r: int) -> RationalGenFun:
-        return RationalGenFun(_survival_part(*self._ints, r), self.denominator)
+        avoiding, det = _over_one(self.avoiding, self.denominator)
+        return RationalGenFun(_survival_part(avoiding, det, r), self.denominator)
 
 
 def genfun_from_word_equations(
@@ -410,10 +412,10 @@ def genfun_from_word_equations(
         avoiding = [sum(c) for c in itertools.zip_longest(det, *by_last, fillvalue=0)]
 
     def over(ints: list[int]) -> RationalPolynomial:
-        return RationalPolynomial(Fraction(c, det[0]) for c in ints)
+        return RationalPolynomial._over(ints, det[0])
 
     split = by_last and tuple(map(over, by_last))
-    return WordEquationSolution(over(avoiding), over(terminal), split, over(det), (avoiding, det))
+    return WordEquationSolution(over(avoiding), over(terminal), split, over(det))
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import holerates
-from holerates import extremal, polynomials, survival
+from holerates import cli, extremal, polynomials, survival
 from holerates.cli import main
 
 
@@ -105,14 +105,22 @@ class TestScan:
             assert err == f"enumeration cap: {message} words exceeds the cap of 15\n"
 
     def test_survival_denominators_never_rescaled(self, capsys, monkeypatch):
+        # every denominator is built from integers, and the scan reads only
+        # those: no polynomial from Fraction coefficients, no coeffs made
         calls = []
-        original = polynomials._int_coeffs
+        cls = polynomials.RationalPolynomial
+        init, coeffs = cls.__init__, cls.coeffs
 
-        def counting(poly):
-            calls.append(poly)
-            return original(poly)
+        def counting_init(poly, values):
+            calls.append("__init__")
+            init(poly, values)
 
-        monkeypatch.setattr(polynomials, "_int_coeffs", counting)
+        def counting_coeffs(poly):
+            calls.append("coeffs")
+            return coeffs.fget(poly)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "coeffs", property(counting_coeffs))
         code, out, _ = run(capsys, "scan", "--r", "8", "--p", "7/10")
         assert code == 0 and len(out.splitlines()) == 1 + 2**8
         assert calls == []
@@ -138,6 +146,40 @@ class TestScan:
         _, serial, _ = run(capsys, *base, "--jobs", "1")
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
+
+    def test_pool_is_bounded_by_points_and_cpus(self, capsys, monkeypatch):
+        # a stand-in pool records its size and maps serially: no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        two_points = ("scan", "--r", "4", "--grid", "1/2:3/5:1/10")
+        _, serial, _ = run(capsys, *two_points, "--jobs", "1")
+        for cpus, argv, expected in (
+            (4, (*two_points, "--jobs", "5000"), [2]),
+            (4, ("scan", "--r", "2", "--grid", "1/2:9/10:1/10", "--jobs", "5000"), [4]),
+            (4, (*two_points, "--jobs", "0"), []),
+            (1, (*two_points, "--jobs", "5000"), []),
+            (None, (*two_points, "--jobs", "5000"), []),
+        ):
+            sizes.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and sizes == expected
+            if argv[:5] == two_points:
+                assert out == serial
 
     def test_markov_grid(self, capsys):
         code, out, _ = run(
@@ -272,6 +314,14 @@ class TestOracle:
         assert code == 0
         assert len(calls) == 1
         assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == 23
+
+    def test_hole_covering_everything_exits_no_root(self, capsys):
+        # with the aa-transition forbidden every sequence meets b: the
+        # denominator is rated before the series, so oracle exits as rate does
+        for command in ("oracle", "rate"):
+            code, out, err = run(capsys, command, "--word", "b", "--markov", "0,1,1/2,1/2")
+            assert (code, out) == (3, "")
+            assert err.startswith("no positive root")
 
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]
@@ -473,14 +523,18 @@ class TestSharedParser:
         )
 
 
-def _run_script(script):
-    """Run the script in a fresh interpreter that imports this checkout."""
+def _python(*argv):
+    """Run a fresh interpreter that imports this checkout; its stdout."""
     src = str(Path(holerates.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _run_script(script):
+    """Run the script in a fresh interpreter that imports this checkout."""
+    _python("-c", textwrap.dedent(script))
 
 
 def test_import_loads_no_numpy():
@@ -504,3 +558,10 @@ def test_oracle_runs_with_numpy_blocked():
         assert holerates.cli.main(["oracle", "--word", "aab", "--p", "3/5"]) == 0
         """
     )
+
+
+def test_locate_order_switch_example():
+    # the example in the script's docstring
+    script = Path(__file__).resolve().parent.parent / "scripts" / "locate_order_switch.py"
+    out = _python(str(script), "aabbaa", "baaaab", "--window", "0.70:0.72")
+    assert "crossing enclosed in (144339/204800, 1154713/1638400)\n" in out

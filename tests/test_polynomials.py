@@ -55,6 +55,29 @@ class TestRationalPolynomial:
     def test_string_roundtrip(self):
         assert poly(1, Fraction(-1, 2)).coeff_strings() == ["1/1", "-1/2"]
 
+    @given(
+        st.lists(st.fractions(max_denominator=30), max_size=6),
+        st.integers(-10**6, 10**6).filter(bool),
+    )
+    def test_integer_constructor_matches_fractions(self, values, k):
+        # the same coefficients as numerators over a common denominator,
+        # both times any nonzero k
+        den = math.lcm(*(v.denominator for v in values))
+        built = RationalPolynomial._over([k * v.numerator * (den // v.denominator) for v in values], k * den)
+        expected = RationalPolynomial(values)
+        while values and values[-1] == 0:
+            values.pop()
+        assert built.coeffs == expected.coeffs == tuple(values)
+        assert built == expected and hash(built) == hash(expected)
+        assert built.ints == expected.ints and built.scale == expected.scale > 0
+        assert math.gcd(*built.ints) == (1 if values else 0)
+
+    @given(st.integers(0, 5), st.integers(-10**6, 10**6).filter(bool))
+    def test_one_zero_polynomial(self, length, den):
+        zero = RationalPolynomial._over([0] * length, den)
+        assert zero == RationalPolynomial([]) == RationalPolynomial([0] * length)
+        assert hash(zero) == hash(RationalPolynomial([])) and zero.is_zero() and zero.coeffs == ()
+
 
     def test_denominator_coeffs_are_made_on_first_access(self):
         tau, same = survival_denominator(w("aab"), P35), survival_denominator(w("aab"), P35)
@@ -71,6 +94,21 @@ class TestRationalPolynomial:
         # equal integers over different constant terms are different polynomials
         double, single = poly(2, 4), poly(1, 2)
         assert double.ints == single.ints and double != single
+
+    def test_denominators_compare_and_hash_without_fractions(self, monkeypatch):
+        tau, same = survival_denominator(w("aab"), P35), survival_denominator(w("aab"), P35)
+        other = survival_denominator(w("abb"), P35)
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert tau == same and tau != other and hash(tau) == hash(same) != hash(other)
+        assert made == []
+        assert other.coeffs[0] == 1 and made  # coefficients are made when asked for
 
 
 def border_polynomial(word, measure):

@@ -131,6 +131,8 @@ class TestRootBelow:
             ([1, -1], 1, False),  # one Descartes variation, root at x
             ([1, -1], Fraction(1, 2), False),
             ([1, 1, 1], 5, False),  # no positive root
+            ([1, -3, 2], 1, True),  # roots 1/2 and x = 1: the quotient decides
+            ([1, -3, 2], Fraction(1, 2), False),
         ],
     )
     def test_cases(self, ints, x, expected):
@@ -146,6 +148,23 @@ class TestRootBelow:
         ints = [head, *coeffs]
         assume(any(coeffs) and horner(RationalPolynomial(ints), x) != 0)
         assert _root_below(ints, x) == (count_roots(RationalPolynomial(ints), 0, x) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.fractions(min_value=Fraction(1, 50), max_value=10, max_denominator=50),
+        others=st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=50).filter(bool), max_size=5
+        ),
+        multiplicity=st.integers(1, 3),
+        head=st.integers(-5, 5).filter(bool),
+    )
+    def test_x_a_root_of_linear_factors(self, x, others, multiplicity, head):
+        # head * (z - x)^multiplicity * prod (z - other): only the others
+        # strictly between 0 and x count
+        product = RationalPolynomial([head])
+        for root in [x] * multiplicity + others:
+            product = poly_mul(product, RationalPolynomial([-root, 1]))
+        assert _root_below(list(product.ints), x) is any(0 < root < x for root in others)
 
     def test_sturm_count_reuses_the_sign_at_x(self, monkeypatch):
         # two sign variations and positive at x: the Sturm chain decides
