@@ -100,8 +100,16 @@ class RationalPolynomial:
     # -- output ------------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
-        """Coefficients as 'num/den' strings, index = degree."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        """Coefficients as 'num/den' strings in lowest terms, index = degree,
+        read off ``ints`` and ``scale`` with no ``Fraction``: the scale's
+        numerator n and denominator d are coprime, so n * c / d reduces by
+        gcd(c, d)."""
+        n, d = self.scale.numerator, self.scale.denominator
+        out = []
+        for c in self.ints:
+            g = math.gcd(c, d)
+            out.append(f"{n * (c // g)}/{d // g}")
+        return out
 
 
 def _primitive(ints: list[int]) -> list[int]:

@@ -7,9 +7,10 @@ so they can cross-check one another and the root-isolation layer:
 * a weighted pattern-avoidance automaton (KMP prefix states), stepped
   exactly on integer weights;
 * one brute-force enumerator for both measures: one walk over the window
-  states (the last r - 1 letters) of every length up to a given one, with
-  an explicit test of each length-r window and the survivors' weights
-  summed exactly per state;
+  states (the last r - 1 letters) of every length up to a given one, held
+  as a flat list of exact weights indexed by the states' codes; each length
+  extends every state by every letter, zeroes the pairs whose last r
+  letters are the hole, and folds away the letter that leaves the window;
 * the rational generating function sum p_n z^n, whose denominator is the
   survival denominator from the ``polynomials`` module and whose series
   expands by linear recurrence.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
@@ -180,15 +182,22 @@ def direct_enumeration(
 
     A state is the base-A code of the last k letters of a surviving word,
     k = r - 1 for a product measure and max(r - 1, 1) for a chain (whose
-    next factor depends on the last letter), and it carries the exact
-    integer sum of the weights of the survivors that end in it.  Each
-    length appends every letter c to every state: a pair survives if its
-    factor numerator is nonzero and, from length r on, its last r letters,
-    (state * A + c) mod A^r, are not the hole; it moves to state
-    (state * A + c) mod A^k with its weight times that numerator, the
-    measure's ``integer_factors`` (a chain's stationary weight for the first
-    letter, the row of the last letter after it).  Survival thus depends on
-    the windows alone, with no failure links.  p_n is the sum over b^n.
+    next factor depends on the last letter), and entry ``state`` of a flat
+    list holds the exact integer sum of the weights of the survivors that
+    end in it.  Each length is three list operations:
+
+    * extend: entry state * A + c of a list A times as long is the weight
+      times the factor numerator of c, from the measure's
+      ``integer_factors`` (a chain's stationary row for the first letter,
+      the row of the state's last letter after it);
+    * zero: from length r on, every entry whose last r letters, its index
+      mod A^r, are the hole is set to 0;
+    * fold: once the list outgrows A^k entries, its chunks of A^k entries,
+      one per letter leaving the window, are added entry by entry, so each
+      pair moves to state (state * A + c) mod A^k.
+
+    Survival thus depends on the windows alone, with no failure links.  p_n
+    is the sum of the list over b^n.
 
     At length n the walk holds A^min(n, k) states.  L is ``length``, or the
     length before the first one whose state count exceeds ``cap``; the
@@ -201,30 +210,32 @@ def direct_enumeration(
     if cap < 1:
         return ()
     size = word.alphabet.size
-    chain = isinstance(measure, MarkovChain)
     b, nums = measure.integer_factors
     r = len(word)
-    k = max(r - 1, 1) if chain else r - 1
+    # the factor rows the states read in turn: a chain's stationary row for
+    # the first letter, then the row of each state's last letter (its code
+    # mod A, so the rows alternate); the probabilities for a product measure
+    if isinstance(measure, MarkovChain):
+        k, rows, later = max(r - 1, 1), [nums[4:6]], [nums[0:2], nums[2:4]]
+    else:
+        k, rows, later = r - 1, [nums[:size]], [nums[:size]]
     window, states = size**r, size**k
     needle = 0
     for c in word.letters:
         needle = needle * size + c
-    weights = {0: 1}
+    weights = [1]
     totals = [Fraction(1)]
     for n in range(1, length + 1):
         if size ** min(n, k) > cap:
             break
-        nxt: dict[int, int] = {}
-        for state, weight in weights.items():
-            row = (4 if n == 1 else 2 * (state % size)) if chain else 0
-            for c in range(size):
-                num = nums[row + c]
-                code = state * size + c
-                if num and (n < r or code % window != needle):
-                    code %= states
-                    nxt[code] = nxt.get(code, 0) + weight * num
-        weights = nxt
-        totals.append(Fraction(sum(weights.values()), b**n))
+        ext = [w * f for w, row in zip(weights, itertools.cycle(rows)) for f in row]
+        rows = later
+        if n >= r:
+            ext[needle::window] = [0] * (len(ext) // window)
+        weights = ext[:states]
+        for i in range(states, len(ext), states):
+            weights = list(map(add, weights, ext[i : i + states]))
+        totals.append(Fraction(sum(weights), b**n))
     return tuple(totals)
 
 
@@ -253,7 +264,7 @@ class RationalGenFun:
         q: list[int] = []
         for n in range(count):
             acc = nums[n] * d0**n if n < len(nums) else 0
-            q.append(acc - sum(w * q[n - 1 - j] for j, w in enumerate(weights[:n])))
+            q.append(acc - sum(map(mul, weights, reversed(q))))
         return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
 
 

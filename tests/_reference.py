@@ -1,5 +1,6 @@
 """Small independent references that tests check the package against."""
 
+import itertools
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -231,6 +232,31 @@ def border_data(word, measure):
             prod *= factors[-j]
         data.append(prod if bit else 0)
     return (*data, prod, w[0], w[-1]) if chain else (*data, prod * factors[0])
+
+
+def literal_totals(word, measure, length):
+    """The measures of the words of each length 0..``length`` that do not
+    contain ``word`` as a factor, each word listed by ``itertools.product``
+    and weighed in ``Fraction``s: its probabilities, or a chain's
+    stationary weight times its transitions."""
+    hole, r = word.letters, len(word)
+    totals = []
+    for n in range(length + 1):
+        total = Fraction(0)
+        for letters in itertools.product(range(measure.alphabet.size), repeat=n):
+            if any(letters[i : i + r] == hole for i in range(n - r + 1)):
+                continue
+            if isinstance(measure, MarkovChain):
+                weight = measure.stationary[letters[0]] if letters else Fraction(1)
+                for x, y in zip(letters, letters[1:]):
+                    weight *= measure.matrix[x][y]
+            else:
+                weight = Fraction(1)
+                for x in letters:
+                    weight *= measure.probs[x]
+            total += weight
+        totals.append(total)
+    return tuple(totals)
 
 
 def brute_period(letters):

@@ -69,6 +69,9 @@ CASES["oracle_aabaa_markov"] = ["oracle", "--word", "aabaa", "--markov", "3/5,2/
 CASES["oracle_abbab_forbidden"] = ["oracle", "--word", "abbab", "--markov", "0,1,1/2,1/2"]
 CASES["oracle_abcab_ternary"] = ["oracle", "--word", "abcab", "--bernoulli", "1/2,3/10,1/5"]
 CASES["oracle_aabaab_r12"] = ["oracle", "--word", "aabaabaabaab", "--p", "7/10"]
+#: A one-letter chain hole: the walk keeps one letter of window (k = 1),
+#: and each length's fold drops the letter that picked the row.
+CASES["oracle_a_markov"] = ["oracle", "--word", "a", "--markov", "3/4,1/4,1/3,2/3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

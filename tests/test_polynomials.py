@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holerates.errors import ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
@@ -78,6 +78,27 @@ class TestRationalPolynomial:
         assert zero == RationalPolynomial([]) == RationalPolynomial([0] * length)
         assert hash(zero) == hash(RationalPolynomial([])) and zero.is_zero() and zero.coeffs == ()
 
+    @given(
+        st.lists(st.integers(-10**6, 10**6) | st.just(0), max_size=6),
+        st.integers(-10**6, 10**6).filter(bool),
+    )
+    @example([], -3)
+    @example([0, 0], 7)
+    @example([4, 0, -6], -8)
+    def test_coeff_strings_match_the_fraction_form(self, nums, den):
+        expected = [f"{c.numerator}/{c.denominator}" for c in RationalPolynomial._over(nums, den).coeffs]
+        printed = RationalPolynomial._over(nums, den)
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            strings = printed.coeff_strings()
+        assert strings == expected and made == [] and printed._coeffs is None
 
     def test_denominator_coeffs_are_made_on_first_access(self):
         tau, same = survival_denominator(w("aab"), P35), survival_denominator(w("aab"), P35)

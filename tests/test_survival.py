@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from holerates import polynomials, survival, words
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
@@ -26,6 +26,7 @@ from _reference import (
     fraction_genfun,
     fraction_series,
     fraction_word_equations,
+    literal_totals,
     markov_weighted_autocorrelation,
     monomial,
     poly_add,
@@ -273,6 +274,27 @@ class TestDirectEnumeration:
         length = data.draw(st.integers(0, 12))
         totals = build_automaton(word, measure).survival_totals(length)
         assert direct_enumeration(word, measure, length) == tuple(totals)
+
+    @given(
+        st.sampled_from(range(len(WALK_MEASURES))),
+        st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        st.integers(0, 8),
+        st.booleans(),
+    )
+    @example(3, [0], 8, False)  # a chain hole of one letter: k = 1, and each
+    @example(3, [0], 8, True)  # fold drops the letter that picked the row
+    @settings(max_examples=60, deadline=None)
+    def test_equals_literal_enumeration(self, index, letters, length, short):
+        # every word of each length listed and weighed in Fractions: no
+        # window states, integer factors or automaton
+        measure = WALK_MEASURES[index]
+        size = measure.alphabet.size
+        word = Word(tuple(c % size for c in letters), measure.alphabet)
+        k = max(len(word) - 1, 1) if isinstance(measure, MarkovChain) else len(word) - 1
+        cap = size**k - short
+        reach = next((n for n in range(length + 1) if size ** min(n, k) > cap), length + 1)
+        expected = literal_totals(word, measure, length)[:reach]
+        assert direct_enumeration(word, measure, length, cap) == expected
 
     def test_walk_uses_no_failure_links(self, monkeypatch):
         cases = [(w("abab"), P35), (w("abc", ABC), B(["1/2", "3/10", "1/5"], ABC)),
