@@ -294,16 +294,16 @@ def cmd_oracle(args) -> tuple:
     # rated before the series, so a hole that covers everything exits as no root
     rate = rate_from_denominator(gf.denominator, measure, tol)
     series = survival.survival_series(word, measure, n)
-    genfun_match = gf.series(n + 1) == list(series.values)
+    genfun_match = series.matches(*gf.series(n + 1))
 
     # window states stop growing by length max(r - 1, 1), so under --enum-cap
     # the walk reaches r + n or stops short of r
     enumerated = survival.direct_enumeration(word, measure, r + n, cap=args.enum_cap)[r:]
     enum_max = r + len(enumerated) - 1 if enumerated else 0
-    enum_match = enumerated == series.values[: len(enumerated)]
+    enum_match = enumerated == list(series.totals[: len(enumerated)])
 
     solution = survival.genfun_from_word_equations(word, measure)
-    equations_match = solution.survival_genfun(r).series(n + 1) == list(series.values)
+    equations_match = series.matches(*solution.survival_genfun(r).series(n + 1))
 
     estimates = survival.empirical_rate(series) if n >= 10 else None
     ratios = series.ratio_estimates()

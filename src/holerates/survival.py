@@ -5,7 +5,7 @@ sequences whose first n+r symbols avoid the hole word as a factor), built
 so they can cross-check one another and the root-isolation layer:
 
 * a weighted pattern-avoidance automaton (KMP prefix states), stepped
-  exactly on integer weights;
+  exactly on integer weights held in a flat list indexed by state;
 * one brute-force enumerator for both measures: one walk over the window
   states (the last r - 1 letters) of every length up to a given one, held
   as a flat list of exact weights indexed by the states' codes; each length
@@ -15,19 +15,22 @@ so they can cross-check one another and the root-isolation layer:
   survival denominator from the ``polynomials`` module and whose series
   expands by linear recurrence.
 
-The automaton and the enumerator put the weight of every length-n word over
-b^n, b the common denominator of the measure's ``integer_factors``, so they
-add integers and make one ``Fraction`` per length.
+Every series is integers over a known power: b^n times the weight at length
+n from the automaton and the enumerator (b the common denominator of the
+measure's ``integer_factors``), q_n over d_0^(n+1) from a generating
+function.  ``Fraction``s are made only in the view of a ``SurvivalSeries``
+that printing and the float estimates read.
 
 The classical word-counting equations (append a letter / append the whole
 pattern) are also solved symbolically, by Cramer's rule on determinants of
-integer polynomials, each equation scaled to integers once; that path
-exists for tests and the ``oracle`` CLI command.  The generating function
-and the equations read the word's border polynomial from
-``polynomials.border_data`` and work on integer coefficient lists
-throughout.  Every polynomial they return is built as integer numerators
-over one integer, and a series is read off the ``ints`` and ``scale`` of
-its two polynomials, so no polynomial here has ``Fraction`` coefficients.
+integer polynomials, each equation scaled to integers once; they give a
+chain's survival numerator, and the ``oracle`` CLI command checks their
+series too.  The generating function and the equations read the word's
+border polynomial from ``polynomials.border_data`` and work on integer
+coefficient lists throughout.  Every polynomial they return is built as
+integer numerators over one integer, and a series is read off the ``ints``
+and ``scale`` of its two polynomials, so no polynomial here has
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
@@ -56,42 +60,32 @@ class AvoidanceAutomaton:
     word: Word
     measure: BernoulliMeasure | MarkovChain
     transitions: tuple[tuple[int, ...], ...]
-    failure: tuple[int, ...]
-
-    @property
-    def absorbing(self) -> int:
-        return len(self.word)
 
     def integer_totals(self, max_length: int) -> list[int]:
         """b^n times the total non-absorbed weight after reading n symbols,
         n = 0..max_length: after n symbols every weight is an integer over
         b^n (see the measure's ``integer_factors``), so the live states
-        carry integers."""
+        carry integers, held in a flat list indexed by state."""
         nums = self.measure.integer_factors[1]
-        chain = isinstance(self.measure, MarkovChain)
-        r = self.absorbing
-        # (prefix length matched, offset in nums of the next letter's
-        # factors): a chain's row of the last letter read, its stationary
-        # weights before the first; the probabilities for a product measure
-        vec = {(0, 4 if chain else 0): 1}
-        totals = [1]
-        for _ in range(max_length):
-            nxt: dict[tuple[int, int], int] = {}
-            for (state, row), weight in vec.items():
-                for c, target in enumerate(self.transitions[state]):
-                    num = nums[row + c]
-                    if num and target < r:
-                        key = (target, 2 * c if chain else 0)
-                        nxt[key] = nxt.get(key, 0) + weight * num
-            vec = nxt
-            totals.append(sum(vec.values()))
+        letters, r = self.word.letters, len(self.word)
+        if isinstance(self.measure, MarkovChain):
+            # a live state's row is that of the last letter read: the word's
+            # letter before the state, at state 0 the letter the word does
+            # not start with; before the first letter only state 0 is live,
+            # and it reads the stationary row
+            rows = [nums[2 * c : 2 * c + 2] for c in (1 - letters[0], *letters[:-1])]
+            start = [nums[4:6]]
+        else:
+            rows = start = [nums] * r
+        weights, totals = [1] + [0] * (r - 1), [1]
+        for n in range(max_length):
+            nxt = [0] * (r + 1)
+            for state, (weight, row) in enumerate(zip(weights, rows if n else start)):
+                for target, num in zip(self.transitions[state], row):
+                    nxt[target] += weight * num
+            weights = nxt[:r]
+            totals.append(sum(weights))
         return totals
-
-    def survival_totals(self, max_length: int) -> list[Fraction]:
-        """Total non-absorbed weight after reading 0..max_length symbols:
-        each of ``integer_totals`` over its b^n."""
-        b = self.measure.integer_factors[0]
-        return [Fraction(t, b**n) for n, t in enumerate(self.integer_totals(max_length))]
 
 
 def build_automaton(
@@ -120,36 +114,53 @@ def build_automaton(
         word=word,
         measure=measure,
         transitions=tuple(tuple(row) for row in delta),
-        failure=fail,
     )
 
 
 @dataclass(frozen=True)
 class SurvivalSeries:
-    """Exact survival probabilities p_0, p_1, ..., p_N of a hole."""
+    """Exact survival probabilities p_0, p_1, ..., p_N of a hole of length
+    r, held as the integers b^(n+r) p_n with b the common denominator of
+    the measure's ``integer_factors``."""
 
-    values: tuple[Fraction, ...]
+    totals: tuple[int, ...]
+    base: int  # b
+    offset: int  # r
 
     def __post_init__(self) -> None:
-        if not self.values:
+        totals, b = self.totals, self.base
+        if not totals:
             raise ValueError("empty series")
-        if self.values[0] > 1:
+        if totals[0] > b**self.offset:
             raise ValueError("p_0 cannot exceed 1")
-        for a, b in zip(self.values, self.values[1:]):
-            if b > a:
-                raise ValueError("survival probabilities must be nonincreasing")
-        if self.values[-1] <= 0:
+        if any(later > b * t for t, later in zip(totals, totals[1:])):
+            raise ValueError("survival probabilities must be nonincreasing")
+        if totals[-1] <= 0:
             raise ValueError("survival probability hit zero: the hole covers everything")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.totals)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The p_n as ``Fraction``s: the view printing and the float
+        estimates read."""
+        b, r = self.base, self.offset
+        return tuple(Fraction(t, b ** (n + r)) for n, t in enumerate(self.totals))
+
+    def matches(self, q: list[int], d0: int) -> bool:
+        """Whether a series with term n q_n / d0^(n+1), as from
+        ``RationalGenFun.series``, has this length and these terms:
+        q_n b^(n+r) = d0^(n+1) b^(n+r) p_n for every n."""
+        b, r = self.base, self.offset
+        return len(q) == len(self) and all(
+            q_n * b ** (n + r) == t * d0 ** (n + 1) for n, (q_n, t) in enumerate(zip(q, self.totals))
+        )
 
     def ratio_estimates(self) -> list[float]:
         """-log(p_n / p_{n-1}) for n = 1..N."""
-        return [
-            _frac_log(a) - _frac_log(b)
-            for a, b in zip(self.values, self.values[1:])
-        ]
+        values = self.values
+        return [_frac_log(a) - _frac_log(b) for a, b in zip(values, values[1:])]
 
 
 def survival_series(
@@ -159,9 +170,9 @@ def survival_series(
     measure of the words of length k + len(word) avoiding the hole."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    automaton = build_automaton(word, measure)
-    totals = automaton.survival_totals(n + len(word))
-    return SurvivalSeries(tuple(totals[len(word) :]))
+    r = len(word)
+    totals = build_automaton(word, measure).integer_totals(n + r)
+    return SurvivalSeries(tuple(totals[r:]), measure.integer_factors[0], r)
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +185,10 @@ def direct_enumeration(
     measure: BernoulliMeasure | MarkovChain,
     length: int,
     cap: int = DEFAULT_STATE_CAP,
-) -> tuple[Fraction, ...]:
-    """Measures of the words of each length 0, 1, ..., L avoiding ``word``
-    as a factor, summed in one walk over window states.  Deliberately
+) -> list[int]:
+    """b^n times the measure of the words of length n avoiding ``word`` as a
+    factor, for n = 0, 1, ..., L, summed in one walk over window states
+    (the form of ``AvoidanceAutomaton.integer_totals``).  Deliberately
     simple-minded: this is the oracle the automaton and the generating
     function are checked against.
 
@@ -196,21 +208,21 @@ def direct_enumeration(
       one per letter leaving the window, are added entry by entry, so each
       pair moves to state (state * A + c) mod A^k.
 
-    Survival thus depends on the windows alone, with no failure links.  p_n
-    is the sum of the list over b^n.
+    Survival thus depends on the windows alone, with no failure links.  The
+    total at length n is the sum of the list.
 
     At length n the walk holds A^min(n, k) states.  L is ``length``, or the
     length before the first one whose state count exceeds ``cap``; the
-    tuple may be shorter than ``length + 1`` (empty when ``cap < 1``).
+    list may be shorter than ``length + 1`` (empty when ``cap < 1``).
     """
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
     if length < 0:
         raise ValueError("length must be >= 0")
     if cap < 1:
-        return ()
+        return []
     size = word.alphabet.size
-    b, nums = measure.integer_factors
+    nums = measure.integer_factors[1]
     r = len(word)
     # the factor rows the states read in turn: a chain's stationary row for
     # the first letter, then the row of each state's last letter (its code
@@ -224,7 +236,7 @@ def direct_enumeration(
     for c in word.letters:
         needle = needle * size + c
     weights = [1]
-    totals = [Fraction(1)]
+    totals = [1]
     for n in range(1, length + 1):
         if size ** min(n, k) > cap:
             break
@@ -235,8 +247,8 @@ def direct_enumeration(
         weights = ext[:states]
         for i in range(states, len(ext), states):
             weights = list(map(add, weights, ext[i : i + states]))
-        totals.append(Fraction(sum(weights), b**n))
-    return tuple(totals)
+        totals.append(sum(weights))
+    return totals
 
 
 # --------------------------------------------------------------------------
@@ -252,10 +264,11 @@ class RationalGenFun:
     numerator: RationalPolynomial
     denominator: RationalPolynomial
 
-    def series(self, count: int) -> list[Fraction]:
-        """The first ``count`` coefficients.  With both polynomials as integers
-        N and d times one factor (``_over_one``), term n is q_n / d_0^(n+1)
-        with the integer recurrence q_n = N_n d_0^n - sum_{i>=1} d_i d_0^(i-1) q_(n-i)."""
+    def series(self, count: int) -> tuple[list[int], int]:
+        """The first ``count`` coefficients as (q, d_0), coefficient n being
+        q_n / d_0^(n+1).  With both polynomials as integers N and d times
+        one factor (``_over_one``), the q_n follow the integer recurrence
+        q_n = N_n d_0^n - sum_{i>=1} d_i d_0^(i-1) q_(n-i)."""
         nums, dens = _over_one(self.numerator, self.denominator)
         if not dens or dens[0] == 0:
             raise ValueError("denominator must not vanish at 0")
@@ -265,7 +278,7 @@ class RationalGenFun:
         for n in range(count):
             acc = nums[n] * d0**n if n < len(nums) else 0
             q.append(acc - sum(map(mul, weights, reversed(q))))
-        return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
+        return q, d0
 
 
 def _over_one(num: RationalPolynomial, den: RationalPolynomial) -> tuple[list[int], list[int]]:
@@ -299,33 +312,18 @@ def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFu
 
     The denominator is the survival denominator in both cases.  For a
     product measure the numerator is closed-form: b^r times the border
-    polynomial over b^r times the denominator.  For a chain the numerator
-    is recovered from the first few automaton values: multiplying the
-    series by the known denominator must truncate to a polynomial of degree
-    < r, which is verified, and all later coefficients are then pure
-    predictions of the linear recurrence.
+    polynomial over b^r times the denominator.  For a chain it is the
+    survival numerator of the word-counting equations, whose determinant is
+    this same denominator.  No automaton is built.
     """
     r = len(word)
     denominator = survival_denominator(word, measure)
+    if isinstance(measure, MarkovChain):
+        numerator = genfun_from_word_equations(word, measure).survival_genfun(r).numerator
+        return RationalGenFun(numerator, denominator)
     ints = denominator.ints
-    b = measure.integer_factors[0]
-    if isinstance(measure, BernoulliMeasure):
-        scaled = [b**r // ints[0] * c for c in ints]
-        return RationalGenFun(_survival_part(_scaled_border(word, measure), scaled, r), denominator)
-    seed_len = 2 * r + 8
-    # b^n times the weight at length n: unlike SurvivalSeries these may
-    # legitimately hit zero (a hole that covers everything in a subshift)
-    totals = build_automaton(word, measure).integer_totals(seed_len + r)
-    # term n of the series times ints, over ints[0] b^(n+r); a zero entry
-    # can drop the denominator's degree below r, so i runs to its real degree
-    conv = [
-        sum(c * totals[n - i + r] * b**i for i, c in enumerate(ints[: n + 1]))
-        for n in range(seed_len + 1)
-    ]
-    if any(conv[r:]):
-        raise AssertionError("series times denominator did not truncate to degree < r")
-    numerator = [c * b ** (r - 1 - n) for n, c in enumerate(conv[:r])]
-    return RationalGenFun(RationalPolynomial._over(numerator, ints[0] * b ** (2 * r - 1)), denominator)
+    scaled = [measure.integer_factors[0] ** r // ints[0] * c for c in ints]
+    return RationalGenFun(_survival_part(_scaled_border(word, measure), scaled, r), denominator)
 
 
 # --------------------------------------------------------------------------

@@ -141,14 +141,15 @@ def fraction_genfun(word, measure):
     """(numerator, denominator) of the survival generating function, in
     Fraction arithmetic: the closed form for a product measure; for a chain
     the automaton's series times the path-weight denominator, which must
-    truncate below degree r."""
+    truncate below degree r; the package takes a chain's numerator from
+    the word equations instead."""
     r = len(word)
     if isinstance(measure, BernoulliMeasure):
         denominator = bernoulli_form(word, measure)
         return survival_part(weighted_autocorrelation(word, measure), denominator, r), denominator
     denominator = chain_forms(word, measure)[0]
     den = denominator.coeffs
-    seeds = build_automaton(word, measure).survival_totals(3 * r + 8)[r:]
+    seeds = over_powers(build_automaton(word, measure).integer_totals(3 * r + 8), measure)[r:]
     conv = [
         sum(den[i] * seeds[n - i] for i in range(min(n, len(den) - 1) + 1))
         for n in range(2 * r + 9)
@@ -202,6 +203,20 @@ def fraction_word_equations(word, measure):
     if isinstance(measure, BernoulliMeasure):
         return unknowns[0], unknowns[1], None, det
     return poly_add(det, unknowns[0], unknowns[1]), unknowns[2], tuple(unknowns[:2]), det
+
+
+def over_powers(totals, measure):
+    """Integer totals b^n x_n, b the measure's common denominator, as the
+    Fractions x_n."""
+    b = measure.integer_factors[0]
+    return [Fraction(t, b**n) for n, t in enumerate(totals)]
+
+
+def series_terms(series):
+    """The terms q_n / d_0^(n+1) of a ``RationalGenFun.series`` result
+    (q, d_0), as Fractions."""
+    q, d0 = series
+    return [Fraction(q_n, d0 ** (n + 1)) for n, q_n in enumerate(q)]
 
 
 def fraction_series(numerator, denominator, count):

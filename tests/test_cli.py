@@ -323,6 +323,39 @@ class TestOracle:
             assert (code, out) == (3, "")
             assert err.startswith("no positive root")
 
+    #: A product-measure hole and a chain hole whose cross-checks are broken.
+    BROKEN = [["--word", "aabbaa", "--p", "7/10"], ["--word", "aabaa", "--markov", "3/5,2/5,2/7,5/7"]]
+
+    @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
+    @pytest.mark.parametrize(
+        "change", [lambda q: q[:-1] + [q[-1] + 1], lambda q: q[:-1]], ids=["last-term", "one-term-short"]
+    )
+    def test_changed_series_fails_the_cross_check(self, monkeypatch, argv, change):
+        series = survival.RationalGenFun.series
+
+        def changed(self, count):
+            q, d0 = series(self, count)
+            return change(q), d0
+
+        monkeypatch.setattr(survival.RationalGenFun, "series", changed)
+        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
+            main(["oracle", *argv])
+        assert "'genfun_series_matches_automaton': False" in str(failure.value)
+        assert "'word_equations_match': False" in str(failure.value)
+
+    @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
+    def test_changed_enumeration_fails_the_cross_check(self, monkeypatch, argv):
+        walk = survival.direct_enumeration
+
+        def changed(*args, **kwargs):
+            totals = walk(*args, **kwargs)
+            return totals[:-1] + [totals[-1] + 1]
+
+        monkeypatch.setattr(survival, "direct_enumeration", changed)
+        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
+            main(["oracle", *argv])
+        assert "'direct_enumeration_matches': False" in str(failure.value)
+
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]
         # two window states from length 1 on: a cap below 2 stops the walk

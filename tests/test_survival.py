@@ -29,9 +29,11 @@ from _reference import (
     literal_totals,
     markov_weighted_autocorrelation,
     monomial,
+    over_powers,
     poly_add,
     poly_mul,
     poly_sub,
+    series_terms,
     weighted_autocorrelation,
 )
 
@@ -56,6 +58,11 @@ def w(text, alphabet=AB):
     return Word.parse(text, alphabet)
 
 
+def totals(word, measure, length):
+    """The automaton's b^n times the weight at each length n <= ``length``."""
+    return build_automaton(word, measure).integer_totals(length)
+
+
 class TestAutomaton:
     def test_kmp_on_aa(self):
         auto = build_automaton(w("aa"), HALF)
@@ -68,14 +75,14 @@ class TestAutomaton:
 
     def test_failure_links_match_autocorrelation(self):
         for word in enumerate_words(AB, 6):
-            auto = build_automaton(word, HALF)
+            failure = words.failure_function(word.letters)
             bits = autocorrelation(word)
             # border lengths of the full word, read off the failure chain
             borders = set()
-            k = auto.failure[len(word)]
+            k = failure[len(word)]
             while k > 0:
                 borders.add(k)
-                k = auto.failure[k]
+                k = failure[k]
             expected = {len(word) - i for i in range(1, len(word)) if bits[i]}
             assert borders == expected
 
@@ -103,10 +110,11 @@ class TestSurvivalSeries:
         assert series.values[0] == Fraction(3, 4)
 
     def test_nonincreasing_validated(self):
+        # b^(n+r) p_n with b = 4, r = 1: p = 1/2, 3/4 and p = 1/2, 0
         with pytest.raises(ValueError):
-            SurvivalSeries((Fraction(1, 2), Fraction(3, 4)))
+            SurvivalSeries((2, 12), 4, 1)
         with pytest.raises(ValueError):
-            SurvivalSeries((Fraction(1, 2), Fraction(0)))
+            SurvivalSeries((2, 0), 4, 1)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=5))
     @settings(max_examples=25, deadline=None)
@@ -116,8 +124,8 @@ class TestSurvivalSeries:
 
 
 def _fraction_totals(automaton, max_length):
-    """Reference for ``survival_totals``: the automaton stepped one symbol at
-    a time in plain Fraction arithmetic."""
+    """Reference for ``integer_totals`` over b^n: the automaton stepped one
+    symbol at a time in plain Fraction arithmetic."""
     measure, r = automaton.measure, len(automaton.word)
     chain = isinstance(measure, MarkovChain)
     vec = {(0, None): Fraction(1)}  # (prefix matched, last symbol read)
@@ -141,8 +149,8 @@ def _fraction_totals(automaton, max_length):
 
 
 class TestIntegerAutomaton:
-    """The automaton steps integer weights over b^n; its totals must be the
-    same Fractions as a plain Fraction stepping."""
+    """The automaton steps integer weights over b^n; its totals over b^n
+    must be the same Fractions as a plain Fraction stepping."""
 
     NEAR_ONE = 1 - Fraction(1, 10**9)
 
@@ -163,18 +171,38 @@ class TestIntegerAutomaton:
                 if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
                     continue
                 automaton = build_automaton(word, measure)
-                totals = automaton.survival_totals(30)
-                assert totals == _fraction_totals(automaton, 30), str(word)
-                assert all(type(t) is Fraction for t in totals)
+                ints = automaton.integer_totals(30)
+                assert over_powers(ints, measure) == _fraction_totals(automaton, 30), str(word)
+                assert all(type(t) is int for t in ints)
+
+    @given(
+        st.sampled_from(range(len(WALK_MEASURES))),
+        st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        st.integers(0, 8),
+    )
+    @example(3, [0], 8)  # chain holes of one letter: state 0 reads the row
+    @example(3, [1], 8)  # of the letter the word does not start with
+    @example(4, [0], 8)
+    @example(4, [1], 8)  # with aa forbidden, nothing avoids b for long
+    @settings(max_examples=60, deadline=None)
+    def test_equals_literal_enumeration(self, index, letters, length):
+        # every word listed by itertools and weighed in Fractions: no
+        # transitions, failure links or integer factors
+        measure = WALK_MEASURES[index]
+        word = Word(tuple(c % measure.alphabet.size for c in letters), measure.alphabet)
+        assume(not isinstance(measure, MarkovChain) or is_allowed(word, measure))
+        b = measure.integer_factors[0]
+        expected = [x * b**n for n, x in enumerate(literal_totals(word, measure, length))]
+        assert build_automaton(word, measure).integer_totals(length) == expected
 
 
 class TestDirectEnumeration:
     def test_short_lengths_have_full_measure(self):
-        assert direct_enumeration(w("aabb"), P35, 3) == (1, 1, 1, 1)
+        assert direct_enumeration(w("aabb"), P35, 3) == [1, 5, 25, 125]
 
     def test_ab_length_two(self):
-        p, q = Fraction(3, 5), Fraction(2, 5)
-        assert direct_enumeration(w("ab"), P35, 2) == (1, 1, 1 - p * q)
+        # b^2 (1 - pq) with p, q = 3/5, 2/5
+        assert direct_enumeration(w("ab"), P35, 2) == [1, 5, 25 - 3 * 2]
 
     @pytest.mark.parametrize(
         "measure, max_r, length",
@@ -191,28 +219,26 @@ class TestDirectEnumeration:
             for word in enumerate_words(measure.alphabet, r):
                 if isinstance(measure, MarkovChain) and not is_allowed(word, measure):
                     continue
-                totals = build_automaton(word, measure).survival_totals(length)
-                assert direct_enumeration(word, measure, length) == tuple(totals), str(word)
+                assert direct_enumeration(word, measure, length) == totals(word, measure, length), str(word)
 
     def test_matches_automaton_two_symbols(self):
         for text in ("a", "ab", "aab", "abba", "aabba"):
             word = w(text)
             series = survival_series(word, P35, 12 - len(word))
-            assert direct_enumeration(word, P35, 12)[len(word) :] == series.values
+            assert direct_enumeration(word, P35, 12)[len(word) :] == list(series.totals)
 
     def test_matches_automaton_markov(self):
         chain = M(["3/4", "1/4", "1/3", "2/3"])
         for text in ("ab", "bba", "abab"):
             word = w(text)
             series = survival_series(word, chain, 10 - len(word))
-            assert direct_enumeration(word, chain, 10)[len(word) :] == series.values
+            assert direct_enumeration(word, chain, 10)[len(word) :] == list(series.totals)
 
     def test_matches_automaton_three_symbols(self):
         measure = B(["1/2", "3/10", "1/5"])
         for text in ("ab", "abc", "cab"):
             word = w(text, ABC)
-            totals = build_automaton(word, measure).survival_totals(7)
-            assert direct_enumeration(word, measure, 7) == tuple(totals)
+            assert direct_enumeration(word, measure, 7) == totals(word, measure, 7)
 
     def test_product_chain_enumerates_as_its_product_measure(self):
         chain = M(["3/5", "2/5", "3/5", "2/5"])
@@ -226,8 +252,7 @@ class TestDirectEnumeration:
         chain = M(["0", "1", "1/2", "1/2"])
         for text in ("ab", "bb", "bab", "abbab"):
             word = w(text)
-            totals = build_automaton(word, chain).survival_totals(14)
-            assert direct_enumeration(word, chain, 14) == tuple(totals)
+            assert direct_enumeration(word, chain, 14) == totals(word, chain, 14)
 
     def test_word_from_another_alphabet(self):
         with pytest.raises(AlphabetMismatchError):
@@ -239,29 +264,26 @@ class TestDirectEnumeration:
         # at length n the walk holds A^min(n, k) window states, k = r - 1
         # (at least 1 for a chain); it stops before the first length whose
         # count exceeds the cap
-        totals = build_automaton(w("aab"), P35).survival_totals(11)
-        assert direct_enumeration(w("aab"), P35, 11, cap=4) == tuple(totals)
-        assert direct_enumeration(w("aab"), P35, 11, cap=3) == tuple(totals[:2])
-        assert direct_enumeration(w("aab"), P35, 11, cap=2) == tuple(totals[:2])
-        assert direct_enumeration(w("aab"), P35, 11, cap=1) == (1,)
-        assert direct_enumeration(w("aab"), P35, 11, cap=0) == ()
+        full = totals(w("aab"), P35, 11)
+        assert direct_enumeration(w("aab"), P35, 11, cap=4) == full
+        assert direct_enumeration(w("aab"), P35, 11, cap=3) == full[:2]
+        assert direct_enumeration(w("aab"), P35, 11, cap=2) == full[:2]
+        assert direct_enumeration(w("aab"), P35, 11, cap=1) == [1]
+        assert direct_enumeration(w("aab"), P35, 11, cap=0) == []
         ternary = B(["1/2", "3/10", "1/5"], ABC)
-        totals = build_automaton(w("abc", ABC), ternary).survival_totals(6)
-        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=9) == tuple(totals)
-        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=8) == tuple(totals[:2])
+        full = totals(w("abc", ABC), ternary, 6)
+        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=9) == full
+        assert direct_enumeration(w("abc", ABC), ternary, 6, cap=8) == full[:2]
         # r = 1: one state for a product measure, a chain keeps the last letter
-        totals = build_automaton(w("a"), P35).survival_totals(5)
-        assert direct_enumeration(w("a"), P35, 5, cap=1) == tuple(totals)
+        assert direct_enumeration(w("a"), P35, 5, cap=1) == totals(w("a"), P35, 5)
         chain = M(["3/4", "1/4", "1/3", "2/3"])
-        totals = build_automaton(w("a"), chain).survival_totals(5)
-        assert direct_enumeration(w("a"), chain, 5, cap=2) == tuple(totals)
-        assert direct_enumeration(w("a"), chain, 5, cap=1) == (1,)
+        assert direct_enumeration(w("a"), chain, 5, cap=2) == totals(w("a"), chain, 5)
+        assert direct_enumeration(w("a"), chain, 5, cap=1) == [1]
 
     def test_two_hundred_letters_match_automaton(self):
         # only b^n avoids a: one live state, while the words grow long
         chain = M(["3/4", "1/4", "1/3", "2/3"])
-        totals = build_automaton(w("a"), chain).survival_totals(200)
-        assert direct_enumeration(w("a"), chain, 200) == tuple(totals)
+        assert direct_enumeration(w("a"), chain, 200) == totals(w("a"), chain, 200)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -272,8 +294,7 @@ class TestDirectEnumeration:
         word = Word(tuple(letters), measure.alphabet)
         assume(not isinstance(measure, MarkovChain) or is_allowed(word, measure))
         length = data.draw(st.integers(0, 12))
-        totals = build_automaton(word, measure).survival_totals(length)
-        assert direct_enumeration(word, measure, length) == tuple(totals)
+        assert direct_enumeration(word, measure, length) == totals(word, measure, length)
 
     @given(
         st.sampled_from(range(len(WALK_MEASURES))),
@@ -294,12 +315,12 @@ class TestDirectEnumeration:
         cap = size**k - short
         reach = next((n for n in range(length + 1) if size ** min(n, k) > cap), length + 1)
         expected = literal_totals(word, measure, length)[:reach]
-        assert direct_enumeration(word, measure, length, cap) == expected
+        assert over_powers(direct_enumeration(word, measure, length, cap), measure) == list(expected)
 
     def test_walk_uses_no_failure_links(self, monkeypatch):
         cases = [(w("abab"), P35), (w("abc", ABC), B(["1/2", "3/10", "1/5"], ABC)),
                  (w("bab"), M(["3/4", "1/4", "1/3", "2/3"]))]
-        expected = [tuple(build_automaton(word, m).survival_totals(9)) for word, m in cases]
+        expected = [totals(word, m, 9) for word, m in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the enumeration oracle used the automaton's machinery")
@@ -317,7 +338,7 @@ class TestGenFun:
         assert gf.denominator == survival_denominator(w("aa"), HALF)
         assert gf.numerator == RationalPolynomial([Fraction(3, 4), Fraction(1, 4)])
         series = survival_series(w("aa"), HALF, 20)
-        assert gf.series(21) == list(series.values)
+        assert series_terms(gf.series(21)) == list(series.values)
 
     @pytest.mark.parametrize(
         "measure,alphabet,max_r",
@@ -329,7 +350,7 @@ class TestGenFun:
                 gf = genfun(word, measure)
                 assert gf.denominator == survival_denominator(word, measure)
                 series = survival_series(word, measure, 15)
-                assert gf.series(16) == list(series.values)
+                assert series_terms(gf.series(16)) == list(series.values)
 
     def test_markov_series_match(self):
         chain = M(["3/4", "1/4", "1/3", "2/3"])
@@ -337,7 +358,26 @@ class TestGenFun:
             for word in enumerate_words(AB, r):
                 gf = genfun(word, chain)
                 series = survival_series(word, chain, 15)
-                assert gf.series(16) == list(series.values)
+                assert series_terms(gf.series(16)) == list(series.values)
+
+    def test_chain_genfun_builds_no_automaton(self, monkeypatch):
+        cases = [
+            (word, chain)
+            for chain in (M(["3/4", "1/4", "1/3", "2/3"]), M(["0", "1", "1/2", "1/2"]))
+            for r in range(1, 7)
+            for word in enumerate_words(AB, r)
+            if is_allowed(word, chain)
+        ]
+        # the reference fits the automaton's series, so it runs first
+        expected = [fraction_genfun(word, chain) for word, chain in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain's generating function built an automaton")
+
+        monkeypatch.setattr(survival, "build_automaton", refuse)
+        monkeypatch.setattr(survival.AvoidanceAutomaton, "integer_totals", refuse)
+        pairs = [(gf.numerator, gf.denominator) for gf in (genfun(*case) for case in cases)]
+        assert pairs == expected
 
     def test_pole_agrees_with_certified_root(self):
         word = w("aabbaa")
@@ -373,9 +413,10 @@ class TestIntegerSeries:
     def test_matches_fraction_recurrence(self, num, den):
         gf = _gf(num, den)
         for count in (0, 1, 3, 25):
-            assert gf.series(count) == _fraction_series(gf, count)
-        assert gf.series(0) == []
-        assert all(type(c) is Fraction for c in gf.series(25))
+            assert series_terms(gf.series(count)) == _fraction_series(gf, count)
+        assert gf.series(0)[0] == []
+        q, d0 = gf.series(25)
+        assert all(type(c) is int for c in [*q, d0])
 
     @pytest.mark.parametrize("den", [["0", "1"], ["0"], []])
     def test_vanishing_constant_term_raises(self, den):
@@ -386,7 +427,7 @@ class TestIntegerSeries:
         measure = B(["1/2", "3/10", "1/5"])
         for text in ("aba", "abca", "ccc"):
             gf = genfun(w(text, ABC), measure)
-            assert gf.series(30) == _fraction_series(gf, 30)
+            assert series_terms(gf.series(30)) == _fraction_series(gf, 30)
 
     def test_chain_with_zero_entry(self):
         chain = M(["0", "1", "1/2", "1/2"])
@@ -396,7 +437,7 @@ class TestIntegerSeries:
                 if not is_allowed(word, chain):
                     continue
                 gf = genfun(word, chain)
-                assert gf.series(30) == _fraction_series(gf, 30)
+                assert series_terms(gf.series(30)) == _fraction_series(gf, 30)
                 checked += 1
         assert checked > 5
 
@@ -478,7 +519,7 @@ class TestWordEquations:
                 gf = solution.survival_genfun(len(word))
                 assert gf.denominator == solution.denominator
                 series = survival_series(word, measure, 14)
-                assert gf.series(15) == list(series.values)
+                assert series_terms(gf.series(15)) == list(series.values)
 
 
 class TestWordFromAnotherAlphabet:
@@ -536,9 +577,9 @@ class TestAgainstFractionForms:
         assert fields == (avoiding, terminal, by_last, det)
         r = len(word)
         numerator = solution.survival_genfun(r).numerator
-        assert solution.survival_genfun(r).series(r + 20) == fraction_series(
+        assert series_terms(solution.survival_genfun(r).series(r + 20)) == fraction_series(
             numerator, det, r + 20
-        ) == build_automaton(word, measure).survival_totals(2 * r + 19)[r:]
+        ) == over_powers(totals(word, measure, 2 * r + 19), measure)[r:]
 
     def test_degree_drop(self):
         # abbab forbids nothing under the chain without aa, yet its
