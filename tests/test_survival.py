@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -376,6 +377,28 @@ class TestGenFun:
 
         monkeypatch.setattr(survival, "build_automaton", refuse)
         monkeypatch.setattr(survival.AvoidanceAutomaton, "integer_totals", refuse)
+        pairs = [(gf.numerator, gf.denominator) for gf in (genfun(*case) for case in cases)]
+        assert pairs == expected
+
+    def test_genfun_builds_no_closed_form_denominator(self, monkeypatch):
+        cases = [
+            (w("aabbaa"), P35),
+            (w("abca", ABC), B(["1/2", "3/10", "1/5"], ABC)),
+            (w("aabaa"), M(["3/5", "2/5", "2/7", "5/7"])),
+            (w("abab"), M(["0", "1", "1/2", "1/2"])),
+        ]
+        expected = [fraction_genfun(word, measure) for word, measure in cases]
+        closed_form = polynomials.survival_denominator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generating function built the closed-form denominator")
+
+        # every package module that holds the closed form, under any name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("holerates"):
+                for key, value in list(vars(module).items()):
+                    if value is closed_form:
+                        monkeypatch.setattr(module, key, refuse)
         pairs = [(gf.numerator, gf.denominator) for gf in (genfun(*case) for case in cases)]
         assert pairs == expected
 
