@@ -51,7 +51,7 @@ class _HoleClass:
     ``words`` are in enumeration order; the first stands for the class."""
 
     words: list[Word]
-    weight: int  # numerator of ``measure`` over d^r, one denominator for all classes
+    weight: int  # entry r of the border data: ``measure`` times d^r, one scale for all classes
     measure: Fraction
     cycle_weight: Fraction | None  # set for Markov chains only
     unbordered: bool
@@ -62,12 +62,13 @@ def _hole_classes(
     r: int, measure: BernoulliMeasure | MarkovChain, cap: int
 ) -> list[_HoleClass]:
     """Every word of length r (every allowed word, for a chain) in one walk,
-    grouped by border data, classes in order of their first word.  Weights:
-    the data's whole-word product over d^r, for a chain times a stationary
-    weight or the wrap-around transition.  Period: least border shift j > 0."""
+    grouped by border data, classes in order of their first word.  Weight:
+    the data's entry r, d^r times the hole's measure; a chain's cycle
+    weight trades the first letter's start weight for the wrap-around
+    transition.  Period: least border shift j > 0."""
     alphabet = measure.alphabet
     check_enumeration(alphabet, r, cap)
-    d, nums = measure.integer_factors
+    d, start, rows = measure.integer_factors
     chain = isinstance(measure, MarkovChain)
     classes: dict[tuple[int, ...], _HoleClass] = {}
     for letters, data in border_walk([range(alphabet.size)] * r, measure):
@@ -76,10 +77,9 @@ def _hole_classes(
         if hole_class is not None:
             hole_class.words.append(w)
             continue
-        weight = data[r] * (nums[4 + data[-2]] if chain else 1)
-        cw = Fraction(data[r] * nums[2 * data[-1] + data[-2]], d**r) if chain else None
+        cw = Fraction(data[r] // start[data[-2]] * rows[data[-1]][data[-2]], d**r) if chain else None
         period = next(j for j in range(1, r + 1) if data[j])
-        classes[data] = _HoleClass([w], weight, Fraction(weight, d**r), cw, period == r, period)
+        classes[data] = _HoleClass([w], data[r], Fraction(data[r], d**r), cw, period == r, period)
     return list(classes.values())
 
 

@@ -2,6 +2,10 @@
 
 Floating-point probabilities are rejected here; the CLI is the only layer
 that converts decimal input, and it does so exactly.
+
+Both measures give their weights as one integer table, ``integer_factors``
+= (d, start, rows): d times the probability of c as the first letter is
+start[c], and after a it is rows[a][c].  Only this module fills the table.
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ class BernoulliMeasure:
         return cls(alphabet or Alphabet.of_size(len(probs)), probs)
 
     @cached_property
-    def integer_factors(self) -> tuple[int, tuple[int, ...]]:
-        """(b, nums): the probabilities as nums[i] / b over their least
-        common denominator b, so every word of length n weighs an integer
-        over b^n."""
-        return _over_common_denominator(self.probs)
+    def integer_factors(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(b, nums, (nums,) * A): the probabilities as nums[c] / b over
+        their least common denominator b, both as the first letter's weights
+        and as the row after every letter."""
+        b, nums = _over_common_denominator(self.probs)
+        return b, nums, (nums,) * self.alphabet.size
 
     @cached_property
     def root_candidates(self) -> tuple[Fraction, ...]:
@@ -161,11 +166,11 @@ class MarkovChain:
         return self.matrix[0][0] + self.matrix[1][1] - 1
 
     @cached_property
-    def integer_factors(self) -> tuple[int, tuple[int, ...]]:
-        """(D, nums): the four transitions, row-major, then the two
-        stationary weights, as nums[i] / D over their least common
-        denominator D; a word of length n weighs an integer over D^n."""
-        return _over_common_denominator([*self.matrix[0], *self.matrix[1], *self.stationary])
+    def integer_factors(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(D, start, rows): the stationary weights and the two rows of the
+        matrix over their least common denominator D."""
+        d, nums = _over_common_denominator([*self.stationary, *self.matrix[0], *self.matrix[1]])
+        return d, nums[:2], (nums[2:4], nums[4:])
 
     @cached_property
     def root_candidates(self) -> tuple[Fraction, ...]:

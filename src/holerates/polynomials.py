@@ -4,13 +4,14 @@ for every survival-denominator polynomial used by the escape-rate theory.
 The key objects:
 
 * ``border_data(word, measure_or_chain)``: the border (autocorrelation)
-  polynomial of a word as small integers over the measure's
-  ``integer_factors`` -- entry j over b^j, or over D^j for a chain, is the
-  z^j term weighted by the overhanging suffix -- with what the rest of the
-  denominator reads of the word.  It is everything the denominator depends
-  on, so scans group words by it, and the survival oracles read their
-  border polynomials from it; ``border_walk`` computes it, the one border
-  routine of the package.
+  polynomial of a word as integers read off the measure's factor table
+  ``integer_factors`` = (d, start, rows) -- entry j over d^j is the z^j
+  term weighted by the overhanging suffix, entry r over d^r the hole's
+  measure -- with what the rest of the denominator reads of the word.  It
+  is everything the denominator depends on, so scans group words by it,
+  and the survival oracles read their border polynomials and hole weights
+  from it; ``border_walk`` computes it, the one border routine of the
+  package.
 * ``survival_denominator(word, measure_or_chain)``: the polynomial whose
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
@@ -129,7 +130,7 @@ def border_walk(
     and failure links fail, on an explicit stack so any length works; a leaf
     sets entry r - L to pp[r] // pp[L] for each border L down its failure links."""
     r = len(branches)
-    nums = measure.integer_factors[1]
+    _, start, rows = measure.integer_factors
     chain = isinstance(measure, MarkovChain)
     w, pp, fail = [0] * r, [1] * (r + 1), [-1] + [0] * r  # fail[0] = -1 ends every chain
     untried = []  # the letter iterators of the depths above i
@@ -141,7 +142,7 @@ def border_walk(
                 return
             i, letters = i - 1, untried.pop()
             continue
-        factor = (nums[2 * w[i - 1] + c] if i else 1) if chain else nums[c]
+        factor = rows[w[i - 1]][c] if i else start[c]
         if not factor:
             continue
         w[i], pp[i + 1] = c, pp[i] * factor
@@ -161,13 +162,14 @@ def border_walk(
 
 
 def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[int, ...] | None:
-    """Everything the survival denominator of ``word`` depends on, as small
-    integers over the measure's ``integer_factors``: entry j is the product
-    of the numerators of the last j factors (letters, or a chain's
-    transitions) on a border shift j, else 0; then the whole word's product
-    (entry r), and for a chain the first and last letters.  Words with equal
-    data have one denominator; None for a word the chain forbids.  The
-    alphabet is not checked.  This is ``border_walk`` down one branch."""
+    """Everything the survival denominator of ``word`` depends on, as
+    integers read off the measure's ``integer_factors`` (d, start, rows):
+    entry j < r is the product of the row entries of the last j letters on
+    a border shift j, else 0; entry r is the whole word's product
+    start[w_0] * rows[w_0][w_1] * ..., d^r times the hole's measure; for a
+    chain the first and last letters follow.  Words with equal data have
+    one denominator; None for a word the chain forbids.  The alphabet is
+    not checked.  This is ``border_walk`` down one branch."""
     for _, data in border_walk([(x,) for x in word.letters], measure):
         return data
     return None
@@ -191,19 +193,18 @@ def _bernoulli_denominator(data: tuple[int, ...], b: int) -> RationalPolynomial:
     return poly
 
 
-def _markov_denominator(
-    data: tuple[int, ...], factors: tuple[int, tuple[int, ...]]
-) -> RationalPolynomial:
+def _markov_denominator(data: tuple[int, ...], chain: MarkovChain) -> RationalPolynomial:
     # With entries e_xy / D and x = chi D, D^r times the path-weight form
     # (wrap - chi z) * path * z^r + (1 - z)(1 - chi z) * full is
     # (e_wrap - x z) * E z^r + (D - x z)(1 - z) * sum_{j<r} D^(r-1-j) data_j z^j,
-    # where E is the product of all the transition numerators (see
-    # border_data); the x z term of the head is there only when the word
-    # starts and ends with the same letter.
-    d, nums = factors
-    e = (nums[:2], nums[2:4])
+    # where E is the product of all the transition numerators, the hole's
+    # entry over the first letter's start weight (see border_data); the x z
+    # term of the head is there only when the word starts and ends with the
+    # same letter.
+    d, start, e = chain.integer_factors
     x = e[0][0] + e[1][1] - d
-    *weights, path, first, last = data
+    *weights, mu, first, last = data
+    path = mu // start[first]
     r = len(weights)
     weights = [d ** (r - 1 - j) * v if v else 0 for j, v in enumerate(weights)]
     ints = _times_linear(_times_linear(weights, 1, -1), d, -x)
@@ -216,7 +217,7 @@ def _markov_denominator(
     # (e.g. the word bab when the aa-transition is forbidden).
     if poly.degree > r:
         raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
-    if poly.degree != r and 0 not in nums:
+    if poly.degree != r and 0 not in e[0] + e[1]:
         raise AssertionError(f"degree dropped below {r} under a positive matrix")
     return poly
 
@@ -237,4 +238,4 @@ def survival_denominator(
         raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
     if isinstance(measure, BernoulliMeasure):
         return _bernoulli_denominator(data, measure.integer_factors[0])
-    return _markov_denominator(data, measure.integer_factors)
+    return _markov_denominator(data, measure)

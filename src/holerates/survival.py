@@ -23,7 +23,7 @@ that printing and the float estimates read.
 
 The word equations are solved symbolically, by Cramer's rule on
 determinants of integer polynomials, each equation scaled to integers
-once.  They read the word's border polynomial from
+once.  They read the word's border polynomial and weight from
 ``polynomials.border_data`` but never the closed-form survival
 denominator: the generating function's denominator is the system's
 determinant, which the ``oracle`` CLI command checks against that closed
@@ -41,7 +41,7 @@ from functools import cached_property
 from operator import add, mul
 
 from .errors import AlphabetMismatchError, ForbiddenWordError
-from .measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
+from .measures import BernoulliMeasure, MarkovChain, is_allowed
 from .polynomials import RationalPolynomial, border_data
 from .roots import _frac_log
 from .words import Word, failure_function
@@ -65,21 +65,17 @@ class AvoidanceAutomaton:
         n = 0..max_length: after n symbols every weight is an integer over
         b^n (see the measure's ``integer_factors``), so the live states
         carry integers, held in a flat list indexed by state."""
-        nums = self.measure.integer_factors[1]
+        _, start, rows = self.measure.integer_factors
         letters, r = self.word.letters, len(self.word)
-        if isinstance(self.measure, MarkovChain):
-            # a live state's row is that of the last letter read: the word's
-            # letter before the state, at state 0 the letter the word does
-            # not start with; before the first letter only state 0 is live,
-            # and it reads the stationary row
-            rows = [nums[2 * c : 2 * c + 2] for c in (1 - letters[0], *letters[:-1])]
-            start = [nums[4:6]]
-        else:
-            rows = start = [nums] * r
+        # a live state reads the row of the last letter read: the word's
+        # letter before the state, at state 0 a letter the word does not
+        # start with (over two letters, the other one); before the first
+        # letter only state 0 is live, and it reads the start weights
+        live = [rows[c] for c in (int(letters[0] == 0), *letters[:-1])]
         weights, totals = [1] + [0] * (r - 1), [1]
         for n in range(max_length):
             nxt = [0] * (r + 1)
-            for state, (weight, row) in enumerate(zip(weights, rows if n else start)):
+            for state, (weight, row) in enumerate(zip(weights, live if n else [start])):
                 for target, num in zip(self.transitions[state], row):
                     nxt[target] += weight * num
             weights = nxt[:r]
@@ -200,9 +196,9 @@ def direct_enumeration(
     end in it.  Each length is three list operations:
 
     * extend: entry state * A + c of a list A times as long is the weight
-      times the factor numerator of c, from the measure's
-      ``integer_factors`` (a chain's stationary row for the first letter,
-      the row of the state's last letter after it);
+      times the factor of c from the measure's ``integer_factors``: its
+      start weight for the first letter, then its entry in the row of the
+      state's last letter;
     * zero: from length r on, every entry whose last r letters, its index
       mod A^r, are the hole is set to 0;
     * fold: once the list outgrows A^k entries, its chunks of A^k entries,
@@ -223,26 +219,23 @@ def direct_enumeration(
     if cap < 1:
         return []
     size = word.alphabet.size
-    nums = measure.integer_factors[1]
+    _, start, rows = measure.integer_factors
     r = len(word)
-    # the factor rows the states read in turn: a chain's stationary row for
-    # the first letter, then the row of each state's last letter (its code
-    # mod A, so the rows alternate); the probabilities for a product measure
-    if isinstance(measure, MarkovChain):
-        k, rows, later = max(r - 1, 1), [nums[4:6]], [nums[0:2], nums[2:4]]
-    else:
-        k, rows, later = r - 1, [nums[:size]], [nums[:size]]
+    k = max(r - 1, 1) if isinstance(measure, MarkovChain) else r - 1
     window, states = size**r, size**k
     needle = 0
     for c in word.letters:
         needle = needle * size + c
     weights = [1]
     totals = [1]
+    # the factor rows the states read in turn: the start weights for the
+    # first letter, then the row of each state's last letter, its code mod A
+    read = [start]
     for n in range(1, length + 1):
         if size ** min(n, k) > cap:
             break
-        ext = [w * f for w, row in zip(weights, itertools.cycle(rows)) for f in row]
-        rows = later
+        ext = [w * f for w, row in zip(weights, itertools.cycle(read)) for f in row]
+        read = rows
         if n >= r:
             ext[needle::window] = [0] * (len(ext) // window)
         weights = ext[:states]
@@ -286,13 +279,6 @@ def _over_one(num: RationalPolynomial, den: RationalPolynomial) -> tuple[list[in
     """The coefficients of the two polynomials as integers times one factor."""
     ratio = num.scale / den.scale
     return [ratio.numerator * c for c in num.ints], [ratio.denominator * c for c in den.ints]
-
-
-def _scaled_border(word: Word, measure: BernoulliMeasure | MarkovChain) -> list[int]:
-    """b^r times the border polynomial of ``word`` (D^r for a chain): entry
-    j of its ``border_data`` is the z^j term times b^j."""
-    r, b = len(word), measure.integer_factors[0]
-    return [b ** (r - j) * v for j, v in enumerate(border_data(word, measure)[:r])]
 
 
 def genfun(word: Word, measure: BernoulliMeasure | MarkovChain) -> RationalGenFun:
@@ -379,10 +365,14 @@ def genfun_from_word_equations(
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
     r = len(word)
-    d, nums = measure.integer_factors
+    d, start, rows = measure.integer_factors
+    data = border_data(word, measure)
+    if data is None:
+        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+    # d^r times the border polynomial (entry j is the z^j term times d^j)
+    # and the hole's measure
+    border, mu = [d ** (r - j) * v for j, v in enumerate(data[:r])], data[r]
     if isinstance(measure, BernoulliMeasure):
-        mu = int(hole_measure(word, measure) * d**r)
-        border = _scaled_border(word, measure)
         # (1 - z) * avoiding + terminal = 1 ;  mu z^r * avoiding - border * terminal = 0
         (avoiding, terminal), det = _cramer(
             [[[1, -1], [1]], [[0] * r + [mu], [-c for c in border]]], [[1], []]
@@ -390,18 +380,15 @@ def genfun_from_word_equations(
         by_last = None
     else:
         first, last = word.letters[0], word.letters[-1]
-        # raises on a forbidden word; D^(r-1) times the product of the transitions
-        path = int(markov_weights(word, measure).path_weight * d ** (r - 1))
-        border = _scaled_border(word, measure)
-        stationary = [int(x * d) for x in measure.stationary]  # times D
-        # nums[2i + j] is D times the transition i -> j; unknowns:
+        path = mu // start[first]  # D^(r-1) times the product of the transitions
+        # rows[i][j] is D times the transition i -> j; unknowns:
         # avoiding-ending-in-a, avoiding-ending-in-b, terminal
         matrix = [
-            [[-d, nums[0]], [0, nums[2]], [-d] if last == 0 else []],
-            [[0, nums[1]], [-d, nums[3]], [-d] if last == 1 else []],
-            [[0] * r + [nums[first] * path], [0] * r + [nums[2 + first] * path], [-c for c in border]],
+            [[-d, rows[0][0]], [0, rows[1][0]], [-d] if last == 0 else []],
+            [[0, rows[0][1]], [-d, rows[1][1]], [-d] if last == 1 else []],
+            [[0] * r + [rows[0][first] * path], [0] * r + [rows[1][first] * path], [-c for c in border]],
         ]
-        rhs = [[0, -stationary[0]], [0, -stationary[1]], [0] * r + [-stationary[first] * path]]
+        rhs = [[0, -start[0]], [0, -start[1]], [0] * r + [-mu]]
         (*by_last, terminal), det = _cramer(matrix, rhs)
         avoiding = [sum(c) for c in itertools.zip_longest(det, *by_last, fillvalue=0)]
 

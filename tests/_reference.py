@@ -236,9 +236,9 @@ def border_data(word, measure):
     running product of the factors from the end of the word, every shift
     visited."""
     w = word.letters
-    nums = measure.integer_factors[1]
+    _, start, rows = measure.integer_factors
     chain = isinstance(measure, MarkovChain)
-    factors = [nums[2 * x + y] for x, y in zip(w, w[1:])] if chain else [nums[x] for x in w]
+    factors = [rows[x][y] for x, y in zip(w, w[1:])] if chain else [start[x] for x in w]
     if chain and 0 in factors:
         return None
     data, prod = [], 1
@@ -246,7 +246,7 @@ def border_data(word, measure):
         if j:
             prod *= factors[-j]
         data.append(prod if bit else 0)
-    return (*data, prod, w[0], w[-1]) if chain else (*data, prod * factors[0])
+    return (*data, prod * start[w[0]], w[0], w[-1]) if chain else (*data, prod * factors[0])
 
 
 def literal_totals(word, measure, length):

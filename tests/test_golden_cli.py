@@ -72,6 +72,11 @@ CASES["oracle_aabaab_r12"] = ["oracle", "--word", "aabaabaabaab", "--p", "7/10"]
 #: A one-letter chain hole: the walk keeps one letter of window (k = 1),
 #: and each length's fold drops the letter that picked the row.
 CASES["oracle_a_markov"] = ["oracle", "--word", "a", "--markov", "3/4,1/4,1/3,2/3"]
+#: The first non-uniform ternary scan: class weights differ per letter.
+CASES["scan_r4_ternary"] = ["scan", "--r", "4", "--bernoulli", "1/2,3/10,1/5"]
+#: A chain oracle on a hole that starts with b: the first letter's
+#: stationary weight, and the row state 0 reads after a.
+CASES["oracle_baab_markov"] = ["oracle", "--word", "baab", "--markov", "3/4,1/4,1/3,2/3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -37,6 +37,10 @@ class TestBernoulliMeasure:
         with pytest.raises(ValueError):
             B(["1", "0"])
 
+    def test_integer_factors(self):
+        nums = (5, 3, 2)
+        assert B(["1/2", "3/10", "1/5"]).integer_factors == (10, nums, (nums, nums, nums))
+
     def test_top_two_breaks_ties_by_symbol_order(self):
         measure = B(["2/5", "2/5", "1/5"])
         assert measure.top_two() == (0, 1)
@@ -102,6 +106,10 @@ class TestMarkovChain:
         assert UNIFORM.second_eigenvalue == 0
         for chain in (UNIFORM, TILTED, SUBSHIFT):
             assert -1 < chain.second_eigenvalue < 1
+
+    def test_integer_factors(self):
+        # stationary (1/3, 2/3) and the rows (0, 1), (1/2, 1/2), over 6
+        assert SUBSHIFT.integer_factors == (6, (2, 4), ((0, 6), (3, 3)))
 
     def test_zero_eigenvalue_means_equal_rows(self):
         chain = M(["1/3", "2/3", "1/3", "2/3"])

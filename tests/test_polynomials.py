@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holerates.errors import ForbiddenWordError
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import RationalPolynomial, border_data, survival_denominator
 from holerates.words import AB, Word, enumerate_words
 
@@ -217,7 +217,23 @@ class TestBorderData:
         assert border_data(w("aabaa"), B(["7/10", "3/10"])) == (1, 0, 0, 147, 1029, 7203)
         # the chain forbids aa
         assert border_data(w("baab"), M(["0", "1", "1/2", "1/2"])) is None
-        assert border_data(w("b"), M(["0", "1", "1/2", "1/2"])) == (1, 1, 1, 1)
+        # b alone: D = 6 times its stationary weight 2/3, then its first and
+        # last letters
+        assert border_data(w("b"), M(["0", "1", "1/2", "1/2"])) == (1, 4, 1, 1)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_whole_word_entry_is_the_hole_measure(self, measure):
+        # entry r over d^r against the Fraction measure of the cylinder
+        d = measure.integer_factors[0]
+        chain = isinstance(measure, MarkovChain)
+        for r in range(1, 9):
+            for word in enumerate_words(measure.alphabet, r):
+                data = border_data(word, measure)
+                if chain and not is_allowed(word, measure):
+                    assert data is None, str(word)
+                    continue
+                expected = markov_weights(word, measure).measure if chain else hole_measure(word, measure)
+                assert Fraction(data[r], d**r) == expected, str(word)
 
 
 class TestSurvivalDenominator:

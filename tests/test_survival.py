@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from holerates import polynomials, survival, words
+from holerates import measures, polynomials, survival, words
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
 from holerates.polynomials import RationalPolynomial, survival_denominator
@@ -401,6 +401,34 @@ class TestGenFun:
                         monkeypatch.setattr(module, key, refuse)
         pairs = [(gf.numerator, gf.denominator) for gf in (genfun(*case) for case in cases)]
         assert pairs == expected
+
+    def test_genfun_reads_the_hole_weight_off_the_factor_table(self, monkeypatch):
+        cases = [
+            (w("aabbaa"), P35),
+            (w("abca", ABC), B(["1/2", "3/10", "1/5"], ABC)),
+            (w("baab"), M(["3/4", "1/4", "1/3", "2/3"])),
+            (w("abab"), M(["0", "1", "1/2", "1/2"])),
+        ]
+        expected = [fraction_genfun(word, measure) for word, measure in cases]
+        subshift = cases[3][1]
+        for _, measure in cases:
+            measure.integer_factors  # the table is cached before the Fraction paths go
+        fraction_paths = {measures.hole_measure, measures.markov_weights, measures.stationary_distribution}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generating function weighed the hole in Fractions")
+
+        # every package module that holds a Fraction path, under any name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("holerates"):
+                for key, value in list(vars(module).items()):
+                    if any(value is f for f in fraction_paths):
+                        monkeypatch.setattr(module, key, refuse)
+        pairs = [(gf.numerator, gf.denominator) for gf in (genfun(*case) for case in cases)]
+        assert pairs == expected
+        with pytest.raises(ForbiddenWordError) as raised:
+            genfun(w("aa"), subshift)
+        assert str(raised.value) == "word aa uses a zero-probability transition"
 
     def test_pole_agrees_with_certified_root(self):
         word = w("aabbaa")
