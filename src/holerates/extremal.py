@@ -11,10 +11,11 @@ ordering tables and Markov-chain scans complete the module.
 
 Every scan over all words of a length (families, brute-force maxima,
 ordering tables) checks the cap, then groups the words of one
-``polynomials.border_walk`` into correlation classes by border data, all a
-survival denominator depends on: words with equal data share denominator,
-measure and border pattern, so each is computed once per class.  Under a
-product measure the classes are exactly the distinct denominators.
+``polynomials.border_walk`` into correlation classes by border data (and a
+chain's end letters), all a survival denominator depends on: words with
+equal keys share denominator, measure and border pattern, so each is
+computed once per class.  Under a product measure the classes are exactly
+the distinct denominators.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .words import DEFAULT_ENUMERATION_CAP, Word, check_enumeration
 
 @dataclass
 class _HoleClass:
-    """Words of one length with equal border data, hence one survival
-    denominator, one measure (and cycle weight), one border pattern.
+    """Words of one length with equal border data (and chain end letters),
+    hence one survival denominator, one measure (and cycle weight), one border pattern.
     ``words`` are in enumeration order; the first stands for the class."""
 
     words: list[Word]
@@ -62,24 +63,28 @@ def _hole_classes(
     r: int, measure: BernoulliMeasure | MarkovChain, cap: int
 ) -> list[_HoleClass]:
     """Every word of length r (every allowed word, for a chain) in one walk,
-    grouped by border data, classes in order of their first word.  Weight:
-    the data's entry r, d^r times the hole's measure; a chain's cycle
-    weight trades the first letter's start weight for the wrap-around
-    transition.  Period: least border shift j > 0."""
+    grouped by border data, classes in order of their first word; a chain's
+    denominator also reads the first and last letters, so its key holds the
+    walk's (the one grouping by end letters).  Weight: the data's entry r,
+    d^r times the hole's measure; a chain's cycle weight trades the first
+    letter's start weight for the wrap-around transition, and stays None
+    for a product measure, whose ``mu_tilde`` column prints empty.  Period:
+    least border shift j > 0."""
     alphabet = measure.alphabet
     check_enumeration(alphabet, r, cap)
     d, start, rows = measure.integer_factors
     chain = isinstance(measure, MarkovChain)
-    classes: dict[tuple[int, ...], _HoleClass] = {}
+    classes: dict[tuple, _HoleClass] = {}
     for letters, data in border_walk([range(alphabet.size)] * r, measure):
         w = Word._in_range(letters, alphabet)  # the walk's letters index the alphabet
-        hole_class = classes.get(data)
+        key = (data, letters[0], letters[-1]) if chain else data
+        hole_class = classes.get(key)
         if hole_class is not None:
             hole_class.words.append(w)
             continue
-        cw = Fraction(data[r] // start[data[-2]] * rows[data[-1]][data[-2]], d**r) if chain else None
+        cw = Fraction(data[r] // start[letters[0]] * rows[letters[-1]][letters[0]], d**r) if chain else None
         period = next(j for j in range(1, r + 1) if data[j])
-        classes[data] = _HoleClass([w], data[r], Fraction(data[r], d**r), cw, period == r, period)
+        classes[key] = _HoleClass([w], data[r], Fraction(data[r], d**r), cw, period == r, period)
     return list(classes.values())
 
 

@@ -196,12 +196,14 @@ class HoleWeights:
     measure: Fraction
 
 
-def is_allowed(word: Word, chain: MarkovChain) -> bool:
+def is_allowed(word: Word, chain: BernoulliMeasure | MarkovChain) -> bool:
     """True iff every consecutive transition inside the word has positive
-    probability."""
+    weight in the measure's ``integer_factors`` rows; every word is allowed
+    under a product measure, whose rows are all positive."""
     if word.alphabet != chain.alphabet:
         raise AlphabetMismatchError("word and chain use different alphabets")
-    return all(chain.matrix[i][j] > 0 for i, j in zip(word.letters, word.letters[1:]))
+    rows = chain.integer_factors[2]
+    return all(rows[i][j] for i, j in zip(word.letters, word.letters[1:]))
 
 
 def markov_weights(word: Word, chain: MarkovChain) -> HoleWeights:

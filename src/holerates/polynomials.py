@@ -1,5 +1,5 @@
-"""Dense exact-rational polynomials in one variable z, and the constructors
-for every survival-denominator polynomial used by the escape-rate theory.
+"""Dense exact-rational polynomials in one variable z, and the one
+survival-denominator constructor of the escape-rate theory.
 
 The key objects:
 
@@ -7,16 +7,17 @@ The key objects:
   polynomial of a word as integers read off the measure's factor table
   ``integer_factors`` = (d, start, rows) -- entry j over d^j is the z^j
   term weighted by the overhanging suffix, entry r over d^r the hole's
-  measure -- with what the rest of the denominator reads of the word.  It
-  is everything the denominator depends on, so scans group words by it,
-  and the survival oracles read their border polynomials and hole weights
-  from it; ``border_walk`` computes it, the one border routine of the
-  package.
+  measure -- one shape for both measures.  With the word's first and last
+  letters it is everything the denominator depends on, so scans group words
+  by it, and the survival oracles read their border polynomials and hole
+  weights from it; ``border_walk`` computes it, the one border routine of
+  the package.
 * ``survival_denominator(word, measure_or_chain)``: the polynomial whose
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
   the survival probabilities (see the ``survival`` module), built from the
-  border data alone.
+  border data and the word's end letters by one formula, whose
+  second-eigenvalue terms vanish for a product measure.
 
 A ``RationalPolynomial`` has one form: ``ints``, its coefficients as
 integers with content 1 and the same signs, which is all that root
@@ -131,7 +132,6 @@ def border_walk(
     sets entry r - L to pp[r] // pp[L] for each border L down its failure links."""
     r = len(branches)
     _, start, rows = measure.integer_factors
-    chain = isinstance(measure, MarkovChain)
     w, pp, fail = [0] * r, [1] * (r + 1), [-1] + [0] * r  # fail[0] = -1 ends every chain
     untried = []  # the letter iterators of the depths above i
     i, letters = 0, iter(branches[0])
@@ -158,68 +158,21 @@ def border_walk(
         while k:
             data[-k] = pp[r] // pp[k]
             k = fail[k]
-        yield tuple(w), (*data, pp[r], w[0], c) if chain else (*data, pp[r])
+        yield tuple(w), (*data, pp[r])
 
 
 def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[int, ...] | None:
-    """Everything the survival denominator of ``word`` depends on, as
-    integers read off the measure's ``integer_factors`` (d, start, rows):
+    """The border polynomial and weight of ``word``, one shape for both
+    measures, as integers read off ``integer_factors`` (d, start, rows):
     entry j < r is the product of the row entries of the last j letters on
     a border shift j, else 0; entry r is the whole word's product
-    start[w_0] * rows[w_0][w_1] * ..., d^r times the hole's measure; for a
-    chain the first and last letters follow.  Words with equal data have
-    one denominator; None for a word the chain forbids.  The alphabet is
-    not checked.  This is ``border_walk`` down one branch."""
+    start[w_0] * rows[w_0][w_1] * ..., d^r times the hole's measure.  With
+    the first and last letters, all the survival denominator depends on.
+    None for a word the chain forbids; the alphabet is not checked.  This
+    is ``border_walk`` down one branch."""
     for _, data in border_walk([(x,) for x in word.letters], measure):
         return data
     return None
-
-
-def _times_linear(seq: list[int], c0: int, c1: int) -> list[int]:
-    """Coefficients of (c0 + c1 z) * sum_j seq[j] z^j."""
-    return [c0 * a + c1 * b for a, b in zip(seq + [0], [0] + seq)]
-
-
-def _bernoulli_denominator(data: tuple[int, ...], b: int) -> RationalPolynomial:
-    # With probabilities a_i / b, b^r times mu z^r + (1 - z) * (border
-    # polynomial) is (1 - z) * sum_{j<=r} b^(r-j) data_j z^j without its
-    # z^(r+1) term (see border_data).
-    r = len(data) - 1
-    weights = [b ** (r - j) * v if v else 0 for j, v in enumerate(data)]
-    ints = _times_linear(weights, 1, -1)[:-1]
-    poly = RationalPolynomial._over(ints, ints[0])
-    if poly.degree != r:
-        raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
-    return poly
-
-
-def _markov_denominator(data: tuple[int, ...], chain: MarkovChain) -> RationalPolynomial:
-    # With entries e_xy / D and x = chi D, D^r times the path-weight form
-    # (wrap - chi z) * path * z^r + (1 - z)(1 - chi z) * full is
-    # (e_wrap - x z) * E z^r + (D - x z)(1 - z) * sum_{j<r} D^(r-1-j) data_j z^j,
-    # where E is the product of all the transition numerators, the hole's
-    # entry over the first letter's start weight (see border_data); the x z
-    # term of the head is there only when the word starts and ends with the
-    # same letter.
-    d, start, e = chain.integer_factors
-    x = e[0][0] + e[1][1] - d
-    *weights, mu, first, last = data
-    path = mu // start[first]
-    r = len(weights)
-    weights = [d ** (r - 1 - j) * v if v else 0 for j, v in enumerate(weights)]
-    ints = _times_linear(_times_linear(weights, 1, -1), d, -x)
-    ints[r] += e[last][first] * path
-    if first == last:
-        ints[r + 1] -= x * path
-    poly = RationalPolynomial._over(ints, ints[0])
-    # The degree-(r+1) terms always cancel.  For a strictly positive matrix
-    # the degree is exactly r; a vanishing diagonal entry can cancel further
-    # (e.g. the word bab when the aa-transition is forbidden).
-    if poly.degree > r:
-        raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
-    if poly.degree != r and 0 not in e[0] + e[1]:
-        raise AssertionError(f"degree dropped below {r} under a positive matrix")
-    return poly
 
 
 def survival_denominator(
@@ -228,7 +181,12 @@ def survival_denominator(
     """The degree-r polynomial whose smallest positive root z0 satisfies
     escape rate = log(z0), for a Bernoulli measure or a two-symbol Markov
     chain.  Raises ForbiddenWordError when the word is not allowed under the
-    chain."""
+    chain.  One formula, the chain's, serves both: with x = trace(rows) - d
+    = d chi, d^r times (wrap - chi z) path z^r + (1 - z)(1 - chi z) border is
+    (rows[last][first] - x z) P z^r + (d - x z)(1 - z) sum_{j<r} d^(r-1-j) data_j z^j,
+    P the hole's entry over start[first] and the x z term of the head there
+    only when first == last.  A product measure's rows sum to d, so x = 0
+    and rows[last][first] * P is the hole's entry: mu z^r + (1 - z) border."""
     if not isinstance(measure, (BernoulliMeasure, MarkovChain)):
         raise TypeError(f"unsupported measure type {type(measure).__name__}")
     if word.alphabet != measure.alphabet:
@@ -236,6 +194,23 @@ def survival_denominator(
     data = border_data(word, measure)
     if data is None:
         raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
-    if isinstance(measure, BernoulliMeasure):
-        return _bernoulli_denominator(data, measure.integer_factors[0])
-    return _markov_denominator(data, measure)
+    d, start, rows = measure.integer_factors
+    x = sum(row[c] for c, row in enumerate(rows)) - d
+    first, last = word.letters[0], word.letters[-1]
+    r = len(word)
+    path = data[r] // start[first]
+    weights = [d ** (r - 1 - j) * v if v else 0 for j, v in enumerate(data[:r])]
+    pad = [0, 0, *weights, 0, 0]  # times (d - x z)(1 - z) = d - (d + x) z + x z^2, in one pass
+    ints = [d * a - (d + x) * b + x * c for a, b, c in zip(pad[2:], pad[1:], pad)]
+    ints[r] += rows[last][first] * path
+    if first == last:
+        ints[r + 1] -= x * path
+    poly = RationalPolynomial._over(ints, ints[0])
+    # The degree-(r+1) terms always cancel.  With every factor positive the
+    # degree is exactly r; a vanishing diagonal entry can cancel further
+    # (e.g. the word bab when the aa-transition is forbidden).
+    if poly.degree > r:
+        raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
+    if poly.degree != r and all(map(all, rows)):
+        raise AssertionError(f"degree dropped below {r} under a positive matrix")
+    return poly

@@ -548,9 +548,9 @@ def rate_from_denominator(
     refined until it certifies z0 > 1."""
     result = smallest_positive_root(poly, tol, measure.root_candidates)
     if result.lower <= 1:
-        # z0 > 1, so the narrowing ends: at lower = 1 by the enclosure's invariant
-        # (no root of the core in (0, lo]), below by tau(1) = mu > 0 and a zero count.
-        if result.exact or result.lower < 1 and (sum(poly.ints) == 0 or result._state().count_upto(1)):
+        # z0 > 1, so the narrowing ends; at lower = 1 the enclosure's
+        # invariant (no root of the core in (0, lo]) certifies it uncounted.
+        if compare_with_rational(result, 1) <= 0:
             raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
         while result.lower <= 1:
             result = refine(result, result.rel_width() / 1024)

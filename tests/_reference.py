@@ -246,7 +246,7 @@ def border_data(word, measure):
         if j:
             prod *= factors[-j]
         data.append(prod if bit else 0)
-    return (*data, prod * start[w[0]], w[0], w[-1]) if chain else (*data, prod * factors[0])
+    return (*data, prod * start[w[0]]) if chain else (*data, prod * factors[0])
 
 
 def literal_totals(word, measure, length):

@@ -42,6 +42,12 @@ class TestRate:
         assert markov["denominator"] == bern["denominator"]
         assert markov["z0_lower"] == bern["z0_lower"]
 
+    @pytest.mark.parametrize("argv", [["rate", "--word", "aabab"], ["oracle", "--word", "aab"]])
+    def test_chain_with_equal_rows_prints_the_product_measure_bytes(self, capsys, argv):
+        chain = run(capsys, *argv, "--markov", "7/10,3/10,7/10,3/10")
+        assert chain == run(capsys, *argv, "--p", "7/10")
+        assert chain[0] == 0
+
     def test_allowed_word_with_zero_entry_computes(self, capsys):
         code, out, _ = run(capsys, "rate", "--word", "aba", "--markov", "0,1,1/2,1/2")
         assert code == 0

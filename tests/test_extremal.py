@@ -323,15 +323,19 @@ class TestCorrelationClasses:
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_reference_grouping(self, measure, r):
         # the prefix-tree walk against enumerate_words grouped by the
-        # reference border data, forbidden words dropped
+        # reference border data, with a chain's first and last letters,
+        # forbidden words dropped
+        chain = isinstance(measure, MarkovChain)
         groups: dict = {}
         for word in enumerate_words(measure.alphabet, r):
             data = reference_border_data(word, measure)
             if data is not None:
-                groups.setdefault(data, []).append(word)
+                key = (data, word.letters[0], word.letters[-1]) if chain else data
+                groups.setdefault(key, []).append(word)
         classes = extremal._hole_classes(r, measure, 1 << 20)
         assert [c.words for c in classes] == list(groups.values())
-        for c, data in zip(classes, groups):
+        for c, key in zip(classes, groups):
+            data = key[0] if chain else key
             first = c.words[0]
             assert border_data(first, measure) == data
             assert (c.measure, c.cycle_weight) == self._weights(first, measure)

@@ -77,6 +77,10 @@ CASES["scan_r4_ternary"] = ["scan", "--r", "4", "--bernoulli", "1/2,3/10,1/5"]
 #: A chain oracle on a hole that starts with b: the first letter's
 #: stationary weight, and the row state 0 reads after a.
 CASES["oracle_baab_markov"] = ["oracle", "--word", "baab", "--markov", "3/4,1/4,1/3,2/3"]
+#: Four letters: the first cases where every row of the factor table sums
+#: to d over an alphabet of more than three letters.
+CASES["rate_abcd_quaternary"] = ["rate", "--word", "abcd", "--bernoulli", "1/10,1/5,3/10,2/5"]
+CASES["scan_r3_quaternary"] = ["scan", "--r", "3", "--bernoulli", "2/5,3/10,1/5,1/10"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -217,9 +217,8 @@ class TestBorderData:
         assert border_data(w("aabaa"), B(["7/10", "3/10"])) == (1, 0, 0, 147, 1029, 7203)
         # the chain forbids aa
         assert border_data(w("baab"), M(["0", "1", "1/2", "1/2"])) is None
-        # b alone: D = 6 times its stationary weight 2/3, then its first and
-        # last letters
-        assert border_data(w("b"), M(["0", "1", "1/2", "1/2"])) == (1, 4, 1, 1)
+        # b alone: D = 6 times its stationary weight 2/3
+        assert border_data(w("b"), M(["0", "1", "1/2", "1/2"])) == (1, 4)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_whole_word_entry_is_the_hole_measure(self, measure):
@@ -261,6 +260,16 @@ class TestSurvivalDenominator:
             tau = survival_denominator(word, P35)
             for k in range(0, 33):
                 assert horner(tau, Fraction(k, 32)) > 0
+
+    @pytest.mark.parametrize("p", ["1/2", "7/10", "1/3"])
+    def test_chain_with_equal_rows_is_the_product_measure(self, p):
+        # every row sums to d, so x = trace - d = 0 and the chain formula
+        # reduces to the product measure's
+        q = 1 - Fraction(p)
+        chain, product = M([p, q, p, q]), B([p, q])
+        for r in range(1, 11):
+            for word in enumerate_words(AB, r):
+                assert survival_denominator(word, chain) == survival_denominator(word, product), str(word)
 
     def test_run_word_identity(self):
         # (1 - p z) * denominator(a^r) == trinomial of length r+1 at measure p^r(1-p)
