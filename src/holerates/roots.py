@@ -37,8 +37,11 @@ Mahler-Mignotte root separation bound guarantees.
 
 Every endpoint is dyadic, so the enclosure keeps both as integers over one
 power of two, 2^k: a step doubles the two numerators and takes their sum as
-the midpoint, values come from one integer Horner evaluation with shifts,
-2^(kd) p(n / 2^k), and the width and order tests are integer comparisons.
+the midpoint, and the width and order tests are integer comparisons.  A
+value at n / 2^k needs only a certified sign: a long polynomial runs Horner
+at working precision under an a-priori error bound (after Sagraloff, and
+Kobel, Rouillier and Sagraloff), and a short one, or a sign that bound
+cannot decide, the exact integer Horner 2^(kd) p(n / 2^k) with shifts.
 No point is evaluated twice: a count reuses the core's value at its point
 when the caller has it, and a count at 0 reads the constant terms.
 ``Fraction`` endpoints are made only for snapshots and comparisons with
@@ -66,14 +69,29 @@ def _frac_log(x: Fraction) -> float:
 
 
 # --------------------------------------------------------------------------
-# integer polynomial helpers (signs only, no rounding anywhere)
+# integer polynomial helpers (certified signs)
 # --------------------------------------------------------------------------
 
 
 def _dyadic_value(ints: Sequence[int], num: int, k: int) -> int:
-    """2^(kd) p(num / 2^k) for p of degree d: Horner in num, with shifts in
-    place of the powers of 2^k.  Its sign is the sign of p(num / 2^k)."""
+    """An integer with the sign of p(x), x = num / 2^k >= 0, near 2^(kd) p(x).
+
+    Horner with prec fractional bits floors each step, so 2^prec p(x) lies in
+    [acc, acc + 2^bound) with 2^bound > sum_{j<d} x^j; a sign that certifies
+    returns acc << (kd - prec), else prec doubles.  That runs only while prec
+    is below a 16th of the kd bits of the exact Horner (so d > 16, as prec >
+    k), which then gives 2^(kd) p(x) itself: a root at x reads 0."""
     d = len(ints) - 1
+    if d > 16:
+        bound = (d + 1).bit_length() + (num >> k).bit_length() * d
+        prec = k + bound
+        while prec << 4 < k * d:
+            acc = 0
+            for c in reversed(ints):
+                acc = (acc * num >> k) + (c << prec)
+            if acc > 0 or acc + (1 << bound) <= 0:
+                return acc << (k * d - prec)
+            prec *= 2
     acc = 0
     for i in range(d, -1, -1):
         acc = acc * num + (ints[i] << k * (d - i))
@@ -164,14 +182,6 @@ def _variations_at(
     return _variations(signs if head is None else [head, *signs])
 
 
-def _variations_at_zero(chain: list[list[int]]) -> int:
-    return _variations(p[0] for p in chain)
-
-
-def _variations_at_inf(chain: list[list[int]]) -> int:
-    return _variations(p[-1] for p in chain)
-
-
 def _root_below(ints: Sequence[int], x: Fraction) -> bool:
     """True when the core has a root in the open interval (0, x), x > 0.
     A root at x itself does not count: x may be a root the caller ties with."""
@@ -187,7 +197,7 @@ def _root_below(ints: Sequence[int], x: Fraction) -> bool:
     if _variations(ints) <= 1:
         return False
     chain = _sturm_chain(ints)
-    return _variations_at_zero(chain) > _variations_at(chain, x, head=s)
+    return _variations(p[0] for p in chain) > _variations_at(chain, x, head=s)
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +251,7 @@ class _Enclosure:
     def chain(self) -> list[list[int]]:
         if self._chain is None:
             self._chain = _sturm_chain(self.ints)
-            self._count_at_zero = _variations_at_zero(self._chain)
+            self._count_at_zero = _variations(p[0] for p in self._chain)
         return self._chain
 
     @property
@@ -264,7 +274,7 @@ class _Enclosure:
             if x is None:
                 return self._descartes
             return int((self.sign(x, den) if value is None else value) < 0)
-        top = _variations_at_inf(self.chain) if x is None else _variations_at(self.chain, x, den, value)
+        top = _variations(p[-1] for p in self.chain) if x is None else _variations_at(self.chain, x, den, value)
         return self._count_at_zero - top
 
     def _deflate(self, roots: list[Fraction]) -> None:

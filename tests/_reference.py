@@ -33,6 +33,16 @@ def horner(poly, x):
     return acc
 
 
+def dyadic_value(ints, num, k):
+    """2^(kd) p(num / 2^k), exactly: Horner in num with each coefficient
+    a_i times (2^k)^(d - i)."""
+    d = len(ints) - 1
+    acc = 0
+    for i in range(d, -1, -1):
+        acc = acc * num + ints[i] * 2 ** (k * (d - i))
+    return acc
+
+
 def poly_add(*polys):
     """The sum of RationalPolynomials, in Fraction arithmetic."""
     size = max(len(p.coeffs) for p in polys)

@@ -81,6 +81,11 @@ CASES["oracle_baab_markov"] = ["oracle", "--word", "baab", "--markov", "3/4,1/4,
 #: to d over an alphabet of more than three letters.
 CASES["rate_abcd_quaternary"] = ["rate", "--word", "abcd", "--bernoulli", "1/10,1/5,3/10,2/5"]
 CASES["scan_r3_quaternary"] = ["scan", "--r", "3", "--bernoulli", "2/5,3/10,1/5,1/10"]
+#: Holes longer than 60: denominators of degree 100 to 200, whose roots are
+#: isolated at dyadic points with thousands of bits.
+CASES["rate_a199b_bernoulli"] = ["rate", "--word", "a" * 199 + "b", "--bernoulli", "7/10,3/10"]
+CASES["rate_a200_markov"] = ["rate", "--word", "a" * 200, "--markov", "3/4,1/4,1/3,2/3"]
+CASES["rate_ab50_bernoulli"] = ["rate", "--word", "ab" * 50, "--bernoulli", "7/10,3/10"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

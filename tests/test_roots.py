@@ -24,7 +24,7 @@ from holerates.roots import (
 )
 from holerates.words import AB, Word
 
-from _reference import count_roots, horner, plain_bisection, poly_mul, trinomial
+from _reference import count_roots, dyadic_value, horner, plain_bisection, poly_mul, trinomial
 
 B = BernoulliMeasure.from_rationals
 P35 = B(["3/5", "2/5"])
@@ -91,6 +91,81 @@ class TestSignAt:
         assert _sign_at([-2, 0, 0, 1], below, 1 << k) == -1
         assert _sign_at([-2, 0, 0, 1], below + 1, 1 << k) == 1
         self._check([1, -1], 1 << k, 1 << k)  # 1 - z at its root z = 1
+
+
+def _random_ints(rnd, degree, bits):
+    """Coefficients of a degree-``degree`` polynomial below 2^bits, either
+    sign; the leading one is nonzero."""
+    ints = [rnd.randint(-(1 << bits), 1 << bits) for _ in range(degree + 1)]
+    ints[-1] = ints[-1] or 1
+    return ints
+
+
+def _times_roots(ints, k, nums):
+    """ints times (2^k z - n) for each n in nums: roots at n / 2^k."""
+    for n in nums:
+        ints = [(a << k) - n * b for a, b in zip([0, *ints], [*ints, 0])]
+    return ints
+
+
+class TestDyadicValue:
+    """``_dyadic_value`` against the exact Horner of ``_reference``: the same
+    sign everywhere, 0 exactly at a root, and within 2^(k(d - 1)) below the
+    exact 2^(kd) p(x) wherever a working-precision sum decides the sign."""
+
+    @staticmethod
+    def _check(ints, num, k):
+        value, exact = roots._dyadic_value(ints, num, k), dyadic_value(ints, num, k)
+        assert (value > 0) - (value < 0) == (exact > 0) - (exact < 0)
+        assert value <= exact < value + (1 << max(k * (len(ints) - 2), 0))
+        return value
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        degree=st.integers(0, 200),
+        bits=st.sampled_from([1, 20, 64, 650]),
+        k=st.integers(0, 200),
+        whole=st.integers(0, 3),
+    )
+    def test_sign_matches_exact_horner(self, rnd, degree, bits, k, whole):
+        # x = num / 2^k in [0, 4), so x >= 2 too, where the bound is largest
+        ints = _random_ints(rnd, degree, bits)
+        num = (whole << k) + rnd.getrandbits(k)
+        self._check(ints, num, k)
+        self._check([-c for c in ints], num, k)  # negative leading coefficient
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        degree=st.integers(0, 199),
+        bits=st.sampled_from([1, 64, 650]),
+        k=st.integers(1, 200),
+        whole=st.integers(0, 2),
+        gaps=st.lists(st.integers(1, 3), max_size=3),
+    )
+    def test_roots_read_zero_and_their_neighbours_the_exact_sign(
+        self, rnd, degree, bits, k, whole, gaps
+    ):
+        # a cluster of roots n_i / 2^k a few units of 2^-k apart
+        nums = [(whole << k) + rnd.getrandbits(k)]
+        for gap in gaps:
+            nums.append(nums[-1] + gap)
+        ints = _times_roots(_random_ints(rnd, degree, bits), k, nums)
+        for n in nums:
+            assert self._check(ints, n, k) == 0
+            for near in (n - 1, n + 1):
+                if near >= 0:
+                    self._check(ints, near, k)
+
+    def test_long_polynomials_take_the_working_precision(self):
+        # near the root of the a^199 b denominator the value is a truncated
+        # sum: below the exact one, with the same sign
+        result = escape_rate(w("a" * 199 + "b"), B(["7/10", "3/10"]))
+        ints = list(result.poly.ints)
+        for end in (result.lower, result.upper):
+            k = end.denominator.bit_length() - 1
+            assert self._check(ints, end.numerator, k) < dyadic_value(ints, end.numerator, k)
 
 
 def _int_cbrt(x: int) -> int:
@@ -297,6 +372,19 @@ class TestDyadicEndpoints:
             assert end.denominator & (end.denominator - 1) == 0
 
 
+#: The fixed shapes of the benchmark's long holes.
+LONG_HOLES = {
+    f"{shape} r={r}": word
+    for r in (60, 100)
+    for shape, word in (
+        ("a^(r-1)b", "a" * (r - 1) + "b"),
+        ("(aab)*", ("aab" * r)[:r]),
+        ("(ab)*", ("ab" * r)[:r]),
+        ("a^r", "a" * r),
+    )
+} | {"a^(r-1)b r=200": "a" * 199 + "b", "a^r r=200": "a" * 200}
+
+
 class TestQuadraticRefinement:
     """Quadratic interval refinement ends on the endpoints of plain
     bisection, pins the same exact roots, and needs fewer evaluations."""
@@ -359,6 +447,27 @@ class TestQuadraticRefinement:
         monkeypatch.setattr(roots, "_dyadic_value", counting)
         escape_rate(w(text), B(["7/10", "3/10"]))
         assert calls <= most
+
+    @pytest.mark.parametrize("text", LONG_HOLES.values(), ids=LONG_HOLES.keys())
+    @pytest.mark.parametrize(
+        "measure",
+        [B(["7/10", "3/10"]), MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])],
+        ids=["bernoulli", "markov"],
+    )
+    def test_working_precision_keeps_the_exact_endpoints(self, monkeypatch, text, measure):
+        # the long holes of the benchmark: the same enclosure, from no more
+        # evaluations, as when every value is the exact 2^(kd) p(x)
+        runs = []
+        for evaluate in (roots._dyadic_value, dyadic_value):
+            calls = []
+            monkeypatch.setattr(
+                roots, "_dyadic_value", lambda *args, f=evaluate, calls=calls: calls.append(args) or f(*args)
+            )
+            result = escape_rate(w(text), measure)
+            runs.append(((result.lower, result.upper), len(calls)))
+        (ends, working), (exact_ends, exact) = runs
+        assert ends == exact_ends
+        assert working <= exact
 
     @pytest.mark.parametrize("text", ["a" * 59 + "b", "ab" * 10, "aab" * 7])
     def test_no_point_is_evaluated_twice(self, monkeypatch, text):
