@@ -6,7 +6,7 @@ All numeric inputs are exact: fractions like 3/5 or decimal strings like
 accepted only from a JSON config file and only with --allow-float.
 
 Exit codes: 0 ok, 1 usage or parse error, 2 forbidden word, 3 no positive
-root, 4 enumeration cap exceeded.
+root, 4 enumeration cap exceeded, 5 internal check failed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import extremal, survival
@@ -33,6 +32,7 @@ EXIT_USAGE = 1
 EXIT_FORBIDDEN = 2
 EXIT_NO_ROOT = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 MAX_TOL = Fraction(1, 10**6)
 
@@ -226,6 +226,8 @@ def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict
     if n_workers <= 1:
         tables = map(_sweep_point, jobs)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             tables = list(pool.map(_sweep_point, jobs))
     return [row for table in tables for row in table]
@@ -298,8 +300,8 @@ def cmd_oracle(args) -> tuple:
     # the word equations' determinant against the closed-form denominator
     denominator_match = rate.poly == gf.denominator
 
-    # window states stop growing by length max(r - 1, 1), so under --enum-cap
-    # the walk reaches r + n or stops short of r
+    # window states stop growing by length r - 1 (1 when the measure's rows
+    # differ), so under --enum-cap the walk reaches r + n or stops short of r
     enumerated = survival.direct_enumeration(word, measure, r + n, cap=args.enum_cap)[r:]
     enum_max = r + len(enumerated) - 1 if enumerated else 0
     enum_match = enumerated == list(series.totals[: len(enumerated)])
@@ -558,6 +560,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"enumeration cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,8 @@ so they can cross-check one another and the root-isolation layer:
   letters are the hole, and folds away the letter that leaves the window;
 * the rational generating function sum p_n z^n, the one solution of the
   classical word-counting equations (append a letter / append the whole
-  pattern), expanded by linear recurrence.
+  pattern), one system for every measure with one unknown per distinct
+  row of the factor table, expanded by linear recurrence.
 
 Every series is integers over a known power: b^n times the weight at length
 n from the automaton and the enumerator (b the common denominator of the
@@ -23,18 +24,22 @@ that printing and the float estimates read.
 
 The word equations are solved symbolically, by Cramer's rule on
 determinants of integer polynomials, each equation scaled to integers
-once.  They read the word's border polynomial and weight from
-``polynomials.border_data`` but never the closed-form survival
-denominator: the generating function's denominator is the system's
-determinant, which the ``oracle`` CLI command checks against that closed
-form.  Every polynomial here is built as integer numerators over one
-integer, and a series is read off the ``ints`` and ``scale`` of its two
-polynomials, so no polynomial here has ``Fraction`` coefficients.
+once: 2 x 2 for one distinct row (a product measure), 3 x 3 for a chain
+whose rows differ.  Like every oracle here they read the measure only
+through ``integer_factors``, never its type, and the word's border
+polynomial and weight from ``polynomials.border_data``, but never the
+closed-form survival denominator: the generating function's denominator
+is the system's determinant, which the ``oracle`` CLI command checks
+against that closed form.  Every polynomial here is built as integer
+numerators over one integer, and a series is read off the ``ints`` and
+``scale`` of its two polynomials, so no polynomial here has ``Fraction``
+coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -190,9 +195,9 @@ def direct_enumeration(
     function are checked against.
 
     A state is the base-A code of the last k letters of a surviving word,
-    k = r - 1 for a product measure and max(r - 1, 1) for a chain (whose
-    next factor depends on the last letter; ``cap`` counts states, so the
-    product rule stays), and entry ``state`` of a flat
+    k = r - 1, or 1 for a one-letter hole when the factor table's rows
+    differ (the next factor then depends on the last letter; ``cap``
+    counts states, so one row keeps k = 0), and entry ``state`` of a flat
     list holds the exact integer sum of the weights of the survivors that
     end in it.  Each length is three list operations:
 
@@ -222,7 +227,7 @@ def direct_enumeration(
     size = word.alphabet.size
     _, start, rows = measure.integer_factors
     r = len(word)
-    k = max(r - 1, 1) if isinstance(measure, MarkovChain) else r - 1
+    k = max(r - 1, int(len(set(rows)) > 1))
     window, states = size**r, size**k
     needle = 0
     for c in word.letters:
@@ -309,17 +314,15 @@ def _det(matrix: list[list[list[int]]]) -> list[int]:
     return total
 
 
-def _cramer(
-    matrix: list[list[list[int]]], rhs: list[list[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """Numerators of the unknowns over the common denominator det(matrix),
-    whose constant term must not vanish."""
-    det = _det(matrix)
+def _cramer(system: list[list[list[int]]]) -> tuple[list[list[int]], list[int]]:
+    """Numerators of the unknowns over the common denominator, the
+    determinant of the coefficients, whose constant term must not vanish;
+    each equation lists its coefficients, then its right-hand side."""
+    det = _det([row[:-1] for row in system])
     if not det[0]:
         raise ValueError("the determinant vanishes at z = 0")
     numerators = [
-        _det([row[:j] + [b] + row[j + 1 :] for row, b in zip(matrix, rhs)])
-        for j in range(len(matrix))
+        _det([row[:j] + row[-1:] + row[j + 1 : -1] for row in system]) for j in range(len(system))
     ]
     return numerators, det
 
@@ -334,7 +337,7 @@ class WordEquationSolution:
 
     avoiding: RationalPolynomial  # words with no occurrence of the pattern
     terminal: RationalPolynomial  # words whose single occurrence is a suffix
-    avoiding_by_last: tuple[RationalPolynomial, ...] | None  # chains: split by last letter
+    avoiding_by_last: tuple[RationalPolynomial, ...] | None  # one per distinct row, None for one
     denominator: RationalPolynomial
 
     def survival_genfun(self, r: int) -> RationalGenFun:
@@ -354,17 +357,16 @@ def genfun_from_word_equations(
     word: Word, measure: BernoulliMeasure | MarkovChain
 ) -> WordEquationSolution:
     """Solve the counting identities for the avoiding and terminal
-    generating functions, with probabilities substituted.
-
-    Product measure: appending one letter to an avoiding word yields an
-    avoiding or a terminal word (equation 1); appending the whole pattern
-    yields a terminal word followed by one of the pattern's borders
-    (equation 2), which is scaled by b^r.  Chains: the same two moves, with
-    the avoiding words split by their last letter; the two letter rows are
-    scaled by D and the pattern row by D^r.  The chain's system, written
-    for A letters, gives a product measure the same solution, but from
-    (A + 1) x (A + 1) determinants, several times slower than the 2 x 2.
-    """
+    generating functions, with probabilities substituted, from the factor
+    table (d, start, rows) alone, in one system sized by its distinct rows.
+    The unknowns are S_h, the avoiding words whose last letter reads h, one
+    per distinct row h in order of the row's first letter, then T, the
+    terminal words.  Appending a letter to an avoiding or the empty word
+    yields an avoiding or a terminal word: d S_h - z sum_g S_g g(h) +
+    d T [last reads h] = z start(h), g(h) and start(h) summed over the
+    letters that read h, each equation over its content.  Appending the
+    whole pattern yields a terminal word followed by one of its borders:
+    z^r path sum_g S_g g[first] - border T = -mu z^r, scaled by d^r."""
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
     r = len(word)
@@ -375,30 +377,28 @@ def genfun_from_word_equations(
     # d^r times the border polynomial (entry j is the z^j term times d^j)
     # and the hole's measure
     border, mu = [d ** (r - j) * v for j, v in enumerate(data[:r])], data[r]
-    if isinstance(measure, BernoulliMeasure):
-        # (1 - z) * avoiding + terminal = 1 ;  mu z^r * avoiding - border * terminal = 0
-        (avoiding, terminal), det = _cramer(
-            [[[1, -1], [1]], [[0] * r + [mu], [-c for c in border]]], [[1], []]
-        )
-        by_last = None
-    else:
-        first, last = word.letters[0], word.letters[-1]
-        path = mu // start[first]  # D^(r-1) times the product of the transitions
-        # rows[i][j] is D times the transition i -> j; unknowns:
-        # avoiding-ending-in-a, avoiding-ending-in-b, terminal
-        matrix = [
-            [[-d, rows[0][0]], [0, rows[1][0]], [-d] if last == 0 else []],
-            [[0, rows[0][1]], [-d, rows[1][1]], [-d] if last == 1 else []],
-            [[0] * r + [rows[0][first] * path], [0] * r + [rows[1][first] * path], [-c for c in border]],
-        ]
-        rhs = [[0, -start[0]], [0, -start[1]], [0] * r + [-mu]]
-        (*by_last, terminal), det = _cramer(matrix, rhs)
-        avoiding = [sum(c) for c in itertools.zip_longest(det, *by_last, fillvalue=0)]
+    first, last = word.letters[0], word.letters[-1]
+    path = mu // start[first]  # d^(r-1) times the factors after the first letter
+    distinct = list(dict.fromkeys(rows))
+    reads = [distinct.index(row) for row in rows]  # the row each letter reads
+    # the start weights and each row, summed over the letters that read each row
+    lumped = [[sum(v for g, v in zip(reads, row) if g == h) for h in range(len(distinct))]
+              for row in (start, *distinct)]
+    system = []
+    for h, start_h in enumerate(lumped[0]):
+        equation = [[d if g == h else 0, -row[h]] for g, row in enumerate(lumped[1:])]
+        equation += [[d] if reads[last] == h else [], [0, start_h]]
+        content = math.gcd(*itertools.chain(*equation))
+        system.append([[c // content for c in entry] for entry in equation])
+    pattern = [[0] * r + [row[first] * path] for row in distinct]
+    system.append([*pattern, [-c for c in border], [0] * r + [-mu]])
+    (*by_last, terminal), det = _cramer(system)
+    avoiding = [sum(c) for c in itertools.zip_longest(det, *by_last, fillvalue=0)]
 
     def over(ints: list[int]) -> RationalPolynomial:
         return RationalPolynomial._over(ints, det[0])
 
-    split = by_last and tuple(map(over, by_last))
+    split = tuple(map(over, by_last)) if len(by_last) > 1 else None
     return WordEquationSolution(over(avoiding), over(terminal), split, over(det))
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -42,7 +43,10 @@ class TestRate:
         assert markov["denominator"] == bern["denominator"]
         assert markov["z0_lower"] == bern["z0_lower"]
 
-    @pytest.mark.parametrize("argv", [["rate", "--word", "aabab"], ["oracle", "--word", "aab"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate", "--word", "aabab"], ["oracle", "--word", "aab"], ["oracle", "--word", "a", "--enum-cap", "1"]],
+    )
     def test_chain_with_equal_rows_prints_the_product_measure_bytes(self, capsys, argv):
         chain = run(capsys, *argv, "--markov", "7/10,3/10,7/10,3/10")
         assert chain == run(capsys, *argv, "--p", "7/10")
@@ -172,7 +176,8 @@ class TestScan:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # the CLI imports the pool where it runs one, so the stand-in goes on its module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         two_points = ("scan", "--r", "4", "--grid", "1/2:3/5:1/10")
         _, serial, _ = run(capsys, *two_points, "--jobs", "1")
         for cpus, argv, expected in (
@@ -232,6 +237,16 @@ class TestMax:
         assert payload["witnesses"] == ["yyyyx", "xyyyy"]
         for key in ("regime", "reason", "z0_lower", "z0_upper"):
             assert payload[key] == expected[key]
+
+    def test_wrong_comparison_exits_internal(self, capsys, monkeypatch):
+        # a reversed verdict contradicts the two-symbol closed form: the
+        # check fails, and the CLI exits 5 with one stderr line
+        compare = extremal.compare
+        monkeypatch.setattr(extremal, "compare", lambda a, b: -compare(a, b))
+        code, out, err = run(capsys, "max", "--r", "5", "--p", "7/10")
+        assert (code, out) == (5, "")
+        assert err.startswith("internal check failed: r = 5, p = 7/10: closed form PRIME_LOW")
+        assert err.count("\n") == 1
 
 
 class TestBounds:
@@ -334,11 +349,20 @@ class TestOracle:
     #: A product-measure hole and a chain hole whose cross-checks are broken.
     BROKEN = [["--word", "aabbaa", "--p", "7/10"], ["--word", "aabaa", "--markov", "3/5,2/5,2/7,5/7"]]
 
+    @staticmethod
+    def _failed_checks(capsys, argv):
+        """The checks dict of an oracle run that exits 5, from its one stderr line."""
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out) == (5, "")
+        assert err.startswith("internal check failed: oracle cross-check failed: {")
+        assert err.count("\n") == 1
+        return err
+
     @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
     @pytest.mark.parametrize(
         "change", [lambda q: q[:-1] + [q[-1] + 1], lambda q: q[:-1]], ids=["last-term", "one-term-short"]
     )
-    def test_changed_series_fails_the_cross_check(self, monkeypatch, argv, change):
+    def test_changed_series_fails_the_cross_check(self, capsys, monkeypatch, argv, change):
         series = survival.RationalGenFun.series
 
         def changed(self, count):
@@ -346,13 +370,12 @@ class TestOracle:
             return change(q), d0
 
         monkeypatch.setattr(survival.RationalGenFun, "series", changed)
-        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
-            main(["oracle", *argv])
-        assert "'genfun_series_matches_automaton': False" in str(failure.value)
-        assert "'word_equations_match': False" in str(failure.value)
+        err = self._failed_checks(capsys, argv)
+        assert "'genfun_series_matches_automaton': False" in err
+        assert "'word_equations_match': False" in err
 
     @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
-    def test_changed_enumeration_fails_the_cross_check(self, monkeypatch, argv):
+    def test_changed_enumeration_fails_the_cross_check(self, capsys, monkeypatch, argv):
         walk = survival.direct_enumeration
 
         def changed(*args, **kwargs):
@@ -360,12 +383,10 @@ class TestOracle:
             return totals[:-1] + [totals[-1] + 1]
 
         monkeypatch.setattr(survival, "direct_enumeration", changed)
-        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
-            main(["oracle", *argv])
-        assert "'direct_enumeration_matches': False" in str(failure.value)
+        assert "'direct_enumeration_matches': False" in self._failed_checks(capsys, argv)
 
     @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
-    def test_changed_denominator_fails_the_cross_check(self, monkeypatch, argv):
+    def test_changed_denominator_fails_the_cross_check(self, capsys, monkeypatch, argv):
         rate = cli.escape_rate
 
         def changed(*args, **kwargs):
@@ -374,11 +395,10 @@ class TestOracle:
             return dataclasses.replace(result, poly=RationalPolynomial([*ints[:-1], ints[-1] + 1]))
 
         monkeypatch.setattr(cli, "escape_rate", changed)
-        with pytest.raises(AssertionError, match="oracle cross-check failed") as failure:
-            main(["oracle", *argv])
-        assert "'genfun_series_matches_automaton': True" in str(failure.value)
-        assert "'word_equations_match': False" in str(failure.value)
-        assert "'denominator_is_rate_polynomial': False" in str(failure.value)
+        err = self._failed_checks(capsys, argv)
+        assert "'genfun_series_matches_automaton': True" in err
+        assert "'word_equations_match': False" in err
+        assert "'denominator_is_rate_polynomial': False" in err
 
     @pytest.mark.parametrize("argv", BROKEN, ids=["bernoulli", "chain"])
     def test_one_equation_solve_per_run(self, capsys, monkeypatch, argv):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from holerates import measures, polynomials, survival, words
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import RationalPolynomial, survival_denominator
 from holerates.roots import escape_rate, smallest_positive_root
 from holerates.survival import (
@@ -52,6 +52,7 @@ WALK_MEASURES = [
     B(["1/2", "3/10", "1/5"], ABC),
     M(["3/4", "1/4", "1/3", "2/3"]),
     M(["0", "1", "1/2", "1/2"]),
+    M(["7/10", "3/10", "7/10", "3/10"]),
 ]
 
 
@@ -263,7 +264,7 @@ class TestDirectEnumeration:
 
     def test_cap(self):
         # at length n the walk holds A^min(n, k) window states, k = r - 1
-        # (at least 1 for a chain); it stops before the first length whose
+        # (at least 1 when the rows differ); it stops before the first length whose
         # count exceeds the cap
         full = totals(w("aab"), P35, 11)
         assert direct_enumeration(w("aab"), P35, 11, cap=4) == full
@@ -275,11 +276,17 @@ class TestDirectEnumeration:
         full = totals(w("abc", ABC), ternary, 6)
         assert direct_enumeration(w("abc", ABC), ternary, 6, cap=9) == full
         assert direct_enumeration(w("abc", ABC), ternary, 6, cap=8) == full[:2]
-        # r = 1: one state for a product measure, a chain keeps the last letter
+        # r = 1: one state for a product measure, a chain whose rows differ
+        # keeps the last letter
         assert direct_enumeration(w("a"), P35, 5, cap=1) == totals(w("a"), P35, 5)
         chain = M(["3/4", "1/4", "1/3", "2/3"])
         assert direct_enumeration(w("a"), chain, 5, cap=2) == totals(w("a"), chain, 5)
         assert direct_enumeration(w("a"), chain, 5, cap=1) == [1]
+        # equal rows: no letter picks the next factor's row, so one state
+        # reaches every length, as for the product measure
+        equal, product = M(["7/10", "3/10", "7/10", "3/10"]), B(["7/10", "3/10"])
+        assert direct_enumeration(w("a"), equal, 5, cap=1) == direct_enumeration(w("a"), product, 5, cap=1)
+        assert direct_enumeration(w("a"), equal, 5, cap=1) == totals(w("a"), product, 5)
 
     def test_two_hundred_letters_match_automaton(self):
         # only b^n avoids a: one live state, while the words grow long
@@ -305,6 +312,7 @@ class TestDirectEnumeration:
     )
     @example(3, [0], 8, False)  # a chain hole of one letter: k = 1, and each
     @example(3, [0], 8, True)  # fold drops the letter that picked the row
+    @example(5, [0], 8, False)  # equal rows: k = 0, one state at every length
     @settings(max_examples=60, deadline=None)
     def test_equals_literal_enumeration(self, index, letters, length, short):
         # every word of each length listed and weighed in Fractions: no
@@ -312,7 +320,8 @@ class TestDirectEnumeration:
         measure = WALK_MEASURES[index]
         size = measure.alphabet.size
         word = Word(tuple(c % size for c in letters), measure.alphabet)
-        k = max(len(word) - 1, 1) if isinstance(measure, MarkovChain) else len(word) - 1
+        # the last letter is kept only when it picks the next factor's row
+        k = max(len(word) - 1, int(len(set(measure.integer_factors[2])) > 1))
         cap = size**k - short
         reach = next((n for n in range(length + 1) if size ** min(n, k) > cap), length + 1)
         expected = literal_totals(word, measure, length)[:reach]
@@ -498,19 +507,22 @@ class TestWordEquations:
     denominator D; substituted back, each counting identity is a polynomial
     identity after clearing D."""
 
+    @staticmethod
+    def _assert_product_identities(word, solution, mu, border):
+        # one distinct row, so no split by last letter:
+        # (1 - z) * avoiding + terminal = 1 ;  mu z^r * avoiding = border * terminal
+        sigma, terminal, den = solution.avoiding, solution.terminal, solution.denominator
+        assert solution.avoiding_by_last is None
+        assert poly_add(poly_mul(RationalPolynomial([1, -1]), sigma), terminal) == den
+        assert poly_mul(monomial(len(word), mu), sigma) == poly_mul(border, terminal)
+
     def test_bernoulli_identities(self):
-        one_minus_z = RationalPolynomial([1, -1])
         for text in ("a", "ab", "aab", "abba", "aabbaa"):
             word = w(text)
             solution = genfun_from_word_equations(word, P35)
-            sigma, terminal, den = solution.avoiding, solution.terminal, solution.denominator
-            assert solution.avoiding_by_last is None
-            # (1 - z) * avoiding + terminal = 1
-            assert poly_add(poly_mul(one_minus_z, sigma), terminal) == den
-            # mu z^r * avoiding = border * terminal
-            mu_zr = monomial(len(word), hole_measure(word, P35))
-            border = weighted_autocorrelation(word, P35)
-            assert poly_mul(mu_zr, sigma) == poly_mul(border, terminal)
+            self._assert_product_identities(
+                word, solution, hole_measure(word, P35), weighted_autocorrelation(word, P35)
+            )
 
     def test_bernoulli_sigma_closed_form(self):
         # avoiding / D = border / tau, the closed form with the survival denominator
@@ -522,8 +534,18 @@ class TestWordEquations:
             assert poly_mul(solution.avoiding, tau) == poly_mul(border, solution.denominator)
 
     def test_markov_identities(self):
+        # the uniform chain has one distinct row: the product identities,
+        # weighed by the chain's own path weights
+        uniform = M(["1/2", "1/2", "1/2", "1/2"])
+        for r in range(1, 5):
+            for word in enumerate_words(AB, r):
+                self._assert_product_identities(
+                    word,
+                    genfun_from_word_equations(word, uniform),
+                    markov_weights(word, uniform).measure,
+                    markov_weighted_autocorrelation(word, uniform)[0],
+                )
         chains = [
-            M(["1/2", "1/2", "1/2", "1/2"]),
             M(["3/4", "1/4", "1/3", "2/3"]),
             M(["0", "1", "1/2", "1/2"]),
         ]
@@ -560,6 +582,16 @@ class TestWordEquations:
                     # the empty word plus the two halves
                     assert solution.avoiding == poly_add(den, sigma_a, sigma_b)
 
+    @pytest.mark.parametrize("p", ["1/2", "7/10", "1/3"])
+    def test_chain_with_equal_rows_solves_the_product_system(self, p):
+        q = 1 - Fraction(p)
+        chain, product = M([p, q, p, q]), B([p, q])
+        for r in range(1, 9):
+            for word in enumerate_words(AB, r):
+                solution = genfun_from_word_equations(word, chain)
+                assert solution == genfun_from_word_equations(word, product), str(word)
+                assert solution.avoiding_by_last is None
+
     def test_survival_from_equations_matches_automaton(self):
         for measure in (P35, M(["3/4", "1/4", "1/3", "2/3"]), M(["0", "1", "1/2", "1/2"])):
             for text in ("ab", "bab", "aabba"):
@@ -589,12 +621,14 @@ class TestWordFromAnotherAlphabet:
 
 
 #: The measures the integer oracles are checked under against their Fraction
-#: forms; the last chain forbids aa, which can drop a denominator's degree.
+#: forms; the second chain forbids aa, which can drop a denominator's degree,
+#: and the four-letter product lumps four letters into its one row.
 FORM_MEASURES = [
     P35,
     B(["1/2", "3/10", "1/5"], ABC),
     M(["3/4", "1/4", "1/3", "2/3"]),
     M(["0", "1", "1/2", "1/2"]),
+    B(["2/5", "3/10", "1/5", "1/10"], Alphabet.of_size(4)),
 ]
 
 
