@@ -380,14 +380,12 @@ def genfun_from_word_equations(
     first, last = word.letters[0], word.letters[-1]
     path = mu // start[first]  # d^(r-1) times the factors after the first letter
     distinct = list(dict.fromkeys(rows))
-    reads = [distinct.index(row) for row in rows]  # the row each letter reads
-    # the start weights and each row, summed over the letters that read each row
-    lumped = [[sum(v for g, v in zip(reads, row) if g == h) for h in range(len(distinct))]
-              for row in (start, *distinct)]
     system = []
-    for h, start_h in enumerate(lumped[0]):
-        equation = [[d if g == h else 0, -row[h]] for g, row in enumerate(lumped[1:])]
-        equation += [[d] if reads[last] == h else [], [0, start_h]]
+    for h, own in enumerate(distinct):
+        letters = [c for c, row in enumerate(rows) if row == own]  # the letters that read h
+        # g(h) and start(h) sum the factors over them
+        equation = [[d if g == h else 0, -sum(row[c] for c in letters)] for g, row in enumerate(distinct)]
+        equation += [[d] if last in letters else [], [0, sum(start[c] for c in letters)]]
         content = math.gcd(*itertools.chain(*equation))
         system.append([[c // content for c in entry] for entry in equation])
     pattern = [[0] * r + [row[first] * path] for row in distinct]
