@@ -235,6 +235,9 @@ def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict
 
 def cmd_scan(args) -> tuple:
     tol = _tol_from_args(args)
+    measure = any(getattr(args, name) not in (None, "") for name in ("bernoulli", "markov", "p"))
+    if bool(args.grid) + bool(args.markov_grid) + measure > 1:
+        raise ValueError("scan takes exactly one of --grid, --markov-grid or a measure flag")
     if args.grid:
         points = _p_grid(args.grid)
     elif args.markov_grid:

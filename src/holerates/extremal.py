@@ -31,8 +31,8 @@ from .polynomials import border_walk, survival_denominator
 from .roots import (
     DEFAULT_TOL,
     RootResult,
+    _Core,
     _frac_log,
-    _root_below,
     compare,
     rate_from_denominator,
 )
@@ -251,7 +251,7 @@ def brute_force_gamma_max(
         poly = polys[i]
         if poly.ints in rated:
             continue
-        if leader is not None and _root_below(poly.ints, leader.lower):
+        if leader is not None and _Core(poly.ints).root_below(leader.lower):
             rated[poly.ints] = None
             continue
         res = rated[poly.ints] = rate_from_denominator(poly, measure, tol)

@@ -1,12 +1,14 @@
 """Certified smallest-positive-root enclosures and escape rates.
 
-Each root is held by one private enclosure: the polynomial's integer core,
-its Sturm chain, built only when a count needs it, and a bisection state
-that is refined in place and never restarted.  The core starts as
-``poly.ints``, the primitive integers a survival denominator is built as, so
-nothing is rescaled.  A :class:`RootResult` is a frozen snapshot of that
-state; ``refine``, ``compare`` and ``compare_with_rational`` narrow the
-shared state further and never change a snapshot a caller already holds.
+Each root is held by one private enclosure: one integer core, which counts
+its positive roots and builds its Sturm chain only when a count needs it,
+and beside it a bracket state that is refined in place and never restarted.
+The core starts as ``poly.ints``, the primitive integers a survival
+denominator is built as, so nothing is rescaled.  The same core counts for
+the tie test in ``compare`` and the brute-force pruning test in
+``extremal``.  A :class:`RootResult` is a frozen snapshot of the enclosure;
+``refine``, ``compare`` and ``compare_with_rational`` narrow the shared
+state further and never change a snapshot a caller already holds.
 
 Root counts come from exact Sturm sequences over the integers, so
 "smallest" is unconditional.  Two fast paths keep the common cases cheap
@@ -103,16 +105,11 @@ def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
     if den & (den - 1) == 0:
         # den = 2^k, as at every enclosure endpoint
         acc = _dyadic_value(ints, num, den.bit_length() - 1)
-        return (acc > 0) - (acc < 0)
-    d = len(ints) - 1
-    acc = 0
-    # Horner in num, padding each step with a power of den:
-    # acc_k = sum_{i>=k} a_i num^{i-k} den^{d-i}  evaluated incrementally.
-    powers = [1] * (d + 1)
-    for i in range(1, d + 1):
-        powers[i] = powers[i - 1] * den
-    for i in range(d, -1, -1):
-        acc = acc * num + ints[i] * powers[d - i]
+    else:
+        # homogeneous Horner: acc ends as den^d p(num / den)
+        acc, scale = 0, 1
+        for c in reversed(ints):
+            acc, scale = acc * num + c * scale, scale * den
     return (acc > 0) - (acc < 0)
 
 
@@ -182,34 +179,56 @@ def _variations_at(
     return _variations(signs if head is None else [head, *signs])
 
 
-def _root_below(ints: Sequence[int], x: Fraction) -> bool:
-    """True when the core has a root in the open interval (0, x), x > 0.
-    A root at x itself does not count: x may be a root the caller ties with."""
-    if ints[0] < 0:
-        ints = [-c for c in ints]
-    s = _sign_at(ints, x.numerator, x.denominator)
-    if s == 0:  # x is a root: divided out, the quotient decides
-        return _root_below(_divide_out(ints, x), x)
-    if s < 0:
-        return True  # positive at 0, negative at x: a root in between
-    # Descartes: at most one positive root, a sign change, which a core
-    # still positive at x has not reached.
-    if _variations(ints) <= 1:
-        return False
-    chain = _sturm_chain(ints)
-    return _variations(p[0] for p in chain) > _variations_at(chain, x, head=s)
+# --------------------------------------------------------------------------
+# the root core and the enclosure
+# --------------------------------------------------------------------------
 
 
-# --------------------------------------------------------------------------
-# the enclosure
-# --------------------------------------------------------------------------
+class _Core:
+    """An integer polynomial, made positive at 0, that counts its positive
+    roots: by Descartes' rule when its coefficients show at most one sign
+    variation, else by its Sturm chain, built on the first count needing it."""
+
+    def __init__(self, ints: Sequence[int]) -> None:
+        self.ints = ints if ints[0] > 0 else [-c for c in ints]
+        self._descartes = self._chain = self._count_at_zero = None
+
+    def sign(self, x: Fraction | int, den: int = 1) -> int:
+        """Sign of the core at x / den."""
+        return _sign_at(self.ints, x.numerator, x.denominator * den)
+
+    def count_upto(self, x: Fraction | int | None, den: int = 1, value: int | None = None) -> int:
+        """Distinct roots of the core in (0, x / den], or in (0, inf) for
+        None; x / den must not be a root of the core.  ``value``, when the
+        caller has it, has the sign of the core at x / den."""
+        if self._descartes is None:
+            self._descartes = _variations(self.ints)
+        if self._descartes <= 1:
+            if x is None:
+                return self._descartes
+            return int((self.sign(x, den) if value is None else value) < 0)
+        if self._chain is None:
+            self._chain = _sturm_chain(self.ints)
+            self._count_at_zero = _variations(p[0] for p in self._chain)
+        top = _variations(p[-1] for p in self._chain) if x is None else _variations_at(self._chain, x, den, value)
+        return self._count_at_zero - top
+
+    def root_below(self, x: Fraction) -> bool:
+        """True when the core has a root in the open interval (0, x), x > 0.
+        A root at x itself does not count: x may be a root the caller ties
+        with.  A negative sign at x answers before any count is made."""
+        sign = self.sign(x)
+        if sign == 0:  # x is a root: divided out, the quotient decides
+            return _Core(_divide_out(self.ints, x)).root_below(x)
+        # positive at 0, negative at x: a root in between
+        return sign < 0 or self.count_upto(x, 1, sign) > 0
 
 
 class _Enclosure:
     """The smallest positive root of ``poly``, refined in place.
 
     The root is ``exact`` once known as a rational.  Until then it is the
-    smallest positive root of the integer core ``ints`` and lies in the open
+    smallest positive root of the integer ``core`` and lies in the open
     interval (lo, hi) = (lo_n, hi_n) / 2^k, and the core has no root in
     (0, lo].  ``cap`` is the smallest rational root divided out of the core;
     the root lies below it.
@@ -224,35 +243,24 @@ class _Enclosure:
         self._set_core(poly.ints)
         self._single = False  # (lo, hi) holds one root, of odd multiplicity
         self._m = 2  # a refinement jump splits (lo, hi) into 2^m cells
-        roots = [c for c in set(candidates) if c > 0 and self.sign(c) == 0]
+        roots = [c for c in set(candidates) if c > 0 and self.core.sign(c) == 0]
         if roots:
             self._deflate(roots)
-        if self.exact is None and self.count_upto(None) == 0:
+        if self.exact is None and self.core.count_upto(None) == 0:
             raise NoPositiveRootError(f"{poly!r} has no positive root")
         probe = 2
         while self.exact is None and self.hi_n is None:
-            sign = self.sign(probe)
+            sign = self.core.sign(probe)
             if sign == 0:
                 self._hit(probe)
-            elif self.count_upto(probe, 1, sign):
+            elif self.core.count_upto(probe, 1, sign):
                 self.hi_n = probe
             probe *= 2
 
     def _set_core(self, ints: Sequence[int]) -> None:
-        if ints[0] < 0:
-            ints = [-c for c in ints]
-        self.ints = ints
-        self._chain = self._count_at_zero = None
+        self.core = _Core(ints)
         # (n, j, 2^(jd) p(n / 2^j)) kept for the endpoints lo and hi
         self._lo_val = self._hi_val = None
-        self._descartes = _variations(ints)
-
-    @property
-    def chain(self) -> list[list[int]]:
-        if self._chain is None:
-            self._chain = _sturm_chain(self.ints)
-            self._count_at_zero = _variations(p[0] for p in self._chain)
-        return self._chain
 
     @property
     def lo(self) -> Fraction:
@@ -262,31 +270,16 @@ class _Enclosure:
     def hi(self) -> Fraction:
         return Fraction(self.hi_n, 1 << self.k)
 
-    def sign(self, x: Fraction | int, den: int = 1) -> int:
-        """Sign of the core at x / den."""
-        return _sign_at(self.ints, x.numerator, x.denominator * den)
-
-    def count_upto(self, x: Fraction | int | None, den: int = 1, value: int | None = None) -> int:
-        """Distinct roots of the core in (0, x / den], or in (0, inf) for
-        None; x / den must not be a root of the core.  ``value``, when the
-        caller has it, has the sign of the core at x / den."""
-        if self._descartes <= 1:
-            if x is None:
-                return self._descartes
-            return int((self.sign(x, den) if value is None else value) < 0)
-        top = _variations(p[-1] for p in self.chain) if x is None else _variations_at(self.chain, x, den, value)
-        return self._count_at_zero - top
-
     def _deflate(self, roots: list[Fraction]) -> None:
         """Divide the rational roots out of the core and lower the cap to
         the smallest of them; the cap is the root when the rest of the core
         has no root below it."""
-        ints = self.ints
+        ints = self.core.ints
         for x in roots:
             ints = _divide_out(ints, x)
         self._set_core(ints)
         self.cap = min(roots if self.cap is None else [self.cap, *roots])
-        if self.count_upto(self.cap) == 0:
+        if self.core.count_upto(self.cap) == 0:
             self.exact = self.cap
 
     def _hit(self, num: int) -> None:
@@ -300,16 +293,16 @@ class _Enclosure:
         self.lo_n <<= 1
         self.hi_n <<= 1
         self.k += 1
-        value = _dyadic_value(self.ints, mid, self.k)
+        value = _dyadic_value(self.core.ints, mid, self.k)
         if value == 0:
             self._hit(mid)
             return
-        # The core is positive on [0, lo]: positive at 0 by _set_core, with
+        # The core is positive on [0, lo]: positive at 0 by _Core, with
         # no root in (0, lo].  So a negative sign at mid puts a root below.
         if self._single:
             below = value < 0
         else:
-            count = self.count_upto(mid, 1 << self.k, value)
+            count = self.core.count_upto(mid, 1 << self.k, value)
             below = count > 0
             self._single = count == 1 and value < 0
         if below:
@@ -322,7 +315,7 @@ class _Enclosure:
         on a scale 2^j with j <= k."""
         if kept is not None and kept[0] << (k - kept[1]) == n:
             return kept
-        return n, k, _dyadic_value(self.ints, n, k)
+        return n, k, _dyadic_value(self.core.ints, n, k)
 
     def _jump(self, m: int) -> None:
         """One step of quadratic interval refinement on an isolating (lo, hi):
@@ -332,7 +325,7 @@ class _Enclosure:
         bisect once.  A zero at a tested point is the root."""
         lo = self._lo_val = self._value(self.lo_n, self.k, self._lo_val)
         hi = self._hi_val = self._value(self.hi_n, self.k, self._hi_val)
-        d, top = len(self.ints) - 1, max(lo[1], hi[1])
+        d, top = len(self.core.ints) - 1, max(lo[1], hi[1])
         f_lo, f_hi = lo[2] << d * (top - lo[1]), hi[2] << d * (top - hi[1])
         cell = min((f_lo << m) // (f_lo - f_hi), (1 << m) - 1)
         k, width = self.k + m, self.hi_n - self.lo_n
@@ -381,7 +374,7 @@ class _Enclosure:
 
     def isolates(self) -> bool:
         """True when (lo, hi) holds no root of the core but the smallest."""
-        return self._single or self.count_upto(self.hi_n, 1 << self.k) == 1
+        return self._single or self.core.count_upto(self.hi_n, 1 << self.k) == 1
 
     def compare_with(self, value: Fraction) -> int:
         """Certified sign of (root - value)."""
@@ -390,9 +383,9 @@ class _Enclosure:
                 return 1
             if value >= self.hi:
                 return -1
-            sign = self.sign(value)
+            sign = self.core.sign(value)
             if sign != 0:
-                return -1 if self.count_upto(value, 1, sign) else 1
+                return -1 if self.core.count_upto(value, 1, sign) else 1
             self._deflate([value])
             if self.exact is None:
                 return -1
@@ -411,14 +404,16 @@ def _below(a: _Enclosure, b: _Enclosure) -> bool:
 
 def _common_root(a: _Enclosure, b: _Enclosure) -> bool:
     """True when the cores share a root in the overlap of the intervals,
-    counted by a Sturm chain on their gcd."""
-    f, g = a.ints, b.ints
+    counted on the core of their gcd."""
+    f, g = a.core.ints, b.core.ints
     while g:
         f, g = g, _neg_prem_primitive(f, g)
     if len(f) < 2:
         return False
-    chain = _sturm_chain(f)
-    return _variations_at(chain, max(a.lo, b.lo)) > _variations_at(chain, min(a.hi, b.hi))
+    # Each end is an end of one enclosure, never a root of that enclosure's
+    # core, so never a root of the gcd: both counts are sound.
+    gcd = _Core(f)
+    return gcd.count_upto(min(a.hi, b.hi)) > gcd.count_upto(max(a.lo, b.lo))
 
 
 # --------------------------------------------------------------------------

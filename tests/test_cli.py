@@ -153,6 +153,22 @@ class TestScan:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            ("--grid", "1/2:1/2:1/10", "--p", "3/4"),
+            ("--grid", "1/2:1/2:1/10", "--markov-grid", "1/2:1/2:1/10"),
+            ("--markov-grid", "1/2:1/2:1/10", "--p", "3/4"),
+            ("--markov-grid", "1/2:1/2:1/10", "--markov", "1/2,1/2,1/2,1/2"),
+            ("--grid", "1/2:1/2:1/10", "--bernoulli", "1/2,1/2"),
+        ],
+    )
+    def test_two_measure_sources_are_refused(self, capsys, sources):
+        # one would silently be dropped
+        code, out, err = run(capsys, "scan", "--r", "2", *sources)
+        assert (code, out) == (1, "")
+        assert err == "error: scan takes exactly one of --grid, --markov-grid or a measure flag\n"
+
     def test_grid_jobs_equivalence(self, capsys):
         base = ("scan", "--r", "2", "--grid", "0.5:0.55:0.01", "--tol", "1e-10")
         _, serial, _ = run(capsys, *base, "--jobs", "1")

@@ -11,9 +11,9 @@ from holerates.measures import BernoulliMeasure, MarkovChain
 from holerates.polynomials import RationalPolynomial, _primitive, survival_denominator
 from holerates.roots import (
     RootResult,
+    _Core,
     _Enclosure,
     _divide_out,
-    _root_below,
     _sign_at,
     compare,
     compare_with_rational,
@@ -193,7 +193,7 @@ def _record_points(monkeypatch):
 
 
 class TestRootBelow:
-    """``_root_below`` certifies a root in the open interval (0, x)."""
+    """``_Core.root_below`` certifies a root in the open interval (0, x)."""
 
     @pytest.mark.parametrize(
         "ints,x,expected",
@@ -211,7 +211,7 @@ class TestRootBelow:
         ],
     )
     def test_cases(self, ints, x, expected):
-        assert _root_below(ints, Fraction(x)) is expected
+        assert _Core(ints).root_below(Fraction(x)) is expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -222,7 +222,7 @@ class TestRootBelow:
     def test_matches_sturm_count(self, coeffs, head, x):
         ints = [head, *coeffs]
         assume(any(coeffs) and horner(RationalPolynomial(ints), x) != 0)
-        assert _root_below(ints, x) == (count_roots(RationalPolynomial(ints), 0, x) > 0)
+        assert _Core(ints).root_below(x) == (count_roots(RationalPolynomial(ints), 0, x) > 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -239,14 +239,26 @@ class TestRootBelow:
         product = RationalPolynomial([head])
         for root in [x] * multiplicity + others:
             product = poly_mul(product, RationalPolynomial([-root, 1]))
-        assert _root_below(list(product.ints), x) is any(0 < root < x for root in others)
+        assert _Core(list(product.ints)).root_below(x) is any(0 < root < x for root in others)
 
     def test_sturm_count_reuses_the_sign_at_x(self, monkeypatch):
         # two sign variations and positive at x: the Sturm chain decides
         points = _record_points(monkeypatch)
-        assert not _root_below([1, -2, 1], Fraction(1, 2))
+        assert not _Core([1, -2, 1]).root_below(Fraction(1, 2))
         assert len(points) == len(set(points))
         assert all(point != 0 for _, point in points)
+
+    def test_negative_sign_makes_no_count(self, monkeypatch):
+        # roots 1 and 2, negative at 3/2: the sign answers, with no Descartes
+        # bound and no Sturm chain; positive at 1/2, the chain decides
+        made = []
+        for name in ("_variations", "_sturm_chain"):
+            real = getattr(roots, name)
+            monkeypatch.setattr(roots, name, lambda *args, real=real, name=name: made.append(name) or real(*args))
+        assert _Core([2, -3, 1]).root_below(Fraction(3, 2))
+        assert made == []
+        assert not _Core([2, -3, 1]).root_below(Fraction(1, 2))
+        assert made[0] == "_variations" and "_sturm_chain" in made
 
     def test_tied_root_is_not_below(self):
         # at p = 3/4, r = 3, the unbordered and the maximal-measure holes
@@ -255,7 +267,7 @@ class TestRootBelow:
         for word in ("aab", "aaa"):
             tau = survival_denominator(w(word), measure)
             assert escape_rate(w(word), measure).lower == Fraction(4, 3)
-            assert not _root_below(tau.ints, Fraction(4, 3))
+            assert not _Core(tau.ints).root_below(Fraction(4, 3))
 
 
 class TestSmallestPositiveRoot:
@@ -635,6 +647,19 @@ class TestNoFalseCertificates:
         assert compare(first, second) == 0
         nearby = smallest_positive_root(poly(-2 - Fraction(1, 10**40), 0, 1))
         assert compare(first, nearby) == -1
+
+    def test_equal_roots_tied_by_the_chain_of_the_gcd(self, monkeypatch):
+        # the gcd z^2 - 3z + 1 has two sign variations, so the tie at
+        # (3 - sqrt 5) / 2 is counted on the gcd's own Sturm chain
+        shared = poly(1, -3, 1)
+        first = smallest_positive_root(poly_mul(shared, poly(-3, 1)))
+        second = smallest_positive_root(poly_mul(poly_mul(shared, shared), poly(5, -1)))
+        assert first.poly != second.poly
+        chains = []
+        sturm = roots._sturm_chain
+        monkeypatch.setattr(roots, "_sturm_chain", lambda ints: chains.append(list(ints)) or sturm(ints))
+        assert compare(first, second) == 0
+        assert chains == [[1, -3, 1]]
 
     def test_compare_leaves_snapshots_unchanged(self):
         longer = escape_rate(Word.parse("a" * 59 + "b", AB), HALF)
