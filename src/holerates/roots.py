@@ -1,41 +1,42 @@
 """Certified smallest-positive-root enclosures and escape rates.
 
 Each root is held by one private enclosure: one integer core, which counts
-its positive roots and builds its Sturm chain only when a count needs it,
-and beside it a bracket state that is refined in place and never restarted.
-The core starts as ``poly.ints``, the primitive integers a survival
-denominator is built as, so nothing is rescaled.  The same core counts for
-the tie test in ``compare`` and the brute-force pruning test in
-``extremal``.  A :class:`RootResult` is a frozen snapshot of the enclosure;
-``refine``, ``compare`` and ``compare_with_rational`` narrow the shared
-state further and never change a snapshot a caller already holds.
+its positive roots, and beside it a bracket state that is refined in place
+and never restarted.  The core starts as ``poly.ints``, the primitive
+integers a survival denominator is built as, so nothing is rescaled.  The
+same core counts for the tie test in ``compare`` and the brute-force
+pruning test in ``extremal``.  A :class:`RootResult` is a frozen snapshot
+of the enclosure; ``refine``, ``compare`` and ``compare_with_rational``
+narrow the shared state further and never change a snapshot a caller
+already holds.
 
-Root counts come from exact Sturm sequences over the integers, so
-"smallest" is unconditional.  Two fast paths keep the common cases cheap
-without giving up certification:
+A count at x is the sign test p(x) < 0 wherever the core has at most one
+root in (0, x], a simple one.  Descartes' rule certifies that at every x
+when the coefficients show at most one sign variation; the shape of a
+survival denominator, p(1) z^d + (1 - z) c with c > 0 on [0, 1] (the
+autocorrelation form of Guibas and Odlyzko), certifies it on (0, 1] and as
+far beyond as a slope bound stays negative (``_Core``).  Only a count this
+certificate cannot decide builds an exact Sturm sequence over the integers,
+so "smallest" is unconditional.  A rational root a/b known in advance (a
+supplied candidate such as 1/p) or hit exactly by a probe is divided out by
+integer synthetic division by (b z - a), and pinned as the answer when the
+rest of the core has no root below it.
 
-* a rational root a/b known in advance (a supplied candidate such as 1/p)
-  or hit exactly by a probe is divided out by integer synthetic division by
-  (b z - a), and pinned as the answer when the rest of the core has no root
-  below it;
-* a core whose coefficient signs show at most one variation has, by
-  Descartes' rule, exactly that many positive roots, each simple, so a sign
-  test replaces the Sturm count.
-
-The bracket comes from the probes 2, 4, 8, ..., and bisection with counts
-narrows it until the interval holds a single root of odd multiplicity.
-Even-multiplicity roots, which never produce a sign change, are found by
-the counts.  From there quadratic interval refinement takes over: it splits
+The bracket comes from the probes 2, 4, 8, ..., and bisection narrows it.
+The core is positive on (0, lo], so a negative sign at a probe or midpoint
+makes it hi with no count; a positive one is counted, which finds roots of
+even multiplicity too.  Once a negative point is certified, the interval
+holds a single root and quadratic interval refinement takes over: it splits
 the interval into 2^m cells of the finer dyadic grid, tests the cell the
 secant through the endpoint values points at, and doubles m on a hit or
 falls back to one bisection step on a miss.  Every cell it keeps is a cell
-of the bisection tree, and no jump passes the first level at which the
-stop rule could hold, so it ends on the endpoints bisection would reach,
-in far fewer evaluations.  ``compare`` still bisects both enclosures in
-lockstep.  Two roots are equal exactly when both enclosures isolate a
-single root and the gcd of the two cores has a root in their overlap;
-otherwise the enclosures are refined until they separate, which the
-Mahler-Mignotte root separation bound guarantees.
+of the bisection tree, and no jump passes the first level at which the stop
+rule could hold, so it ends on the endpoints bisection would reach, in far
+fewer evaluations.  ``compare`` still bisects both enclosures in lockstep.
+Two roots are equal exactly when both enclosures isolate a single root and
+the gcd of the two cores has a root in their overlap; otherwise the
+enclosures are refined until they separate, which the Mahler-Mignotte root
+separation bound guarantees.
 
 Every endpoint is dyadic, so the enclosure keeps both as integers over one
 power of two, 2^k: a step doubles the two numerators and takes their sum as
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import NoPositiveRootError
@@ -101,8 +103,10 @@ def _dyadic_value(ints: Sequence[int], num: int, k: int) -> int:
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0, num >= 0."""
-    if den & (den - 1) == 0:
+    """Sign of p(num/den) for num >= 0 and den > 0, or at inf for den = 0."""
+    if not den:
+        acc = ints[-1]
+    elif den & (den - 1) == 0:
         # den = 2^k, as at every enclosure endpoint
         acc = _dyadic_value(ints, num, den.bit_length() - 1)
     else:
@@ -169,29 +173,59 @@ def _variations(values: Iterable[Fraction | int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(
-    chain: list[list[int]], x: Fraction | int, den: int = 1, head: int | None = None
-) -> int:
-    """Sign variations of the chain at x / den; ``head``, when given, has the
-    sign of chain[0] there, which is then not evaluated again."""
-    num, den = x.numerator, x.denominator * den
-    signs = [_sign_at(p, num, den) for p in (chain if head is None else chain[1:])]
-    return _variations(signs if head is None else [head, *signs])
-
-
 # --------------------------------------------------------------------------
 # the root core and the enclosure
 # --------------------------------------------------------------------------
 
 
 class _Core:
-    """An integer polynomial, made positive at 0, that counts its positive
-    roots: by Descartes' rule when its coefficients show at most one sign
-    variation, else by its Sturm chain, built on the first count needing it."""
+    """An integer polynomial p, made positive at 0, that counts its positive
+    roots.
+
+    The count in (0, x] is the sign test p(x) < 0 wherever p has at most one
+    root there, a simple one: at every x when the coefficients show at most
+    one sign variation (Descartes' rule), and at x <= 1 when p has the shape
+    p(1) z^d + (1 - z) c with p(1) > 0 and c > 0 on [0, 1], which Abel
+    summation shows when the partial sums of c's coefficients (themselves
+    the partial sums of p's) are >= 0, the last > 0.  On [1, inf) the slope
+    bound q = sum_{a_i > 0} i a_i z^(i-1) + sum_{a_i < 0} i a_i is at least
+    p' and nondecreasing, so q(x) < 0 makes p fall on [1, x]: x is certified
+    too.  The core keeps the largest point so certified and the smallest
+    refused, and evaluates q only between them.  Any other count reads the
+    Sturm chain, built on the first count needing it."""
 
     def __init__(self, ints: Sequence[int]) -> None:
         self.ints = ints if ints[0] > 0 else [-c for c in ints]
-        self._descartes = self._chain = self._count_at_zero = None
+        self._certified = self._refused = self._slope = self._chain = self._count_at_zero = None
+
+    def _shape(self) -> None:
+        # _certified and _refused are points (num, den), (1, 0) standing for inf
+        ints, self._certified, self._refused = self.ints, (0, 1), (0, 1)
+        if _variations(ints) <= 1:
+            self._certified = (1, 0)
+            return
+        sums = list(accumulate(accumulate(ints[:-1])))
+        if sum(ints) > 0 and all(s >= 0 for s in sums[:-1]) and sums[-1] > 0:
+            self._certified, self._refused = (1, 1), (1, 0)
+            slope = [i * a if a > 0 else 0 for i, a in enumerate(ints)][1:]
+            slope[0] += sum(i * a for i, a in enumerate(ints) if a < 0)
+            self._slope = _primitive(slope)
+
+    def certifies(self, num: int, den: int) -> bool:
+        """True when the core has at most one root in (0, num / den], a simple
+        one; den = 0 stands for inf."""
+        if self._certified is None:
+            self._shape()
+        (cert_n, cert_d), (ref_n, ref_d) = self._certified, self._refused
+        if num * cert_d <= cert_n * den:
+            return True
+        if num * ref_d >= ref_n * den:
+            return False
+        if _sign_at(self._slope, num, den) < 0:
+            self._certified = num, den
+            return True
+        self._refused = num, den
+        return False
 
     def sign(self, x: Fraction | int, den: int = 1) -> int:
         """Sign of the core at x / den."""
@@ -201,17 +235,15 @@ class _Core:
         """Distinct roots of the core in (0, x / den], or in (0, inf) for
         None; x / den must not be a root of the core.  ``value``, when the
         caller has it, has the sign of the core at x / den."""
-        if self._descartes is None:
-            self._descartes = _variations(self.ints)
-        if self._descartes <= 1:
-            if x is None:
-                return self._descartes
-            return int((self.sign(x, den) if value is None else value) < 0)
+        num, den = (1, 0) if x is None else (x.numerator, x.denominator * den)
+        if value is None:
+            value = _sign_at(self.ints, num, den)
+        if self.certifies(num, den):
+            return int(value < 0)
         if self._chain is None:
             self._chain = _sturm_chain(self.ints)
             self._count_at_zero = _variations(p[0] for p in self._chain)
-        top = _variations(p[-1] for p in self._chain) if x is None else _variations_at(self._chain, x, den, value)
-        return self._count_at_zero - top
+        return self._count_at_zero - _variations([value, *(_sign_at(p, num, den) for p in self._chain[1:])])
 
     def root_below(self, x: Fraction) -> bool:
         """True when the core has a root in the open interval (0, x), x > 0.
@@ -241,20 +273,20 @@ class _Enclosure:
         self.cap: Fraction | None = None
         self.lo_n, self.hi_n, self.k = 0, None, 0
         self._set_core(poly.ints)
-        self._single = False  # (lo, hi) holds one root, of odd multiplicity
+        self._single = False  # (lo, hi) holds one root, a simple one
         self._m = 2  # a refinement jump splits (lo, hi) into 2^m cells
         roots = [c for c in set(candidates) if c > 0 and self.core.sign(c) == 0]
         if roots:
             self._deflate(roots)
-        if self.exact is None and self.core.count_upto(None) == 0:
-            raise NoPositiveRootError(f"{poly!r} has no positive root")
         probe = 2
         while self.exact is None and self.hi_n is None:
             sign = self.core.sign(probe)
             if sign == 0:
                 self._hit(probe)
-            elif self.core.count_upto(probe, 1, sign):
+            elif sign < 0 or self.core.count_upto(probe, 1, sign):
                 self.hi_n = probe
+            elif probe == 2 and self.core.count_upto(None) == 0:
+                raise NoPositiveRootError(f"{poly!r} has no positive root")
             probe *= 2
 
     def _set_core(self, ints: Sequence[int]) -> None:
@@ -298,14 +330,11 @@ class _Enclosure:
             self._hit(mid)
             return
         # The core is positive on [0, lo]: positive at 0 by _Core, with
-        # no root in (0, lo].  So a negative sign at mid puts a root below.
-        if self._single:
-            below = value < 0
-        else:
-            count = self.core.count_upto(mid, 1 << self.k, value)
-            below = count > 0
-            self._single = count == 1 and value < 0
-        if below:
+        # no root in (0, lo].  So a negative sign at mid puts a root below,
+        # the only one there when the core's certificate covers mid.
+        if value < 0:
+            self._single = self._single or self.core.certifies(mid, 1 << self.k)
+        if value < 0 or not self._single and self.core.count_upto(mid, 1 << self.k, value):
             self.hi_n, self._hi_val = mid, (mid, self.k, value)
         else:
             self.lo_n, self._lo_val = mid, (mid, self.k, value)

@@ -8,7 +8,7 @@ from unittest import mock
 from holerates.extremal import _class_rates, _hole_classes
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, markov_weights
 from holerates.polynomials import RationalPolynomial
-from holerates.roots import _Enclosure, _sturm_chain, _variations_at, compare
+from holerates.roots import _Core, _Enclosure, _sign_at, _sturm_chain, _variations, compare
 from holerates.survival import build_automaton
 from holerates.words import DEFAULT_ENUMERATION_CAP, failure_function
 
@@ -23,7 +23,10 @@ def count_roots(poly, a, b):
     """Distinct roots of ``poly`` in (a, b) for 0 <= a < b, neither a root,
     by Sturm's theorem."""
     chain = _sturm_chain(poly.ints)
-    return _variations_at(chain, Fraction(a)) - _variations_at(chain, Fraction(b))
+    a, b = Fraction(a), Fraction(b)
+    return sum(
+        sign * _variations(_sign_at(p, x.numerator, x.denominator) for p in chain) for sign, x in ((1, a), (-1, b))
+    )
 
 
 def horner(poly, x):
@@ -332,3 +335,19 @@ def plain_bisection():
     """Every enclosure refined by ``bisection_refine`` inside the block."""
     with mock.patch.object(_Enclosure, "refine", bisection_refine):
         yield
+
+
+@contextmanager
+def no_certificate():
+    """Every count inside the block read off a Sturm chain: no core certifies
+    a point, not even by Descartes' rule, so no enclosure leaves plain
+    bisection for quadratic refinement."""
+    with mock.patch.object(_Core, "certifies", lambda core, num, den: False):
+        yield
+
+
+def slope_bound(ints, x):
+    """q(x) = sum_{a_i > 0} i a_i x^(i-1) + sum_{a_i < 0} i a_i, in Fraction
+    arithmetic: at least p'(z) for every z in [1, x]."""
+    x = Fraction(x)
+    return sum(i * a * (x ** (i - 1) if a > 0 else 1) for i, a in enumerate(ints) if i)

@@ -86,6 +86,10 @@ CASES["scan_r3_quaternary"] = ["scan", "--r", "3", "--bernoulli", "2/5,3/10,1/5,
 CASES["rate_a199b_bernoulli"] = ["rate", "--word", "a" * 199 + "b", "--bernoulli", "7/10,3/10"]
 CASES["rate_a200_markov"] = ["rate", "--word", "a" * 200, "--markov", "3/4,1/4,1/3,2/3"]
 CASES["rate_ab50_bernoulli"] = ["rate", "--word", "ab" * 50, "--bernoulli", "7/10,3/10"]
+#: Chain cores of degree 100 with several sign variations: their roots are
+#: counted on the shape of a survival denominator, not on a Sturm chain.
+CASES["rate_aab33a_markov"] = ["rate", "--word", "aab" * 33 + "a", "--markov", "3/4,1/4,1/3,2/3"]
+CASES["rate_ab50_markov"] = ["rate", "--word", "ab" * 50, "--markov", "3/4,1/4,1/3,2/3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from holerates import roots
 from holerates.errors import NoPositiveRootError
+from holerates.extremal import brute_force_gamma_max
 from holerates.measures import BernoulliMeasure, MarkovChain
 from holerates.polynomials import RationalPolynomial, _primitive, survival_denominator
 from holerates.roots import (
+    DEFAULT_TOL,
     RootResult,
     _Core,
     _Enclosure,
@@ -24,7 +26,18 @@ from holerates.roots import (
 )
 from holerates.words import AB, Word
 
-from _reference import count_roots, dyadic_value, horner, plain_bisection, poly_mul, trinomial
+from _reference import (
+    count_roots,
+    dyadic_value,
+    horner,
+    monomial,
+    no_certificate,
+    plain_bisection,
+    poly_add,
+    poly_mul,
+    slope_bound,
+    trinomial,
+)
 
 B = BernoulliMeasure.from_rationals
 P35 = B(["3/5", "2/5"])
@@ -190,6 +203,14 @@ def _record_points(monkeypatch):
 
     monkeypatch.setattr(roots, "_dyadic_value", recording)
     return points
+
+
+def _record_chains(monkeypatch):
+    """The cores of every Sturm chain built from here on."""
+    chains = []
+    sturm = roots._sturm_chain
+    monkeypatch.setattr(roots, "_sturm_chain", lambda ints: chains.append(list(ints)) or sturm(ints))
+    return chains
 
 
 class TestRootBelow:
@@ -415,17 +436,20 @@ class TestQuadraticRefinement:
         assert (result.lower, result.upper) == (expected.lower, expected.upper)
 
     @pytest.mark.parametrize(
-        "linear, quadratic, path",
+        "linear, factor, path",
         [
-            ((-9, 8), (2, -2, 1), ("_jump",)),
-            ((-1297029319, 1 << 30), (4133, -5133, 6165), ("_jump",)),
+            ((-9, 8), (1, 0, 1), ("_jump",)),
+            ((-1297029319, 1 << 30), (1, -1, 3), ("_jump",)),
             # the secant misses, and the bisection after the miss hits the root
-            ((-5, 4), (17, -32, 16), ("step", "_jump")),
-            ((-285, 256), (3944, -9088, 8837), ("step", "_jump")),
+            ((-285, 256), (2, -1, 14, 12), ("step", "_jump")),
+            # one sign variation: Descartes' rule certifies every point
+            ((-5, 4), (1, 1, 2, 19), ("step", "_jump")),
         ],
     )
-    def test_dyadic_root_is_pinned(self, monkeypatch, linear, quadratic, path):
-        # a dyadic root below the complex pair of an irreducible quadratic
+    def test_dyadic_root_is_pinned(self, monkeypatch, linear, factor, path):
+        # a dyadic root times a factor with no positive root; the core's
+        # certificate covers a point above the root, so refinement starts
+        p = poly_mul(poly(*linear), poly(*factor))
         callers = []
         hit = _Enclosure._hit
 
@@ -434,7 +458,6 @@ class TestQuadraticRefinement:
             hit(enclosure, num)
 
         monkeypatch.setattr(_Enclosure, "_hit", spy)
-        p = poly_mul(poly(*linear), poly(*quadratic))
         result = smallest_positive_root(p)
         root = Fraction(-linear[0], linear[1])
         assert result.exact and result.lower == root
@@ -655,9 +678,7 @@ class TestNoFalseCertificates:
         first = smallest_positive_root(poly_mul(shared, poly(-3, 1)))
         second = smallest_positive_root(poly_mul(poly_mul(shared, shared), poly(5, -1)))
         assert first.poly != second.poly
-        chains = []
-        sturm = roots._sturm_chain
-        monkeypatch.setattr(roots, "_sturm_chain", lambda ints: chains.append(list(ints)) or sturm(ints))
+        chains = _record_chains(monkeypatch)
         assert compare(first, second) == 0
         assert chains == [[1, -3, 1]]
 
@@ -690,3 +711,186 @@ class TestNoFalseCertificates:
         result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
         assert compare_with_rational(result, Fraction(7, 5)) == 1
         assert compare(result, smallest_positive_root(poly_mul(poly(-2, 0, 1), poly(-3, 1)))) == 0
+
+
+def _cubic(*roots):
+    """The cubic with these roots, positive at 0."""
+    product = poly(-1)
+    for root in roots:
+        product = poly_mul(product, poly(-root, 1))
+    return product
+
+
+def _outcome(p, tol=DEFAULT_TOL, candidates=()):
+    """The enclosure's ends, or the error it raises."""
+    try:
+        result = smallest_positive_root(p, tol, candidates)
+    except NoPositiveRootError:
+        return NoPositiveRootError
+    return result.lower, result.upper
+
+
+def _with_no_certificate(*args):
+    with no_certificate():
+        return _outcome(*args)
+
+
+@st.composite
+def _shaped_polys(draw):
+    """A core of a survival denominator's shape, p(1) z^d + (1 - z) c, bare
+    or times a quadratic with two roots in (1, 8/5), or a cubic with three
+    roots in (1, 3/2); a product is also taken times (1 + z)^3, which often
+    gives it the shape.  The partial sums of c's coefficients are >= 0 but
+    the last, which may be anything: a last sum <= 0 is no shape.  Returns
+    the polynomial and the roots of its factor."""
+    kind = draw(st.sampled_from(["bare", "quadratic", "cubic"]))
+    if kind == "cubic":
+        roots = draw(
+            st.lists(
+                st.fractions(min_value=1, max_value=Fraction(3, 2), max_denominator=64).filter(lambda x: 1 < x < 1.5),
+                min_size=3,
+                max_size=3,
+                unique=True,
+            )
+        )
+        p = _cubic(*roots)
+        return poly_mul(p, poly(1, 3, 3, 1)) if draw(st.booleans()) else p, roots
+    d = draw(st.integers(2, 12))
+    sums = draw(st.lists(st.integers(0, 30), min_size=d - 1, max_size=d - 1)) + [draw(st.integers(-30, 30))]
+    sums[0] += 1  # c(0) = p(0) > 0
+    c = [b - a for a, b in zip([0] + sums, sums)]
+    top = Fraction(draw(st.integers(1, 20)), draw(st.sampled_from([1, 10, 100, 10**4, 10**6])))
+    p = poly_add(poly(*c), poly(*[0] + [-a for a in c]), monomial(d, top))
+    if kind == "bare":
+        return p, []
+    roots = draw(
+        st.lists(
+            st.fractions(min_value=1, max_value=Fraction(8, 5), max_denominator=64).filter(lambda x: 1 < x < 1.6),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    p = poly_mul(p, poly_mul(poly(-roots[0], 1), poly(-roots[1], 1)))
+    return poly_mul(p, poly(1, 3, 3, 1)) if draw(st.booleans()) else p, roots
+
+
+class TestShapeCertificate:
+    """A core of a survival denominator's shape counts its roots up to a
+    point by its sign there, wherever it has at most one root below."""
+
+    @pytest.mark.parametrize(
+        "roots, times",
+        [
+            ((Fraction(131, 100), Fraction(135, 100), Fraction(149, 100)), ()),
+            ((Fraction(101, 100), Fraction(102, 100), Fraction(103, 100)), ()),
+            ((Fraction(105, 100), Fraction(13, 10), Fraction(29, 20)), ()),
+            ((Fraction(13, 10), Fraction(11, 8), Fraction(7, 5)), ()),  # a dyadic middle root
+            # times (1 + z)^3 each has the shape
+            ((Fraction(131, 100), Fraction(135, 100), Fraction(149, 100)), (1, 3, 3, 1)),
+            ((Fraction(105, 100), Fraction(13, 10), Fraction(29, 20)), (1, 3, 3, 1)),
+            ((Fraction(13, 10), Fraction(11, 8), Fraction(7, 5)), (1, 3, 3, 1)),
+        ],
+        ids=lambda case: ",".join(map(str, case)),
+    )
+    def test_three_roots_below_a_negative_sign_give_the_smallest(self, roots, times):
+        # negative at 3/2 and positive at 1: a sign change over (1, 3/2) that
+        # holds three roots, so no point of it may start refinement
+        p = poly_mul(_cubic(*roots), poly(*times)) if times else _cubic(*roots)
+        core = _Core(p.ints)
+        assert core.sign(Fraction(3, 2)) < 0 < core.sign(1)
+        assert core.certifies(1, 1) is bool(times)
+        result = smallest_positive_root(p)
+        assert result.lower <= roots[0] <= result.upper < roots[1]
+        assert (result.lower, result.upper) == _with_no_certificate(p)
+
+    def test_a_last_partial_sum_below_zero_is_no_shape(self):
+        # p = z^2 + (1 - z)(30 - 50 z): c has the partial sums 30 and -20, so
+        # c(1) < 0, and p has two roots in (0, 1) though p(1) = 1 > 0
+        p = poly(30, -80, 51)
+        assert not _Core(p.ints).certifies(1, 1)
+        result = smallest_positive_root(p)
+        assert result.upper < 1
+        assert (result.lower, result.upper) == _with_no_certificate(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _shaped_polys(),
+        st.lists(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=16), max_size=2),
+        st.booleans(),
+        st.sampled_from([Fraction(1, 10**3), DEFAULT_TOL]),
+    )
+    def test_enclosures_match_sturm_counts(self, shaped, others, known, tol):
+        # rational candidates, among them a root of the factor when asked:
+        # the same ends, or the same error, with every count on a chain
+        p, roots = shaped
+        candidates = tuple(others) + (tuple(roots[:1]) if known else ())
+        assert _outcome(p, tol, candidates) == _with_no_certificate(p, tol, candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _shaped_polys(),
+        st.lists(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=64), min_size=1, max_size=6),
+    )
+    def test_certifies_exactly_where_the_rule_does(self, shaped, points):
+        # one variation certifies every point; the shape, which holds when 1
+        # is certified, every x <= 1 and every x with q(x) < 0; no shape, no
+        # point.  The points come in any order, so the ends of the certified
+        # region the core keeps must answer as the rule would.
+        core = _Core(shaped[0].ints)
+        descartes, shape = roots._variations(core.ints) <= 1, core.certifies(1, 1)
+        for x in points:
+            rule = descartes or shape and (x <= 1 or slope_bound(core.ints, x) < 0)
+            assert core.certifies(x.numerator, x.denominator) is rule
+        assert core.certifies(1, 0) is descartes  # inf
+
+    def test_a_zero_slope_bound_does_not_certify(self):
+        # (8z - 9)(z^2 - 2z + 2), positive at 0: q(z) = 50 z - 58 is 0 at 29/25
+        core = _Core([18, -34, 25, -8])
+        assert slope_bound(core.ints, Fraction(29, 25)) == 0
+        assert core.certifies(28, 25) and not core.certifies(29, 25)
+        assert core.certifies(57, 50) and not core.certifies(3, 2)
+
+    def test_descartes_is_the_one_variation_case(self):
+        # one variation: every point is certified, inf too, and no chain
+        core = _Core([3, 1, -2, -1])
+        assert all(core.certifies(n, 1) for n in (1, 5, 100)) and core.certifies(1, 0)
+        assert core.count_upto(None) == 1 and core._chain is None
+        assert _Core([3, 1, 2]).count_upto(None) == 0
+
+
+class TestCertificateWork:
+    """What the certificate saves: Sturm chains and counts."""
+
+    @pytest.mark.parametrize("text", LONG_HOLES.values(), ids=LONG_HOLES.keys())
+    @pytest.mark.parametrize(
+        "measure",
+        [B(["7/10", "3/10"]), MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])],
+        ids=["bernoulli", "markov"],
+    )
+    def test_long_holes_build_no_chain(self, monkeypatch, text, measure):
+        chains = _record_chains(monkeypatch)
+        escape_rate(w(text), measure)
+        assert chains == []
+
+    def test_brute_force_maximum_builds_no_chain(self, monkeypatch):
+        # every pruning test at the leader's lower end is certified
+        chains = _record_chains(monkeypatch)
+        brute_force_gamma_max(7, B(["7/10", "3/10"]))
+        assert chains == []
+
+    def test_negative_step_value_makes_no_count(self, monkeypatch):
+        # three roots in (1, 3/2) and no shape: probe 2 is negative and
+        # becomes hi with no count; the bisection midpoint 1 is positive and
+        # counted on the chain; 3/2 is negative and becomes hi uncounted
+        counts = []
+        count_upto = _Core.count_upto
+        monkeypatch.setattr(
+            _Core, "count_upto", lambda core, *args: counts.append(args[0]) or count_upto(core, *args)
+        )
+        enclosure = _Enclosure(_cubic(Fraction(131, 100), Fraction(135, 100), Fraction(149, 100)))
+        assert enclosure.hi == 2 and counts == []
+        enclosure.step()
+        assert enclosure.lo == 1 and len(counts) == 1
+        enclosure.step()
+        assert enclosure.hi == Fraction(3, 2) and len(counts) == 1
+        assert not enclosure._single
