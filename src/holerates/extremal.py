@@ -14,8 +14,10 @@ ordering tables) checks the cap, then groups the words of one
 ``polynomials.border_walk`` into correlation classes by border data (and a
 chain's end letters), all a survival denominator depends on: words with
 equal keys share denominator, measure and border pattern, so each is
-computed once per class.  Under a product measure the classes are exactly
-the distinct denominators.
+computed once per class, the denominator from the class's border data with
+no second walk.  Under a product measure the classes are exactly the
+distinct denominators.  Brute-force maxima build one only for a class they
+rate: a class pruned by a root below the leader builds no polynomial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .measures import BernoulliMeasure, MarkovChain, as_fraction
-from .polynomials import border_walk, survival_denominator
+from .polynomials import _denominator_ints, border_walk, survival_denominator
 from .roots import (
     DEFAULT_TOL,
     RootResult,
@@ -49,10 +51,11 @@ from .words import DEFAULT_ENUMERATION_CAP, Word, check_enumeration
 class _HoleClass:
     """Words of one length with equal border data (and chain end letters),
     hence one survival denominator, one measure (and cycle weight), one border pattern.
-    ``words`` are in enumeration order; the first stands for the class."""
+    ``words`` are in enumeration order; the first stands for the class.  ``data``, the walk's
+    border data, builds its denominator; entry r, ``measure`` times d^r, is one weight scale."""
 
     words: list[Word]
-    weight: int  # entry r of the border data: ``measure`` times d^r, one scale for all classes
+    data: tuple[int, ...]
     measure: Fraction
     cycle_weight: Fraction | None  # set for Markov chains only
     unbordered: bool
@@ -84,19 +87,20 @@ def _hole_classes(
             continue
         cw = Fraction(data[r] // start[letters[0]] * rows[letters[-1]][letters[0]], d**r) if chain else None
         period = next(j for j in range(1, r + 1) if data[j])
-        classes[key] = _HoleClass([w], data[r], Fraction(data[r], d**r), cw, period == r, period)
+        classes[key] = _HoleClass([w], data, Fraction(data[r], d**r), cw, period == r, period)
     return list(classes.values())
 
 
 def _class_rates(
     classes: list[_HoleClass], measure: BernoulliMeasure | MarkovChain, tol: Fraction
 ) -> list[RootResult]:
-    """The certified rate of each class; classes whose denominators agree
-    share one root isolation (and one snapshot)."""
+    """The certified rate of each class, its denominator built from the
+    class's border data; classes whose denominators agree share one root
+    isolation (and one snapshot)."""
     cache: dict[tuple, RootResult] = {}
     rates = []
     for hole_class in classes:
-        poly = survival_denominator(hole_class.words[0], measure)
+        poly = survival_denominator(hole_class.words[0], measure, data=hole_class.data)
         res = cache.get(poly.ints)
         if res is None:
             res = cache[poly.ints] = rate_from_denominator(poly, measure, tol)
@@ -232,36 +236,32 @@ def brute_force_gamma_max(
     """Certified maximum of the escape rate over every word of length r,
     with the full argmax set in enumeration order.
 
-    The maximum is taken over correlation classes, one denominator per
-    class, visited by decreasing hole measure (equal measures in class
-    order), since the holes of largest measure tend to leak fastest.  A
-    class whose denominator has a root in the open interval
-    (0, leader.lower) has a smaller root than the current leader, so a
-    smaller rate, and is dropped without isolating its root; every other
-    distinct denominator is rated and compared with the leader.  The
-    interval is open because a root at leader.lower may be the leader's own
-    exact root, which a tied class shares.  The result is the snapshot,
-    taken when it was rated, of the first enumerated argmax word."""
+    The maximum is taken over correlation classes (one denominator each,
+    under a product measure), visited by decreasing hole measure (equal
+    measures in class order), since the holes of largest measure tend to
+    leak fastest.  A class whose denominator has a root in the open interval
+    (0, leader.lower) has a smaller rate than the current leader and is
+    dropped, its test read off ``_denominator_ints`` of its border data with
+    no polynomial built; every other class is built, rated and compared with
+    the leader.  The interval is open because a root at leader.lower may be
+    the leader's own exact root, which a tied class shares.  The result is
+    the snapshot, taken when it was rated, of the first enumerated argmax word."""
     classes = _hole_classes(r, measure, cap)
-    polys = [survival_denominator(c.words[0], measure) for c in classes]
-    rated: dict[tuple, RootResult | None] = {}  # None: pruned
     leader: RootResult | None = None
-    top: set[tuple] = set()  # the denominators whose root ties the leader's
-    for i in sorted(range(len(classes)), key=lambda i: classes[i].weight, reverse=True):
-        poly = polys[i]
-        if poly.ints in rated:
-            continue
-        if leader is not None and _Core(poly.ints).root_below(leader.lower):
-            rated[poly.ints] = None
-            continue
-        res = rated[poly.ints] = rate_from_denominator(poly, measure, tol)
+    top: list[tuple[int, RootResult]] = []  # (class index, snapshot) of the classes tying the leader
+    for i in sorted(range(len(classes)), key=lambda i: classes[i].data[-1], reverse=True):
+        c = classes[i]
+        if leader is not None:
+            ints = _denominator_ints(c.data, c.words[0].letters[0], c.words[0].letters[-1], measure)
+            if _Core(ints).root_below(leader.lower):
+                continue
+        res = rate_from_denominator(survival_denominator(c.words[0], measure, data=c.data), measure, tol)
         order = 1 if leader is None else compare(res, leader)
         if order > 0:
-            leader, top = res, {poly.ints}
+            leader, top = res, [(i, res)]
         elif order == 0:
-            top.add(poly.ints)
-    argmax = [i for i, poly in enumerate(polys) if poly.ints in top]
-    return rated[polys[argmax[0]].ints], _in_order([classes[i] for i in argmax])
+            top.append((i, res))
+    return min(top)[1], _in_order([classes[i] for i, _ in top])
 
 
 # --------------------------------------------------------------------------

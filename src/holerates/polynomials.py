@@ -16,8 +16,9 @@ The key objects:
   smallest positive root z0 gives the escape rate log(z0) of the cylinder
   hole on ``word``.  It is the denominator of the generating function of
   the survival probabilities (see the ``survival`` module), built from the
-  border data and the word's end letters by one formula, whose
-  second-eigenvalue terms vanish for a product measure.
+  border data and the word's end letters by one formula
+  (``_denominator_ints``), whose second-eigenvalue terms vanish for a
+  product measure.  Scans pass the data their walk already holds.
 
 A ``RationalPolynomial`` has one form: ``ints``, its coefficients as
 integers with content 1 and the same signs, which is all that root
@@ -175,29 +176,21 @@ def border_data(word: Word, measure: BernoulliMeasure | MarkovChain) -> tuple[in
     return None
 
 
-def survival_denominator(
-    word: Word, measure: BernoulliMeasure | MarkovChain
-) -> RationalPolynomial:
-    """The degree-r polynomial whose smallest positive root z0 satisfies
-    escape rate = log(z0), for a Bernoulli measure or a two-symbol Markov
-    chain.  Raises ForbiddenWordError when the word is not allowed under the
-    chain.  One formula, the chain's, serves both: with x = trace(rows) - d
+def _denominator_ints(
+    data: Sequence[int], first: int, last: int, measure: BernoulliMeasure | MarkovChain
+) -> list[int]:
+    """The survival denominator's integer numerators, content not divided
+    out, from a word's ``border_data`` and its first and last letters.  One
+    formula, the chain's, serves both measures: with x = trace(rows) - d
     = d chi, d^r times (wrap - chi z) path z^r + (1 - z)(1 - chi z) border is
     (rows[last][first] - x z) P z^r + (d - x z)(1 - z) sum_{j<r} d^(r-1-j) data_j z^j,
     P the hole's entry over start[first] and the x z term of the head there
     only when first == last.  A product measure's rows sum to d, so x = 0
-    and rows[last][first] * P is the hole's entry: mu z^r + (1 - z) border."""
-    if not isinstance(measure, (BernoulliMeasure, MarkovChain)):
-        raise TypeError(f"unsupported measure type {type(measure).__name__}")
-    if word.alphabet != measure.alphabet:
-        raise AlphabetMismatchError("word and measure use different alphabets")
-    data = border_data(word, measure)
-    if data is None:
-        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+    and rows[last][first] * P is the hole's entry: mu z^r + (1 - z) border.
+    The constant term is d^r > 0; a zero degree-(r+1) term is trimmed."""
     d, start, rows = measure.integer_factors
     x = sum(row[c] for c, row in enumerate(rows)) - d
-    first, last = word.letters[0], word.letters[-1]
-    r = len(word)
+    r = len(data) - 1
     path = data[r] // start[first]
     weights = [d ** (r - 1 - j) * v if v else 0 for j, v in enumerate(data[:r])]
     pad = [0, 0, *weights, 0, 0]  # times (d - x z)(1 - z) = d - (d + x) z + x z^2, in one pass
@@ -205,12 +198,33 @@ def survival_denominator(
     ints[r] += rows[last][first] * path
     if first == last:
         ints[r + 1] -= x * path
+    return ints if ints[-1] else ints[:-1]
+
+
+def survival_denominator(
+    word: Word, measure: BernoulliMeasure | MarkovChain, *, data: Sequence[int] | None = None
+) -> RationalPolynomial:
+    """The degree-r polynomial whose smallest positive root z0 satisfies
+    escape rate = log(z0), for a Bernoulli measure or a two-symbol Markov
+    chain.  Raises ForbiddenWordError when the word is not allowed under the
+    chain.  ``data``, the word's ``border_data`` when the caller already
+    holds it (a scan's walk does), skips the walk.  The polynomial is
+    ``_denominator_ints`` over its constant term."""
+    if not isinstance(measure, (BernoulliMeasure, MarkovChain)):
+        raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    if word.alphabet != measure.alphabet:
+        raise AlphabetMismatchError("word and measure use different alphabets")
+    data = border_data(word, measure) if data is None else data
+    if data is None:
+        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+    r = len(word)
+    ints = _denominator_ints(data, word.letters[0], word.letters[-1], measure)
     poly = RationalPolynomial._over(ints, ints[0])
     # The degree-(r+1) terms always cancel.  With every factor positive the
     # degree is exactly r; a vanishing diagonal entry can cancel further
     # (e.g. the word bab when the aa-transition is forbidden).
     if poly.degree > r:
         raise AssertionError(f"survival denominator of length {r} has degree {poly.degree}")
-    if poly.degree != r and all(map(all, rows)):
+    if poly.degree != r and all(map(all, measure.integer_factors[2])):
         raise AssertionError(f"degree dropped below {r} under a positive matrix")
     return poly

@@ -5,10 +5,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
-from holerates.extremal import _class_rates, _hole_classes
+from holerates.extremal import _hole_classes
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, markov_weights
-from holerates.polynomials import RationalPolynomial
-from holerates.roots import _Core, _Enclosure, _sign_at, _sturm_chain, _variations, compare
+from holerates.polynomials import RationalPolynomial, survival_denominator
+from holerates.roots import _Core, _Enclosure, _sign_at, _sturm_chain, _variations, compare, rate_from_denominator
 from holerates.survival import build_automaton
 from holerates.words import DEFAULT_ENUMERATION_CAP, failure_function
 
@@ -300,12 +300,14 @@ def unbordered(word):
 
 def brute_force_max(r, measure, tol):
     """The maximal escape rate over the words of length r by the plain loop:
-    every correlation class rated, the maximum kept with ``compare``.
+    every correlation class rated, its denominator built from its first word
+    (not from the walk's border data), the maximum kept with ``compare``.
     Returns the snapshot of the first argmax word and every argmax word in
     enumeration order."""
     classes = _hole_classes(r, measure, DEFAULT_ENUMERATION_CAP)
     best, top = None, []
-    for hole_class, res in zip(classes, _class_rates(classes, measure, tol)):
+    for hole_class in classes:
+        res = rate_from_denominator(survival_denominator(hole_class.words[0], measure), measure, tol)
         order = 1 if best is None else compare(res, best)
         if order > 0:
             best, top = res, [hole_class]

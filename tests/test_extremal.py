@@ -20,7 +20,7 @@ from holerates.extremal import (
     unbordered_lower_estimate,
     unbordered_rate_bounds,
 )
-from holerates.roots import compare, compare_with_rational, escape_rate
+from holerates.roots import _Core, compare, compare_with_rational, escape_rate
 from holerates.words import AB, Word, enumerate_words
 
 from _reference import border_data as reference_border_data
@@ -308,6 +308,30 @@ class TestCorrelationClasses:
                     assert unbordered(word) == c.unbordered
                     assert brute_period(word.letters) == c.min_period
 
+    @pytest.mark.parametrize(
+        "measure, r_max",
+        [
+            (B(["1/2", "1/2"]), 9),
+            (B(["7/10", "3/10"]), 9),
+            (B(["1/2", "3/10", "1/5"]), 5),
+            (M(["2/5", "3/5", "1/3", "2/3"]), 9),
+            (M(["0", "1", "1/2", "1/2"]), 9),
+        ],
+    )
+    def test_data_fed_denominator_is_the_word_fed_one(self, measure, r_max):
+        # the denominator built from the walk's border data is the one built
+        # from the class's first word, and the pruning test on the unreduced
+        # integers answers as on the primitive ones, at points that include
+        # exact roots (1/p, 2) and the shape certificate's end 1
+        points = [Fraction(n, m) for n, m in ((1, 1), (9, 8), (4, 3), (10, 7), (3, 2), (5, 3), (2, 1), (5, 2))]
+        for r in range(1, r_max + 1):
+            for c in extremal._hole_classes(r, measure, 1 << 20):
+                first = c.words[0]
+                poly = survival_denominator(first, measure)
+                assert survival_denominator(first, measure, data=c.data) == poly
+                ints = polynomials._denominator_ints(c.data, first.letters[0], first.letters[-1], measure)
+                for x in points:
+                    assert _Core(ints).root_below(x) == _Core(poly.ints).root_below(x)
 
     WALK_MEASURES = [
         B(["3/5", "2/5"]),
@@ -344,8 +368,9 @@ class TestCorrelationClasses:
 
 
 class TestOneRootPerClass:
-    """Scans build one denominator per correlation class and isolate one
-    root per distinct denominator."""
+    """Ordering scans build one denominator per correlation class, brute
+    force one per class it rates, each from the class's border data, and
+    both isolate one root per distinct denominator."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -426,13 +451,35 @@ class TestOneRootPerClass:
         assert len(extremal._hole_classes(r, measure, 1 << 20)) == len(distinct)
 
     def test_brute_force_and_families_run_per_class(self, monkeypatch):
+        # brute force builds a denominator only for a class it rates; a
+        # pruned class's test reads integers off its border data
         measure = B(["3/5", "2/5"])
         builds = self._count(monkeypatch, "survival_denominator")
+        isolations = self._count(monkeypatch, "rate_from_denominator")
         brute_force_gamma_max(8, measure, TOL)
-        assert len(builds) == len(extremal._hole_classes(8, measure, 1 << 20)) < 2**8
+        assert [iso[0] for iso in isolations] == [survival_denominator(b[0], measure) for b in builds]
+        assert len(builds) < len(extremal._hole_classes(8, measure, 1 << 20)) == 62
         builds.clear()
         families(8, measure)
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "scan, measure",
+        [
+            (lambda m: brute_force_gamma_max(8, m, TOL), B(["7/10", "3/10"])),
+            (lambda m: ordering_table(8, m, TOL), B(["7/10", "3/10"])),
+            (lambda m: ordering_table(8, m, TOL), M(["3/4", "1/4", "1/3", "2/3"])),
+        ],
+        ids=["brute-force", "ordering-bernoulli", "ordering-chain"],
+    )
+    def test_scans_walk_no_word_again(self, monkeypatch, scan, measure):
+        # every denominator a scan builds or tests reads the walk's border
+        # data, so no class's word is walked a second time
+        def refuse(*args):
+            raise AssertionError("a scan called border_data")
+
+        monkeypatch.setattr(polynomials, "border_data", refuse)
+        assert scan(measure)
 
 
 class TestOrderSwitch:
