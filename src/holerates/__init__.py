@@ -27,11 +27,8 @@ from .extremal import (
 )
 from .measures import (
     BernoulliMeasure,
-    HoleWeights,
     MarkovChain,
-    hole_measure,
     is_allowed,
-    markov_weights,
     stationary_distribution,
 )
 from .polynomials import (

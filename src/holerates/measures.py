@@ -135,16 +135,11 @@ class MarkovChain:
             raise ValueError("matrix must be irreducible and aperiodic")
 
     def _primitive(self) -> bool:
-        # For a 2x2 stochastic matrix, irreducible + aperiodic reduces to:
-        # all entries of the matrix or of its square are positive.
-        m = self.matrix
-        if all(e > 0 for row in m for e in row):
-            return True
-        sq = [
-            [sum(m[i][k] * m[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        return all(e > 0 for row in sq for e in row)
+        # A 2x2 stochastic matrix is irreducible and aperiodic, that is its
+        # square is positive, exactly when both letters lead to each other
+        # and one of them may repeat.
+        (aa, ab), (ba, bb) = self.matrix
+        return ab > 0 and ba > 0 and (aa > 0 or bb > 0)
 
     @classmethod
     def from_rationals(

@@ -227,9 +227,9 @@ class _Core:
         self._refused = num, den
         return False
 
-    def sign(self, x: Fraction | int, den: int = 1) -> int:
-        """Sign of the core at x / den."""
-        return _sign_at(self.ints, x.numerator, x.denominator * den)
+    def sign(self, x: Fraction | int) -> int:
+        """Sign of the core at x."""
+        return _sign_at(self.ints, x.numerator, x.denominator)
 
     def count_upto(self, x: Fraction | int | None, den: int = 1, value: int | None = None) -> int:
         """Distinct roots of the core in (0, x / den], or in (0, inf) for

@@ -4,8 +4,10 @@ Three ways to compute the survival probabilities p_n (the measure of the
 sequences whose first n+r symbols avoid the hole word as a factor), built
 so they can cross-check one another and the root-isolation layer:
 
-* a weighted pattern-avoidance automaton (KMP prefix states), stepped
-  exactly on integer weights held in a flat list indexed by state;
+* a weighted pattern-avoidance automaton (KMP prefix states), its table
+  built in one pass over the word that reads each restart state off a row
+  already built, stepped exactly on integer weights held in a flat list
+  indexed by state;
 * one brute-force enumerator for both measures: one walk over the window
   states (the last r - 1 letters) of every length up to a given one, held
   as a flat list of exact weights indexed by the states' codes; each length
@@ -49,7 +51,7 @@ from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, is_allowed
 from .polynomials import RationalPolynomial, border_data
 from .roots import _frac_log
-from .words import Word, failure_function
+from .words import Word
 
 #: Default cap on the window states of the brute-force enumerator.
 DEFAULT_STATE_CAP = 1 << 16
@@ -59,7 +61,8 @@ DEFAULT_STATE_CAP = 1 << 16
 class AvoidanceAutomaton:
     """Deterministic automaton whose live states are the proper prefixes of
     the hole word; reading the word's next letter advances, anything else
-    follows the failure links, and completing the word absorbs."""
+    moves as the prefix's restart state (its longest proper border) would,
+    and completing the word absorbs."""
 
     word: Word
     measure: BernoulliMeasure | MarkovChain
@@ -96,20 +99,16 @@ def build_automaton(
         raise AlphabetMismatchError("word and measure use different alphabets")
     if not is_allowed(word, measure):
         raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
-    letters = word.letters
-    r = len(letters)
-    size = word.alphabet.size
-    fail = failure_function(letters)
-    delta: list[list[int]] = [[0] * size for _ in range(r + 1)]
-    for state in range(r):
-        for c in range(size):
-            if c == letters[state]:
-                delta[state][c] = state + 1
-            elif state == 0:
-                delta[state][c] = 0
-            else:
-                delta[state][c] = delta[fail[state]][c]
-    delta[r] = [r] * size
+    r, size = len(word), word.alphabet.size
+    # row s >= 1 copies the row of its restart state x, the longest proper
+    # border of the length-s prefix, and x moves on along that row
+    delta, x = [[0] * size], 0
+    for s, c in enumerate(word.letters):
+        if s:
+            delta.append(list(delta[x]))
+            x = delta[x][c]
+        delta[s][c] = s + 1
+    delta.append([r] * size)
     return AvoidanceAutomaton(
         word=word,
         measure=measure,
@@ -211,7 +210,7 @@ def direct_enumeration(
       one per letter leaving the window, are added entry by entry, so each
       pair moves to state (state * A + c) mod A^k.
 
-    Survival thus depends on the windows alone, with no failure links.  The
+    Survival thus depends on the windows alone, with no prefix states.  The
     total at length n is the sum of the list.
 
     At length n the walk holds A^min(n, k) states.  L is ``length``, or the

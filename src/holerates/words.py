@@ -1,10 +1,10 @@
-"""Finite words over a finite alphabet: failure links and enumeration.
+"""Finite words over a finite alphabet, the enumeration cap and enumeration.
 
 Symbols are stored as integer indices into an :class:`Alphabet`; textual
-symbol names appear only when parsing or printing.  The failure links here
-serve the avoidance automaton; the weighted borders of a word, which every
-survival denominator and generating function reads, come from
-``polynomials.border_data`` alone.
+symbol names appear only when parsing or printing.  Nothing here reads a
+word's borders: the weighted borders, which every survival denominator and
+generating function reads, come from ``polynomials.border_data`` alone, and
+the avoidance automaton finds its restart states from its own rows.
 """
 
 from __future__ import annotations
@@ -104,20 +104,6 @@ class Word:
         if not names:
             raise ValueError("cannot parse an empty word")
         return cls(tuple(alphabet.index(n) for n in names), alphabet)
-
-
-def failure_function(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """fail[k] = length of the longest proper border of the length-k prefix."""
-    r = len(letters)
-    fail = [0] * (r + 1)
-    k = 0
-    for i in range(1, r):
-        while k and letters[i] != letters[k]:
-            k = fail[k]
-        if letters[i] == letters[k]:
-            k += 1
-        fail[i + 1] = k
-    return tuple(fail)
 
 
 def check_enumeration(alphabet: Alphabet, length: int, cap: int) -> None:

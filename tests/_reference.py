@@ -10,7 +10,7 @@ from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, mark
 from holerates.polynomials import RationalPolynomial, survival_denominator
 from holerates.roots import _Core, _Enclosure, _sign_at, _sturm_chain, _variations, compare, rate_from_denominator
 from holerates.survival import build_automaton
-from holerates.words import DEFAULT_ENUMERATION_CAP, failure_function
+from holerates.words import DEFAULT_ENUMERATION_CAP
 
 
 def trinomial(r, m):
@@ -77,16 +77,9 @@ ONE_MINUS_Z = RationalPolynomial([1, -1])
 
 def autocorrelation(word):
     """The 0/1 border vector: bit i is 1 iff the suffix starting at i equals
-    the prefix of the same length.  Bit 0 is always 1.  The borders are the
-    chain of failure links from the whole word, longest first."""
-    n = len(word)
-    fail = failure_function(word.letters)
-    bits = [1] + [0] * (n - 1)
-    border = fail[n]
-    while border:
-        bits[n - border] = 1
-        border = fail[border]
-    return tuple(bits)
+    the prefix of the same length.  Bit 0 is always 1."""
+    w = word.letters
+    return tuple(int(w[i:] == w[: len(w) - i]) for i in range(len(w)))
 
 
 def weighted_autocorrelation(word, measure):

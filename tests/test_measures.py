@@ -96,9 +96,22 @@ class TestMarkovChain:
         with pytest.raises(ValueError):
             M(["1/2", "1/3", "1/2", "1/2"])
 
-    def test_periodic_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            M(["0", "1", "1", "0"])
+    @pytest.mark.parametrize(
+        "entries,primitive",
+        [
+            (["0", "1", "1", "0"], False),  # periodic
+            (["1", "0", "0", "1"], False),  # reducible: neither letter leaves
+            (["1", "0", "1/2", "1/2"], False),  # b leads to a, a never to b
+            (["1/2", "1/2", "0", "1"], False),  # a leads to b, b never to a
+            (["0", "1", "1/2", "1/2"], True),  # the golden-mean shift
+        ],
+    )
+    def test_only_primitive_matrices_accepted(self, entries, primitive):
+        if primitive:
+            M(entries)
+        else:
+            with pytest.raises(ValueError, match="irreducible and aperiodic"):
+                M(entries)
 
     def test_second_eigenvalue_range_and_product_case(self):
         assert TILTED.second_eigenvalue == Fraction(5, 12)

@@ -697,6 +697,24 @@ class TestNoFalseCertificates:
         assert compare_with_rational(result, Fraction(7, 5)) == 1
         assert compare_with_rational(result, Fraction(10, 7)) == -1
 
+    @pytest.mark.parametrize(
+        "product",
+        [poly_mul(poly(-4, 3), poly(3, -2, 1)), poly_mul(poly_mul(poly(-4, 3), poly(-4, 3)), poly(1, 1))],
+        ids=["simple", "double"],
+    )
+    def test_comparison_at_a_rational_root_pins_it(self, product):
+        # 4/3 is neither a candidate nor dyadic, so bisection never meets it:
+        # the comparison divides it out of the core and pins it in place
+        root = Fraction(4, 3)
+        result = smallest_positive_root(product)
+        assert result.lower < root < result.upper
+        below = (result.lower + root) / 2
+        assert compare_with_rational(result, below) == 1
+        assert compare_with_rational(result, root) == 0
+        assert compare_with_rational(result, below) == 1
+        pinned = refine(result, Fraction(1, 10**40))
+        assert pinned.exact and pinned.lower == root
+
     def test_enclosure_ends_below_a_deflated_candidate(self):
         # roots sqrt(2) and the candidate 10/7: at tol 1/2 the width test
         # alone would stop at (1, 3/2), which reaches above 10/7

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from holerates import measures, polynomials, survival, words
+from holerates import measures, polynomials, survival
 from holerates.errors import AlphabetMismatchError, ForbiddenWordError
 from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import RationalPolynomial, survival_denominator
@@ -23,7 +23,6 @@ from holerates.survival import (
 from holerates.words import AB, Alphabet, Word, enumerate_words
 
 from _reference import (
-    autocorrelation,
     fraction_genfun,
     fraction_series,
     fraction_word_equations,
@@ -75,18 +74,22 @@ class TestAutomaton:
         auto = build_automaton(w("ab"), HALF)
         assert auto.transitions[1][0] == 1  # another a stays on the border
 
-    def test_failure_links_match_autocorrelation(self):
-        for word in enumerate_words(AB, 6):
-            failure = words.failure_function(word.letters)
-            bits = autocorrelation(word)
-            # border lengths of the full word, read off the failure chain
-            borders = set()
-            k = failure[len(word)]
-            while k > 0:
-                borders.add(k)
-                k = failure[k]
-            expected = {len(word) - i for i in range(1, len(word)) if bits[i]}
-            assert borders == expected
+    @pytest.mark.parametrize("size,max_r", [(2, 9), (3, 6), (4, 4)])
+    def test_table_reads_longest_prefix_ending_the_input(self, size, max_r):
+        # from state s, letter c moves to the longest prefix of the word
+        # that ends word[:s] + (c,), found by comparing strings
+        alphabet = Alphabet.of_size(size)
+        uniform = B([Fraction(1, size)] * size, alphabet)
+        for r in range(1, max_r + 1):
+            for word in enumerate_words(alphabet, r):
+                letters = word.letters
+                table = build_automaton(word, uniform).transitions
+                for s in range(r):
+                    ends = [letters[:s] + (c,) for c in range(size)]
+                    assert table[s] == tuple(
+                        max(k for k in range(s + 2) if text[s + 1 - k :] == letters[:k]) for text in ends
+                    )
+                assert table[r] == (r,) * size
 
     def test_forbidden_word(self):
         with pytest.raises(ForbiddenWordError):
@@ -335,8 +338,7 @@ class TestDirectEnumeration:
         def refuse(*args, **kwargs):
             raise AssertionError("the enumeration oracle used the automaton's machinery")
 
-        for module, name in ((survival, "failure_function"), (survival, "build_automaton"),
-                             (words, "failure_function"), (polynomials, "border_walk"),
+        for module, name in ((survival, "build_automaton"), (polynomials, "border_walk"),
                              (polynomials, "border_data")):
             monkeypatch.setattr(module, name, refuse)
         assert [direct_enumeration(word, m, 9) for word, m in cases] == expected
