@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import extremal, survival
 from .errors import EnumerationCapError, ForbiddenWordError, NoPositiveRootError
 from .measures import BernoulliMeasure, MarkovChain
+from .polynomials import _int_str
 from .roots import RootResult, escape_rate
 from .words import DEFAULT_ENUMERATION_CAP, Alphabet, Word
 
@@ -54,7 +55,7 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 
 def frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def float_str(value: float) -> str:
@@ -73,22 +74,15 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_grid(text: str) -> list[Fraction]:
-    """[name=]lo:hi:step with inclusive endpoints, all exact."""
+    """lo:hi:step with inclusive endpoints, all exact."""
     text = str(text)
-    if "=" in text:
-        text = text.split("=", 1)[1]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
     lo, hi, step = (_fraction(part) for part in parts)
     if step <= 0 or hi < lo:
         raise ValueError("grid needs step > 0 and hi >= lo")
-    out = []
-    value = lo
-    while value <= hi:
-        out.append(value)
-        value += step
-    return out
+    return [lo + i * step for i in range((hi - lo) // step + 1)]
 
 
 def _measure_from_args(args) -> BernoulliMeasure | MarkovChain:

@@ -31,6 +31,7 @@ made only when printed or asked for.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -97,7 +98,8 @@ class RationalPolynomial:
         return hash((self.ints, self.scale))
 
     def __repr__(self) -> str:
-        terms = [f"{c}*z^{k}" if k > 1 else f"{c}*z" if k else str(c) for k, c in enumerate(self.coeffs) if c]
+        texts = (text.removesuffix("/1") for text in self.coeff_strings())  # as str(Fraction)
+        terms = [f"{t}*z^{k}" if k > 1 else f"{t}*z" if k else t for k, t in enumerate(texts) if t != "0"]
         return "RationalPolynomial(" + (" + ".join(terms) or "0") + ")"
 
     # -- output ------------------------------------------------------------
@@ -111,8 +113,17 @@ class RationalPolynomial:
         out = []
         for c in self.ints:
             g = math.gcd(c, d)
-            out.append(f"{n * (c // g)}/{d // g}")
+            out.append(f"{_int_str(n * (c // g))}/{_int_str(d // g)}")
         return out
+
+
+def _int_str(n: int) -> str:
+    """The digits of n, however many: past the interpreter's limit for
+    ``str(int)`` through ``decimal``, leaving the process-wide limit as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def _primitive(ints: list[int]) -> list[int]:

@@ -5,10 +5,10 @@ its positive roots, and beside it a bracket state that is refined in place
 and never restarted.  The core starts as ``poly.ints``, the primitive
 integers a survival denominator is built as, so nothing is rescaled.  The
 same core counts for the tie test in ``compare`` and the brute-force
-pruning test in ``extremal``.  A :class:`RootResult` is a frozen snapshot
-of the enclosure; ``refine``, ``compare`` and ``compare_with_rational``
-narrow the shared state further and never change a snapshot a caller
-already holds.
+pruning test in ``extremal``.  A :class:`RootResult` is only ever a frozen
+snapshot of the enclosure, the one holder of the root's bounds; ``refine``,
+``compare`` and ``compare_with_rational`` read and narrow the shared state
+and never change a snapshot a caller already holds.
 
 A count at x is the sign test p(x) < 0 wherever the core has at most one
 root in (0, x], a simple one.  Descartes' rule certifies that at every x
@@ -47,8 +47,8 @@ Kobel, Rouillier and Sagraloff), and a short one, or a sign that bound
 cannot decide, the exact integer Horner 2^(kd) p(n / 2^k) with shifts.
 No point is evaluated twice: a count reuses the core's value at its point
 when the caller has it, and a count at 0 reads the constant terms.
-``Fraction`` endpoints are made only for snapshots and comparisons with
-other rationals.
+``Fraction`` endpoints are made only for snapshots and the tie test; a
+comparison with a rational cross-multiplies integers.
 """
 
 from __future__ import annotations
@@ -268,7 +268,6 @@ class _Enclosure:
 
     def __init__(self, poly: RationalPolynomial, candidates: tuple = ()) -> None:
         self.poly = poly
-        self.candidates = tuple(candidates)
         self.exact: Fraction | None = None
         self.cap: Fraction | None = None
         self.lo_n, self.hi_n, self.k = 0, None, 0
@@ -406,15 +405,17 @@ class _Enclosure:
         return self._single or self.core.count_upto(self.hi_n, 1 << self.k) == 1
 
     def compare_with(self, value: Fraction) -> int:
-        """Certified sign of (root - value)."""
+        """Certified sign of (root - value); the core is positive on (0, lo],
+        so a negative sign at value puts the root below it uncounted."""
         if self.exact is None:
-            if value <= self.lo:
+            num, den = value.numerator, value.denominator
+            if num << self.k <= self.lo_n * den:
                 return 1
-            if value >= self.hi:
+            if num << self.k >= self.hi_n * den:
                 return -1
             sign = self.core.sign(value)
             if sign != 0:
-                return -1 if self.core.count_upto(value, 1, sign) else 1
+                return -1 if sign < 0 or self.core.count_upto(value, 1, sign) else 1
             self._deflate([value])
             if self.exact is None:
                 return -1
@@ -422,7 +423,7 @@ class _Enclosure:
 
     def snapshot(self) -> "RootResult":
         lower, upper = (self.exact, self.exact) if self.exact is not None else (self.lo, self.hi)
-        return RootResult(self.poly, lower, upper, self.candidates, self)
+        return RootResult(self.poly, lower, upper, self)
 
 
 def _below(a: _Enclosure, b: _Enclosure) -> bool:
@@ -452,15 +453,14 @@ def _common_root(a: _Enclosure, b: _Enclosure) -> bool:
 
 @dataclass(frozen=True)
 class RootResult:
-    """A certified enclosure [lower, upper] of the smallest positive root of
-    ``poly``, with the escape rate gamma = log(root) as a float interval.
-    ``lower == upper`` means the root is known exactly as a rational."""
+    """A snapshot of the certified enclosure [lower, upper] of the smallest
+    positive root of ``poly``, with the escape rate gamma = log(root) as a
+    float interval.  ``lower == upper`` means the root is known exactly."""
 
     poly: RationalPolynomial
     lower: Fraction
     upper: Fraction
-    candidates: tuple[Fraction, ...] = ()
-    _enclosure: _Enclosure | None = field(default=None, compare=False, repr=False)
+    _enclosure: _Enclosure = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.lower <= self.upper:
@@ -489,10 +489,6 @@ class RootResult:
 
     def rel_width(self) -> Fraction:
         return (self.upper - self.lower) / self.lower
-
-    def _state(self) -> _Enclosure:
-        """The shared enclosure; a snapshot built by hand gets a new one."""
-        return self._enclosure or _Enclosure(self.poly, self.candidates)
 
 
 # --------------------------------------------------------------------------
@@ -530,26 +526,23 @@ def refine(result: RootResult, tol: Fraction) -> RootResult:
     tol = as_fraction(tol)
     if result.exact or result.rel_width() <= tol:
         return result
-    enclosure = result._state()
+    enclosure = result._enclosure
     enclosure.refine(tol)
     return enclosure.snapshot()
 
 
 def compare(a: RootResult, b: RootResult) -> int:
-    """-1, 0, +1 ordering of two certified roots, decided exactly.
+    """-1, 0, +1 ordering of two certified roots, decided exactly on the
+    shared enclosures, never on the snapshots' wider ends.
 
     Identical polynomials compare equal immediately.  Overlapping roots are
     equal when both enclosures isolate a single root and the gcd of the two
     cores has a root in the overlap; otherwise both are bisected until they
     separate.
     """
-    if a.upper < b.lower:
-        return -1
-    if b.upper < a.lower:
-        return 1
     if a.poly == b.poly:
         return 0
-    ea, eb = a._state(), b._state()
+    ea, eb = a._enclosure, b._enclosure
     tie_checked = False
     while True:
         if ea.exact is not None:
@@ -604,4 +597,4 @@ def escape_rate(
 
 def compare_with_rational(result: RootResult, value: Fraction | int | str) -> int:
     """Certified sign of (enclosed root - value) for an exact rational value."""
-    return result._state().compare_with(as_fraction(value))
+    return result._enclosure.compare_with(as_fraction(value))

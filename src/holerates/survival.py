@@ -159,9 +159,9 @@ class SurvivalSeries:
     @cached_property
     def ratio_estimates(self) -> tuple[float, ...]:
         """-log(p_n / p_{n-1}) for n = 1..N, computed once for the printed
-        column and ``empirical_rate``."""
-        values = self.values
-        return tuple(_frac_log(a) - _frac_log(b) for a, b in zip(values, values[1:]))
+        column and ``empirical_rate``, from one log of each p_n."""
+        logs = [_frac_log(v) for v in self.values]
+        return tuple(a - b for a, b in zip(logs, logs[1:]))
 
 
 def survival_series(

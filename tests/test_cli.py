@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +14,11 @@ import pytest
 
 import holerates
 from holerates import cli, extremal, polynomials, survival
-from holerates.cli import main
+from holerates.cli import frac_str, main
+from holerates.measures import BernoulliMeasure
 from holerates.polynomials import RationalPolynomial
+from holerates.roots import escape_rate
+from holerates.words import AB, Word
 
 
 def run(capsys, *argv):
@@ -89,6 +93,27 @@ class TestRate:
         )
         assert code == 0
         assert Fraction(json.loads(out)["z0_lower"]) > 1
+
+    @pytest.mark.parametrize(
+        "word,p", [("b" * 159 + "a", Fraction(1, 10**27)), ("b" * 40 + "a", Fraction(1, 10**120))]
+    )
+    def test_integers_past_the_interpreter_digit_limit(self, capsys, word, p):
+        # coefficients and enclosure ends with more than 4300 digits print in
+        # full; Decimal parses them back, as int(str) has the same limit
+        code, out, err = run(capsys, "rate", "--word", word, "--p", frac_str(p))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        measure = BernoulliMeasure.from_rationals([p, 1 - p])
+        result = escape_rate(Word.parse(word, AB), measure)
+        poly = polynomials.survival_denominator(Word.parse(word, AB), measure)
+        expected = [*poly.coeffs, result.lower, result.upper]
+        printed = [*payload["denominator"], payload["z0_lower"], payload["z0_upper"]]
+        assert len(printed) == len(expected) == len(word) + 3
+        longest = max(len(text) for text in printed)
+        assert longest > 4300
+        for text, value in zip(printed, expected):
+            num, den = text.split("/")
+            assert (Decimal(num), Decimal(den)) == (Decimal(value.numerator), Decimal(value.denominator))
 
     def test_float_probability_rejected(self, capsys):
         code, _, err = run(capsys, "rate", "--word", "ab", "--bernoulli", "0.6,0.4")
@@ -597,6 +622,24 @@ def test_flags_a_command_never_reads_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rate", "--word", "ab", "--p", "3/5", "--tol", "0"], "tolerance must lie in (0, 1/1000000]"),
+        (["rate", "--word", "ab", "--p", "3/5", "--tol", "1/1000"], "tolerance must lie in (0, 1/1000000]"),
+        (["max", "--r", "3", "--markov", "2/5,3/5,1/3,2/3"], "max handles product measures; use markov-scan for chains"),
+        (["families", "--r", "3", "--markov", "2/5,3/5,1/3,2/3"], "families is defined for product measures"),
+        (["markov-scan", "--r", "3", "--p", "7/10"], "markov-scan requires --markov"),
+        (["scan", "--r", "3", "--grid", "1/2:3/5"], "grid must look like lo:hi:step, got '1/2:3/5'"),
+        (["scan", "--r", "3", "--grid", "3/5:1/2:1/50"], "grid needs step > 0 and hi >= lo"),
+        # a grid is only lo:hi:step, with no name in front
+        (["scan", "--r", "3", "--grid", "p=1/2:3/5:1/50"], "cannot parse 'p=1/2' as an exact rational"),
+    ],
+)
+def test_inputs_outside_the_domain_exit_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestSharedParser:

@@ -55,6 +55,14 @@ class TestRationalPolynomial:
     def test_string_roundtrip(self):
         assert poly(1, Fraction(-1, 2)).coeff_strings() == ["1/1", "-1/2"]
 
+    def test_strings_past_the_interpreter_digit_limit(self):
+        # a 5001-digit numerator exceeds the default limit of str(int)
+        big = poly(Fraction(-1, 2), 0, Fraction(10**5000, 3))
+        digits = "1" + "0" * 5000
+        assert big.coeff_strings() == ["-1/2", "0/1", f"{digits}/3"]
+        assert repr(big) == f"RationalPolynomial(-1/2 + {digits}/3*z^2)"
+        assert repr(poly(3, Fraction(-1, 2), 0, 7)) == "RationalPolynomial(3 + -1/2*z + 7*z^3)"
+
     @given(
         st.lists(st.fractions(max_denominator=30), max_size=6),
         st.integers(-10**6, 10**6).filter(bool),

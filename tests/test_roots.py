@@ -638,6 +638,54 @@ class TestCompare:
         assert compare_with_rational(inexact, Fraction(5, 4)) < 0
         assert compare_with_rational(inexact, Fraction(6, 5)) > 0
 
+    @pytest.mark.parametrize(
+        "inexact,exact,order,overlap",
+        [
+            # separated: sqrt(5) - 1 lies far below 5/3
+            (lambda: escape_rate(w("aa"), HALF), lambda: escape_rate(w("ab"), P35), -1, False),
+            # overlapping: a loose enclosure of sqrt(2) holds the exact 29/20
+            (
+                lambda: smallest_positive_root(poly_mul(poly(-2, 0, 1), poly(-29, 20)), tol=Fraction(1, 2)),
+                lambda: smallest_positive_root(poly(-29, 20), candidates=(Fraction(29, 20),)),
+                -1,
+                True,
+            ),
+            # overlapping and equal: 4/3 is a root of both, pinned in place
+            (
+                lambda: smallest_positive_root(poly_mul(poly(-4, 3), poly(3, -2, 1))),
+                lambda: smallest_positive_root(poly(-4, 3), candidates=(Fraction(4, 3),)),
+                0,
+                True,
+            ),
+        ],
+        ids=["separated", "overlapping", "equal"],
+    )
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_exact_with_inexact_root(self, inexact, exact, order, overlap, exact_first):
+        loose, pinned = inexact(), exact()
+        assert pinned.exact and not loose.exact
+        assert (loose.lower < pinned.lower < loose.upper) == overlap
+        if exact_first:
+            assert compare(pinned, loose) == -order
+        else:
+            assert compare(loose, pinned) == order
+
+    def test_compare_reads_enclosures_separated_earlier(self, monkeypatch):
+        # loose enclosures (1, 3/2) of sqrt(2) and sqrt(21/10): the snapshots
+        # overlap, and once a comparison has separated the enclosures the
+        # next one answers with no step
+        low = smallest_positive_root(poly(-2, 0, 1), tol=Fraction(1, 2))
+        high = smallest_positive_root(poly(Fraction(-21, 10), 0, 1), tol=Fraction(1, 2))
+        assert low.lower < high.upper and high.lower < low.upper
+        assert compare(low, high) == -1
+
+        def refuse(enclosure):
+            raise AssertionError("an enclosure was bisected")
+
+        monkeypatch.setattr(_Enclosure, "step", refuse)
+        assert compare(low, high) == -1 and compare(high, low) == 1
+        assert low.lower < high.upper and high.lower < low.upper
+
     def test_refine_keeps_root(self):
         result = escape_rate(w("aa"), HALF, tol=Fraction(1, 10**8))
         tighter = refine(result, Fraction(1, 10**24))
@@ -725,10 +773,29 @@ class TestNoFalseCertificates:
         assert result.lower ** 2 < 2 < result.upper ** 2
         assert result.upper <= Fraction(10, 7)
 
-    def test_snapshot_without_shared_state(self):
-        result = RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
-        assert compare_with_rational(result, Fraction(7, 5)) == 1
-        assert compare(result, smallest_positive_root(poly_mul(poly(-2, 0, 1), poly(-3, 1)))) == 0
+    def test_a_snapshot_is_made_only_by_its_enclosure(self):
+        with pytest.raises(TypeError):
+            RootResult(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        result = smallest_positive_root(poly(-2, 0, 1))
+        assert not hasattr(result, "candidates") and not hasattr(result, "_state")
+        assert result._enclosure.snapshot() == result
+
+    def test_negative_sign_at_the_value_needs_no_count(self, monkeypatch):
+        # the enclosure (1, 3/2) of sqrt(2): the core 2 - z^2 is negative at
+        # 29/20, so the root lies below it with no count, even when no
+        # certificate would spare a Sturm chain
+        result = smallest_positive_root(poly(-2, 0, 1), tol=Fraction(1, 2))
+        assert (result.lower, result.upper) == (1, Fraction(3, 2))
+
+        def refuse(ints):
+            raise AssertionError("a Sturm chain was built")
+
+        monkeypatch.setattr(roots, "_sturm_chain", refuse)
+        with no_certificate():
+            assert compare_with_rational(result, Fraction(29, 20)) == -1
+            # a positive sign at 7/5 must be counted, on the refused chain
+            with pytest.raises(AssertionError, match="Sturm chain"):
+                compare_with_rational(result, Fraction(7, 5))
 
 
 def _cubic(*roots):

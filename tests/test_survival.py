@@ -445,7 +445,7 @@ class TestGenFun:
         word = w("aabbaa")
         gf = genfun(word, P35)
         rate = escape_rate(word, P35)
-        pole = smallest_positive_root(gf.denominator, candidates=rate.candidates)
+        pole = smallest_positive_root(gf.denominator, candidates=P35.root_candidates)
         assert pole.lower <= rate.upper and rate.lower <= pole.upper
 
 
