@@ -286,6 +286,8 @@ def cmd_bounds(args) -> tuple:
 def cmd_oracle(args) -> tuple:
     measure = _measure_from_args(args)
     word = _word_from_args(args, measure)
+    if args.enum_cap < 1:
+        raise ValueError("--enum-cap must be an integer >= 1")
     n = args.n
     r = len(word)
     # the closed form is rated first, so a forbidden word and a hole that
@@ -304,7 +306,6 @@ def cmd_oracle(args) -> tuple:
     enum_match = enumerated == list(series.totals[: len(enumerated)])
 
     estimates = survival.empirical_rate(series) if n >= 10 else None
-    ratios = series.ratio_estimates
     payload = {
         "word": str(word),
         "n": n,
@@ -332,10 +333,10 @@ def cmd_oracle(args) -> tuple:
             "n": i,
             "p_n": frac_str(value),
             "p_n_float": float_str(value.numerator / value.denominator),
-            "ratio_estimate": float_str(ratios[i - 1]) if i >= 1 else "",
+            "ratio_estimate": float_str(series.ratio_estimates[i - 1]) if i >= 1 else "",
         }
         for i, value in enumerate(series.values)
-    ]
+    ] if args.format == "csv" else None  # a JSON run builds no Fraction view
     return payload, rows
 
 

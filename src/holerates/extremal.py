@@ -94,16 +94,18 @@ def _hole_classes(
 def _class_rates(
     classes: list[_HoleClass], measure: BernoulliMeasure | MarkovChain, tol: Fraction
 ) -> list[RootResult]:
-    """The certified rate of each class, its denominator built from the
-    class's border data; classes whose denominators agree share one root
-    isolation (and one snapshot)."""
+    """The certified rate of each class, from its border data; classes whose
+    unreduced denominator integers (constant term always d^r) agree share
+    one build, one root isolation and one snapshot."""
     cache: dict[tuple, RootResult] = {}
     rates = []
     for hole_class in classes:
-        poly = survival_denominator(hole_class.words[0], measure, data=hole_class.data)
-        res = cache.get(poly.ints)
+        word = hole_class.words[0]
+        ints = _denominator_ints(hole_class.data, word.letters[0], word.letters[-1], measure)
+        res = cache.get(tuple(ints))
         if res is None:
-            res = cache[poly.ints] = rate_from_denominator(poly, measure, tol)
+            poly = survival_denominator(word, measure, ints=ints)
+            res = cache[tuple(ints)] = rate_from_denominator(poly, measure, tol)
         rates.append(res)
     return rates
 
@@ -251,11 +253,10 @@ def brute_force_gamma_max(
     top: list[tuple[int, RootResult]] = []  # (class index, snapshot) of the classes tying the leader
     for i in sorted(range(len(classes)), key=lambda i: classes[i].data[-1], reverse=True):
         c = classes[i]
-        if leader is not None:
-            ints = _denominator_ints(c.data, c.words[0].letters[0], c.words[0].letters[-1], measure)
-            if _Core(ints).root_below(leader.lower):
-                continue
-        res = rate_from_denominator(survival_denominator(c.words[0], measure, data=c.data), measure, tol)
+        ints = _denominator_ints(c.data, c.words[0].letters[0], c.words[0].letters[-1], measure)
+        if leader is not None and _Core(ints).root_below(leader.lower):
+            continue
+        res = rate_from_denominator(survival_denominator(c.words[0], measure, ints=ints), measure, tol)
         order = 1 if leader is None else compare(res, leader)
         if order > 0:
             leader, top = res, [(i, res)]

@@ -18,7 +18,7 @@ The key objects:
   the survival probabilities (see the ``survival`` module), built from the
   border data and the word's end letters by one formula
   (``_denominator_ints``), whose second-eigenvalue terms vanish for a
-  product measure.  Scans pass the data their walk already holds.
+  product measure.  Scans pass the integers they read off their walk.
 
 A ``RationalPolynomial`` has one form: ``ints``, its coefficients as
 integers with content 1 and the same signs, which is all that root
@@ -213,23 +213,24 @@ def _denominator_ints(
 
 
 def survival_denominator(
-    word: Word, measure: BernoulliMeasure | MarkovChain, *, data: Sequence[int] | None = None
+    word: Word, measure: BernoulliMeasure | MarkovChain, *, ints: list[int] | None = None
 ) -> RationalPolynomial:
     """The degree-r polynomial whose smallest positive root z0 satisfies
     escape rate = log(z0), for a Bernoulli measure or a two-symbol Markov
     chain.  Raises ForbiddenWordError when the word is not allowed under the
-    chain.  ``data``, the word's ``border_data`` when the caller already
-    holds it (a scan's walk does), skips the walk.  The polynomial is
-    ``_denominator_ints`` over its constant term."""
+    chain.  The polynomial is ``_denominator_ints`` over its constant term;
+    ``ints``, those integers when the caller already holds them (a scan
+    reads them off its walk's border data), skips the walk and the formula."""
     if not isinstance(measure, (BernoulliMeasure, MarkovChain)):
         raise TypeError(f"unsupported measure type {type(measure).__name__}")
     if word.alphabet != measure.alphabet:
         raise AlphabetMismatchError("word and measure use different alphabets")
-    data = border_data(word, measure) if data is None else data
-    if data is None:
-        raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+    if ints is None:
+        data = border_data(word, measure)
+        if data is None:
+            raise ForbiddenWordError(f"word {word} uses a zero-probability transition")
+        ints = _denominator_ints(data, word.letters[0], word.letters[-1], measure)
     r = len(word)
-    ints = _denominator_ints(data, word.letters[0], word.letters[-1], measure)
     poly = RationalPolynomial._over(ints, ints[0])
     # The degree-(r+1) terms always cancel.  With every factor positive the
     # degree is exactly r; a vanishing diagonal entry can cancel further

@@ -7,12 +7,13 @@ so they can cross-check one another and the root-isolation layer:
 * a weighted pattern-avoidance automaton (KMP prefix states), its table
   built in one pass over the word that reads each restart state off a row
   already built, stepped exactly on integer weights held in a flat list
-  indexed by state;
+  indexed by state, each state on its merged moves: one per live target;
 * one brute-force enumerator for both measures: one walk over the window
   states (the last r - 1 letters) of every length up to a given one, held
   as a flat list of exact weights indexed by the states' codes; each length
   extends every state by every letter, zeroes the pairs whose last r
-  letters are the hole, and folds away the letter that leaves the window;
+  letters are the hole, and folds away the letter that leaves the window,
+  or, once every state is held, folds first and takes back the hole's pair;
 * the rational generating function sum p_n z^n, the one solution of the
   classical word-counting equations (append a letter / append the whole
   pattern), one system for every measure with one unknown per distinct
@@ -22,7 +23,7 @@ Every series is integers over a known power: b^n times the weight at length
 n from the automaton and the enumerator (b the common denominator of the
 measure's ``integer_factors``), q_n over d_0^(n+1) from a generating
 function.  ``Fraction``s are made only in the view of a ``SurvivalSeries``
-that printing and the float estimates read.
+that the CSV table prints; the float estimates read logs of its integers.
 
 The word equations are solved symbolically, by Cramer's rule on
 determinants of integer polynomials, each equation scaled to integers
@@ -50,7 +51,6 @@ from operator import add, mul
 from .errors import AlphabetMismatchError, ForbiddenWordError
 from .measures import BernoulliMeasure, MarkovChain, is_allowed
 from .polynomials import RationalPolynomial, border_data
-from .roots import _frac_log
 from .words import Word
 
 #: Default cap on the window states of the brute-force enumerator.
@@ -72,21 +72,29 @@ class AvoidanceAutomaton:
         """b^n times the total non-absorbed weight after reading n symbols,
         n = 0..max_length: after n symbols every weight is an integer over
         b^n (see the measure's ``integer_factors``), so the live states
-        carry integers, held in a flat list indexed by state."""
+        carry integers, held in a flat list indexed by state.  A state steps
+        on its merged moves, one (target, factor) per live target."""
         _, start, rows = self.measure.integer_factors
         letters, r = self.word.letters, len(self.word)
+
+        def moves(state: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
+            merged = dict.fromkeys(self.transitions[state], 0)  # letters sharing a target add up
+            for target, num in zip(self.transitions[state], row):
+                merged[target] += num
+            return [(target, num) for target, num in merged.items() if num and target < r]
+
         # a live state reads the row of the last letter read: the word's
         # letter before the state, at state 0 a letter the word does not
         # start with (over two letters, the other one); before the first
         # letter only state 0 is live, and it reads the start weights
-        live = [rows[c] for c in (int(letters[0] == 0), *letters[:-1])]
+        live = [moves(s, rows[c]) for s, c in enumerate((int(letters[0] == 0), *letters[:-1]))]
         weights, totals = [1] + [0] * (r - 1), [1]
         for n in range(max_length):
-            nxt = [0] * (r + 1)
-            for state, (weight, row) in enumerate(zip(weights, live if n else [start])):
-                for target, num in zip(self.transitions[state], row):
+            nxt = [0] * r
+            for weight, pairs in zip(weights, live if n else [moves(0, start)]):
+                for target, num in pairs:
                     nxt[target] += weight * num
-            weights = nxt[:r]
+            weights = nxt
             totals.append(sum(weights))
         return totals
 
@@ -142,8 +150,7 @@ class SurvivalSeries:
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """The p_n as ``Fraction``s: the view printing and the float
-        estimates read."""
+        """The p_n as ``Fraction``s: the view the CSV table prints."""
         b, r = self.base, self.offset
         return tuple(Fraction(t, b ** (n + r)) for n, t in enumerate(self.totals))
 
@@ -157,11 +164,18 @@ class SurvivalSeries:
         )
 
     @cached_property
+    def _logs(self) -> tuple[float, ...]:
+        """log p_n, n = 0..N, off b^(n+r) p_n and b^(n+r) over their gcd: the
+        integers a ``Fraction`` holds, so no ``values`` are built."""
+        dens = [self.base ** (n + self.offset) for n in range(len(self))]
+        gcds = map(math.gcd, self.totals, dens)
+        return tuple(math.log(t // g) - math.log(d // g) for t, d, g in zip(self.totals, dens, gcds))
+
+    @cached_property
     def ratio_estimates(self) -> tuple[float, ...]:
         """-log(p_n / p_{n-1}) for n = 1..N, computed once for the printed
         column and ``empirical_rate``, from one log of each p_n."""
-        logs = [_frac_log(v) for v in self.values]
-        return tuple(a - b for a, b in zip(logs, logs[1:]))
+        return tuple(a - b for a, b in zip(self._logs, self._logs[1:]))
 
 
 def survival_series(
@@ -198,7 +212,7 @@ def direct_enumeration(
     differ (the next factor then depends on the last letter; ``cap``
     counts states, so one row keeps k = 0), and entry ``state`` of a flat
     list holds the exact integer sum of the weights of the survivors that
-    end in it.  Each length is three list operations:
+    end in it.  While the list grows, each length is three list operations:
 
     * extend: entry state * A + c of a list A times as long is the weight
       times the factor of c from the measure's ``integer_factors``: its
@@ -209,6 +223,13 @@ def direct_enumeration(
     * fold: once the list outgrows A^k entries, its chunks of A^k entries,
       one per letter leaving the window, are added entry by entry, so each
       pair moves to state (state * A + c) mod A^k.
+
+    Once it holds all A^k states and the fold keeps the letter that picks
+    the row (k >= 2, or one row), a length folds first: states that differ
+    only in the leaving letter extend alike, so its A^(k-1)-entry chunks
+    are added and the sums extended (A^k products, not A^r); then the one
+    pair that is the hole, code ``needle``, is taken from entry needle mod
+    A^k: state needle // A's weight times the factor of needle mod A.
 
     Survival thus depends on the windows alone, with no prefix states.  The
     total at length n is the sum of the list.
@@ -231,6 +252,7 @@ def direct_enumeration(
     needle = 0
     for c in word.letters:
         needle = needle * size + c
+    fold_first = k >= 2 or (k == 1 and len(set(rows)) == 1)
     weights = [1]
     totals = [1]
     # the factor rows the states read in turn: the start weights for the
@@ -239,13 +261,22 @@ def direct_enumeration(
     for n in range(1, length + 1):
         if size ** min(n, k) > cap:
             break
-        ext = [w * f for w, row in zip(weights, itertools.cycle(read)) for f in row]
-        read = rows
-        if n >= r:
-            ext[needle::window] = [0] * (len(ext) // window)
-        weights = ext[:states]
-        for i in range(states, len(ext), states):
-            weights = list(map(add, weights, ext[i : i + states]))
+        if fold_first and len(weights) == states:
+            # fold, extend, then take back the one pair that is the hole
+            cut = weights[needle // size] * rows[needle // size % size][needle % size]
+            sums = weights[: states // size]
+            for i in range(len(sums), states, len(sums)):
+                sums = list(map(add, sums, weights[i : i + len(sums)]))
+            weights = [w * f for w, row in zip(sums, itertools.cycle(rows)) for f in row]
+            weights[needle % states] -= cut
+        else:
+            ext = [w * f for w, row in zip(weights, itertools.cycle(read)) for f in row]
+            read = rows
+            if n >= r:
+                ext[needle::window] = [0] * (len(ext) // window)
+            weights = ext[:states]
+            for i in range(states, len(ext), states):
+                weights = list(map(add, weights, ext[i : i + states]))
         totals.append(sum(weights))
     return totals
 
@@ -423,6 +454,6 @@ def empirical_rate(series: SurvivalSeries) -> EmpiricalRate:
     n = len(series) - 1
     return EmpiricalRate(
         ratio_estimate=ratios[-1],
-        cumulative_estimate=-_frac_log(series.values[-1]) / n,
+        cumulative_estimate=-series._logs[-1] / n,
         converged=max(tail) - min(tail) <= 1e-6,
     )

@@ -464,11 +464,25 @@ class TestOracle:
     def test_enum_cap_bounds_the_enumerated_lengths(self, capsys):
         argv = ["oracle", "--word", "ab", "--p", "1/2", "--n", "10"]
         # two window states from length 1 on: a cap below 2 stops the walk
-        # at length 0, short of r, so no length is matched
-        for cap, expected in ((1 << 16, 12), (2, 12), (1, 0), (0, 0)):
+        # at length 0, short of r, so no length is matched (a cap below 1 is
+        # a usage error, see test_inputs_outside_the_domain_exit_with_one_line)
+        for cap, expected in ((1 << 16, 12), (2, 12), (1, 0)):
             code, out, _ = run(capsys, *argv, "--enum-cap", str(cap))
             assert code == 0
             assert json.loads(out)["checks"]["direct_enumeration_matches_up_to_length"] == expected
+
+    def test_json_run_builds_no_fraction_view(self, capsys, monkeypatch):
+        # the estimates read logs of the series' integers; only the CSV
+        # table prints the p_n as Fractions
+        def refuse(self):
+            raise AssertionError("read SurvivalSeries.values")
+
+        monkeypatch.setattr(survival.SurvivalSeries, "values", property(refuse))
+        argv = ["oracle", "--word", "aabbaa", "--bernoulli", "7/10,3/10"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert all(json.loads(out)["checks"].values())
+        assert run(capsys, *argv, "--format", "csv") == (5, "", "internal check failed: read SurvivalSeries.values\n")
 
 
 class TestFamiliesCommand:
@@ -629,6 +643,9 @@ def test_flags_a_command_never_reads_are_rejected(capsys, argv):
     [
         (["rate", "--word", "ab", "--p", "3/5", "--tol", "0"], "tolerance must lie in (0, 1/1000000]"),
         (["rate", "--word", "ab", "--p", "3/5", "--tol", "1/1000"], "tolerance must lie in (0, 1/1000000]"),
+        # a cap below one window state would compare nothing
+        (["oracle", "--word", "ab", "--p", "3/5", "--enum-cap", "0"], "--enum-cap must be an integer >= 1"),
+        (["oracle", "--word", "ab", "--p", "3/5", "--enum-cap", "-5"], "--enum-cap must be an integer >= 1"),
         (["max", "--r", "3", "--markov", "2/5,3/5,1/3,2/3"], "max handles product measures; use markov-scan for chains"),
         (["families", "--r", "3", "--markov", "2/5,3/5,1/3,2/3"], "families is defined for product measures"),
         (["markov-scan", "--r", "3", "--p", "7/10"], "markov-scan requires --markov"),

@@ -328,8 +328,8 @@ class TestCorrelationClasses:
             for c in extremal._hole_classes(r, measure, 1 << 20):
                 first = c.words[0]
                 poly = survival_denominator(first, measure)
-                assert survival_denominator(first, measure, data=c.data) == poly
                 ints = polynomials._denominator_ints(c.data, first.letters[0], first.letters[-1], measure)
+                assert survival_denominator(first, measure, ints=ints) == poly
                 for x in points:
                     assert _Core(ints).root_below(x) == _Core(poly.ints).root_below(x)
 
@@ -439,7 +439,7 @@ class TestOneRootPerClass:
         ordering_table(9, chain, TOL)
         assert len(isolations) == len(distinct)
         assert len({iso[0] for iso in isolations}) == len(distinct)
-        assert len(distinct) <= len(builds) < 2**9
+        assert len(distinct) == len(builds)
 
     @pytest.mark.parametrize(
         "probs, r", [(["1/2", "1/2"], 10), (["7/10", "3/10"], 10), (["1/3", "1/3", "1/3"], 6)]

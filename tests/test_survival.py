@@ -316,6 +316,13 @@ class TestDirectEnumeration:
     @example(3, [0], 8, False)  # a chain hole of one letter: k = 1, and each
     @example(3, [0], 8, True)  # fold drops the letter that picked the row
     @example(5, [0], 8, False)  # equal rows: k = 0, one state at every length
+    # once all A^k states are held a length folds first and takes back the
+    # hole's one pair: the forbidden-aa chain, a ternary hole, caps at k = 2
+    @example(4, [1, 0, 1], 8, False)
+    @example(4, [0, 1, 1, 0], 8, False)
+    @example(2, [2, 0, 1], 6, False)
+    @example(0, [0, 0, 1], 8, False)
+    @example(0, [0, 0, 1], 8, True)
     @settings(max_examples=60, deadline=None)
     def test_equals_literal_enumeration(self, index, letters, length, short):
         # every word of each length listed and weighed in Fractions: no
