@@ -22,19 +22,25 @@ supplied candidate such as 1/p) or hit exactly by a probe is divided out by
 integer synthetic division by (b z - a), and pinned as the answer when the
 rest of the core has no root below it.
 
-The bracket comes from the probes 2, 4, 8, ..., and bisection narrows it.
-The core is positive on (0, lo], so a negative sign at a probe or midpoint
-makes it hi with no count; a positive one is counted, which finds roots of
-even multiplicity too.  Once a negative point is certified, the interval
-holds a single root and quadratic interval refinement takes over: it splits
-the interval into 2^m cells of the finer dyadic grid, tests the cell the
-secant through the endpoint values points at, and doubles m on a hit or
-falls back to one bisection step on a miss.  Every cell it keeps is a cell
-of the bisection tree, and no jump passes the first level at which the stop
-rule could hold, so it ends on the endpoints bisection would reach, in far
-fewer evaluations.  ``compare`` still bisects both enclosures in lockstep.
-Two roots are equal exactly when both enclosures isolate a single root and
-the gcd of the two cores has a root in their overlap; otherwise the
+An enclosure first lands on the cell where bisection stops: a float
+estimate of t = z0 - 1 (``_estimate``) aims at the stop level s and a cell
+(n, n + 1) / 2^s, and exact signs, p > 0 at its lower end and p < 0 at its
+upper one, with the core's certificate there, decide it (``_land``).
+Anything less certain leaves the bracket to the probes.
+
+Otherwise the bracket comes from the probes 2, 4, 8, ..., and bisection
+narrows it.  The core is positive on (0, lo], so a negative sign at a probe
+or midpoint makes it hi with no count; a positive one is counted, which
+finds roots of even multiplicity too.  Once a negative point is certified,
+the interval holds a single root and quadratic interval refinement takes
+over: it splits the interval into 2^m cells of the finer dyadic grid, tests
+the cell the secant through the endpoint values points at, and doubles m on
+a hit or falls back to one bisection step on a miss.  Every cell it keeps is
+a cell of the bisection tree, and no jump passes the first level at which
+the stop rule could hold, so it ends on the endpoints bisection would reach,
+in far fewer evaluations.  ``compare`` still bisects both enclosures in
+lockstep.  Two roots are equal exactly when both enclosures isolate a single
+root and the gcd of the two cores has a root in their overlap; otherwise the
 enclosures are refined until they separate, which the Mahler-Mignotte root
 separation bound guarantees.
 
@@ -46,9 +52,10 @@ at working precision under an a-priori error bound (after Sagraloff, and
 Kobel, Rouillier and Sagraloff), and a short one, or a sign that bound
 cannot decide, the exact integer Horner 2^(kd) p(n / 2^k) with shifts.
 No point is evaluated twice: a count reuses the core's value at its point
-when the caller has it, and a count at 0 reads the constant terms.
-``Fraction`` endpoints are made only for snapshots and the tie test; a
-comparison with a rational cross-multiplies integers.
+when the caller has it, a landing the values at the ends it keeps, and a
+count at 0 reads the constant terms.  ``Fraction`` endpoints are made only
+for snapshots and the tie test; a comparison with a rational
+cross-multiplies integers.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -129,6 +137,38 @@ def _divide_out(ints: Sequence[int], root: Fraction) -> Sequence[int]:
             quot[i - 1] = acc
         ints = quot
     return ints
+
+
+def _estimate(ints: Sequence[int]) -> tuple[float, int] | None:
+    """(u, e) with u 2^e a float estimate of a root t of p(1 + t), or None.
+
+    Newton's method on p(1 + t) = p(1) (1 + t)^d - t c(1 + t), where c's
+    coefficients are the partial sums of p's, from the first-order law
+    t = p(1) / (c(1) - d p(1)) (Keller and Liverani).  p(1) = P 2^a and c =
+    C 2^b are scaled to floats apart, and t = u 2^e with e = a - b, so no
+    integer overflows a float and a t far below 2^-52 keeps its digits."""
+    d, c, p1 = len(ints) - 1, list(accumulate(ints[:-1])), sum(ints)
+    if not (d and p1):
+        return None
+    a, b = p1.bit_length() - 60, max(x.bit_length() for x in c) - 60
+    try:
+        P = p1 / (1 << a) if a > 0 else float(p1 << -a)
+        C = [x / (1 << b) if b > 0 else float(x << -b) for x in c]
+        e = a - b
+        u = P / (sum(C) - d * math.ldexp(P, e))
+        for _ in range(30):
+            t = math.ldexp(u, e)
+            z, cz, dc = 1 + t, 0.0, 0.0
+            for x in reversed(C):
+                cz, dc = cz * z + x, dc * z + cz
+            zd = math.exp(d * math.log1p(t))
+            step = (P * zd - u * cz) / (math.ldexp(P * d * zd / z - u * dc, e) - cz)
+            u -= step
+            if abs(step) <= abs(u) * 1e-12:
+                return u, e
+    except (ArithmeticError, ValueError):
+        pass
+    return None
 
 
 def _neg_prem_primitive(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -227,6 +267,11 @@ class _Core:
         self._refused = num, den
         return False
 
+    @cached_property
+    def estimate(self) -> tuple[float, int] | None:
+        """``_estimate`` of the core, made once."""
+        return _estimate(self.ints)
+
     def sign(self, x: Fraction | int) -> int:
         """Sign of the core at x."""
         return _sign_at(self.ints, x.numerator, x.denominator)
@@ -266,7 +311,7 @@ class _Enclosure:
     the root lies below it.
     """
 
-    def __init__(self, poly: RationalPolynomial, candidates: tuple = ()) -> None:
+    def __init__(self, poly: RationalPolynomial, candidates: tuple = (), tol: Fraction | None = None) -> None:
         self.poly = poly
         self.exact: Fraction | None = None
         self.cap: Fraction | None = None
@@ -274,9 +319,13 @@ class _Enclosure:
         self._set_core(poly.ints)
         self._single = False  # (lo, hi) holds one root, a simple one
         self._m = 2  # a refinement jump splits (lo, hi) into 2^m cells
-        roots = [c for c in set(candidates) if c > 0 and self.core.sign(c) == 0]
-        if roots:
+        # a root a/b of the core has a | p(0) and b | its leading term
+        ints = self.core.ints
+        roots = [c for c in set(candidates) if c.numerator > 0 and not ints[0] % c.numerator + ints[-1] % c.denominator]
+        if roots := [c for c in roots if self.core.sign(c) == 0]:
             self._deflate(roots)
+        if tol is not None and self.exact is None:
+            self._land(tol)
         probe = 2
         while self.exact is None and self.hi_n is None:
             sign = self.core.sign(probe)
@@ -340,10 +389,52 @@ class _Enclosure:
 
     def _value(self, n: int, k: int, kept: tuple[int, int, int] | None) -> tuple[int, int, int]:
         """(n, k, 2^(kd) p(n / 2^k)), or ``kept`` when it holds the same point
-        on a scale 2^j with j <= k."""
-        if kept is not None and kept[0] << (k - kept[1]) == n:
+        on its own scale."""
+        if kept is not None and kept[0] << k == n << kept[1]:
             return kept
         return n, k, _dyadic_value(self.core.ints, n, k)
+
+    def _land(self, tol: Fraction) -> bool:
+        """Make (lo, hi) the cell (n, n + 1) / 2^s on which plain bisection
+        stops for tol and return True, or change nothing and return False.
+
+        Bisection stops at the least s with floor(z0 2^s) >= least.  The
+        estimate aims at s and n; p(n / 2^s) > 0 > p((n + 1) / 2^s) and the
+        certificate at (n + 1) / 2^s put the smallest root alone in the cell,
+        after at most two moves to a neighbour on a sign miss; n then shows s
+        to be the least level.  A cell above the cap is a cell of the same
+        tree, which ``refine`` bisects on until it lies below."""
+        estimate, least = self.core.estimate, -(-tol.denominator // tol.numerator)
+        if estimate is None or not math.isfinite(estimate[0]):
+            return False
+        num, den = estimate[0].as_integer_ratio()
+        shift = estimate[1] + 1 - den.bit_length()  # the estimate is num 2^shift
+
+        def cell(s: int) -> int:  # floor((1 + num 2^shift) 2^s)
+            return (1 << s) + (num << s + shift if s + shift >= 0 else num >> -s - shift)
+
+        if cell(max(-shift, 0)) <= 0:  # the aim z itself, times 2^s, at that s
+            return False
+        s = max(least.bit_length() - cell(0).bit_length() - 1, 0)
+        while cell(s) < least:
+            s += 1
+        n = cell(s)
+        lo, hi = self._value(n, s, self._lo_val), None
+        for moves in range(3):
+            if lo[2] > 0:
+                hi = hi or self._value(n + 1, s, self._hi_val)
+                if hi[2] <= 0 or moves == 2:
+                    break
+                n, lo, hi = n + 1, hi, None  # positive at both ends: the root lies higher
+            elif lo[2] < 0 and moves < 2:
+                n, lo, hi = n - 1, self._value(n - 1, s, self._lo_val), lo  # a root below
+            else:
+                break
+        if hi is None or not lo[2] > 0 > hi[2] or not n >= least > n >> 1 or not self.core.certifies(n + 1, 1 << s):
+            return False
+        self.lo_n, self.hi_n, self.k, self._lo_val, self._hi_val = n, n + 1, s, lo, hi
+        self._single = True
+        return True
 
     def _jump(self, m: int) -> None:
         """One step of quadratic interval refinement on an isolating (lo, hi):
@@ -376,15 +467,18 @@ class _Enclosure:
         """Narrow (lo, hi) until its relative width is at most tol and it lies
         below the cap.
 
-        Bisection isolates the root; then quadratic interval refinement
-        (J. Abbott, "Quadratic interval refinement for real roots") jumps
-        down the same dyadic tree.  Every cell it tests is a cell of that
-        tree, and no jump passes the first level whose width is at most
-        tol * hi.  The stop rule needs that width and holds on no coarser
-        level, so the enclosure ends on the very cell, or the very exact
-        root, that plain bisection reaches.
+        An enclosure that already isolates its root first lands on the cell
+        where bisection stops for tol (``_land``), as a new one does.  Where
+        that is refused, bisection isolates the root; then quadratic interval
+        refinement (J. Abbott, "Quadratic interval refinement for real
+        roots") jumps down the same dyadic tree.  Every cell it tests is a
+        cell of that tree, and no jump passes the first level whose width is
+        at most tol * hi.  The stop rule needs that width and holds on no
+        coarser level, so the enclosure ends on the very cell, or the very
+        exact root, that plain bisection reaches.
         """
         tn, td = tol.numerator, tol.denominator
+        landing = self._single
         while self.exact is None:
             cap, width = self.cap, (self.hi_n - self.lo_n) * td
             if (
@@ -393,6 +487,10 @@ class _Enclosure:
                 and (cap is None or self.hi_n * cap.denominator <= cap.numerator << self.k)
             ):
                 return
+            if landing:
+                landing = False
+                if self._land(tol):
+                    continue
             # levels down to the first whose width is at most tol * hi
             levels = (-(-width // (tn * self.hi_n)) - 1).bit_length()
             if self._single and min(self._m, levels) >= 2:
@@ -515,7 +613,7 @@ def smallest_positive_root(
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    enclosure = _Enclosure(poly, candidates)
+    enclosure = _Enclosure(poly, candidates, tol)
     enclosure.refine(tol)
     return enclosure.snapshot()
 

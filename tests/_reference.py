@@ -327,8 +327,11 @@ def bisection_refine(enclosure, tol):
 
 @contextmanager
 def plain_bisection():
-    """Every enclosure refined by ``bisection_refine`` inside the block."""
-    with mock.patch.object(_Enclosure, "refine", bisection_refine):
+    """Every enclosure bracketed by the probes and refined by
+    ``bisection_refine`` inside the block: no landing on the stop cell."""
+    with mock.patch.object(_Enclosure, "refine", bisection_refine), mock.patch.object(
+        _Enclosure, "_land", lambda enclosure, tol: False
+    ):
         yield
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from holerates import roots
 from holerates.errors import NoPositiveRootError
-from holerates.extremal import brute_force_gamma_max
+from holerates.extremal import brute_force_gamma_max, markov_scan, ordering_table
 from holerates.measures import BernoulliMeasure, MarkovChain
 from holerates.polynomials import RationalPolynomial, _primitive, survival_denominator
 from holerates.roots import (
@@ -24,7 +24,7 @@ from holerates.roots import (
     refine,
     smallest_positive_root,
 )
-from holerates.words import AB, Word
+from holerates.words import AB, Alphabet, Word
 
 from _reference import (
     count_roots,
@@ -963,6 +963,21 @@ class TestCertificateWork:
         brute_force_gamma_max(7, B(["7/10", "3/10"]))
         assert chains == []
 
+    def test_scan_tables_build_no_chain(self, monkeypatch):
+        # every root of a scan lands on its stop cell, certified by one sign
+        # at each end: no count, and so no chain
+        chains = _record_chains(monkeypatch)
+        ordering_table(10, B(["7/10", "3/10"]))
+        markov_scan(8, MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"]))
+        assert chains == []
+
+    @pytest.mark.parametrize("text, most", [("a" * 59 + "b", 4), ("aab" * 7, 5)], ids=["a^59 b", "(aab)^7"])
+    def test_a_landing_needs_few_evaluations(self, monkeypatch, text, most):
+        # 9 and 13 from the probes, bisection and quadratic refinement
+        points = _record_points(monkeypatch)
+        escape_rate(w(text), B(["7/10", "3/10"]))
+        assert len(points) <= most
+
     def test_negative_step_value_makes_no_count(self, monkeypatch):
         # three roots in (1, 3/2) and no shape: probe 2 is negative and
         # becomes hi with no count; the bisection midpoint 1 is positive and
@@ -979,3 +994,163 @@ class TestCertificateWork:
         enclosure.step()
         assert enclosure.hi == Fraction(3, 2) and len(counts) == 1
         assert not enclosure._single
+
+
+#: Survival measures for the landing tests: (alphabet letters, measure).
+LANDING_MEASURES = [
+    ("ab", B(["7/10", "3/10"])),
+    ("ab", B(["1/2", "1/2"])),
+    ("ab", B(["1/1000", "999/1000"])),
+    ("ab", B(["999/1000", "1/1000"])),
+    ("abc", B(["1/2", "3/10", "1/5"])),
+    ("ab", MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])),
+    ("ab", MarkovChain.from_rationals(["0", "1", "1/2", "1/2"])),
+]
+
+
+@st.composite
+def _survival_denominators(draw):
+    """(denominator, measure) of an allowed hole: a binary word of length up
+    to 14 or a ternary one up to 8, under one of ``LANDING_MEASURES``."""
+    letters, measure = draw(st.sampled_from(LANDING_MEASURES))
+    text = draw(st.text(letters, min_size=1, max_size=14 if letters == "ab" else 8))
+    assume(isinstance(measure, BernoulliMeasure) or "aa" not in text or measure.matrix[0][0])
+    word = Word.parse(text, AB if letters == "ab" else Alphabet.of_size(3))
+    return survival_denominator(word, measure), measure
+
+
+def _landed(monkeypatch):
+    """The outcomes of every landing from here on."""
+    landings = []
+    land = _Enclosure._land
+
+    def recording(enclosure, tol):
+        landings.append(land(enclosure, tol))
+        return landings[-1]
+
+    monkeypatch.setattr(_Enclosure, "_land", recording)
+    return landings
+
+
+class TestLanding:
+    """An enclosure lands on the cell where plain bisection stops, aimed at
+    by a float estimate of z0 - 1 and decided by exact signs: the same ends,
+    whatever the estimate."""
+
+    @given(_survival_denominators(), st.sampled_from([Fraction(1, 10**6), DEFAULT_TOL, Fraction(1, 10**30)]))
+    @settings(max_examples=120, deadline=None)
+    def test_landed_enclosures_match_plain_bisection(self, case, tol):
+        # with the measure's candidates and the lower <= 1 loop, and alone;
+        # an inexact root alone also by plain Fraction bisection
+        p, measure = case
+        rate, alone = _rate_outcome(p, measure, tol), _outcome(p, tol)
+        with plain_bisection():
+            assert rate == _rate_outcome(p, measure, tol)
+            assert alone == _outcome(p, tol)
+        if alone is not NoPositiveRootError and alone[0] < alone[1] and tol != Fraction(1, 10**30):
+            assert alone == _bisection_reference(p, tol)
+
+    @pytest.mark.parametrize("text", ["a" * 59 + "b", "aab" * 7, "abbab"])
+    @pytest.mark.parametrize("measure", [B(["7/10", "3/10"]), B(["1/2", "1/2"])], ids=["7/10", "1/2"])
+    def test_survival_denominators_land(self, monkeypatch, text, measure):
+        # one landing for the first enclosure, and one per narrowing of the
+        # lower <= 1 loop; every one lands
+        landings = _landed(monkeypatch)
+        escape_rate(w(text), measure)
+        assert landings and all(landings)
+
+    @pytest.mark.parametrize(
+        "aim",
+        [
+            lambda ints, t: (math.nan, 0),
+            lambda ints, t: (math.inf, 0),
+            lambda ints, t: (t + 5000 * 2.0**-47, 0),  # thousands of cells above
+            lambda ints, t: (t - 3000 * 2.0**-47, 0),  # and below
+            lambda ints, t: (t + 2.0**-47, 0),  # the next cell: one move down
+            lambda ints, t: (-0.75, 0),  # an aim at 1/4
+        ],
+        ids=["nan", "inf", "5000 cells up", "3000 cells down", "one cell up", "far below"],
+    )
+    @pytest.mark.parametrize(
+        "p",
+        [
+            survival_denominator(w("aab" * 7), B(["7/10", "3/10"])),
+            survival_denominator(w("abbab"), MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])),
+            poly_mul(trinomial(5, Fraction(1, 20)), poly(-17, 8)),  # shaped, roots 1.69 and 17/8 above
+        ],
+        ids=["(aab)^7", "abbab chain", "trinomial"],
+    )
+    def test_a_wrong_estimate_gives_the_same_enclosure(self, monkeypatch, aim, p):
+        expected = _outcome(p)
+        estimate = roots._estimate
+        monkeypatch.setattr(roots, "_estimate", lambda ints: aim(ints, math.ldexp(*estimate(ints))))
+        assert _outcome(p) == expected
+
+    @pytest.mark.parametrize(
+        "p, larger",
+        [
+            (_cubic(Fraction(131, 100), Fraction(135, 100), Fraction(149, 100)), (1.35, 1.49)),
+            # shaped, the smallest root near 1.07 and a second near 1.69
+            (trinomial(5, Fraction(1, 20)), (1.69,)),
+            (poly_mul(trinomial(5, Fraction(1, 20)), poly(-17, 8)), (1.69, 2.125)),
+        ],
+        ids=["cubic", "trinomial", "trinomial times (8z - 17)"],
+    )
+    def test_an_estimate_at_a_larger_root_gives_the_same_enclosure(self, monkeypatch, p, larger):
+        # the signs at the larger root either miss, or change across it and
+        # the certificate, which sees more than one root below, refuses
+        expected = _outcome(p)
+        for root in larger:
+            monkeypatch.setattr(roots, "_estimate", lambda ints, root=root: (root - 1, 0))
+            landings = _landed(monkeypatch)
+            assert _outcome(p) == expected
+            assert landings == [False]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)])
+    @pytest.mark.parametrize("text", ["bb", "bbb", "bbbb"])
+    def test_a_coarse_tolerance_stops_above_the_unit_level(self, text, tol):
+        # z0 is 5 to 32 under these holes: at tol 1/2 bisection stops on a
+        # cell wider than 1, where no landing may go
+        p = survival_denominator(w(text), B(["1/1000", "999/1000"]))
+        with plain_bisection():
+            expected = _outcome(p, tol)
+        assert _outcome(p, tol) == expected
+
+    @pytest.mark.parametrize("level", [12, 20, 47])
+    def test_a_move_below_the_stop_rule_is_refused(self, monkeypatch, level):
+        # tol puts the stop rule's least n one above floor(z0 2^level), so
+        # bisection stops a level finer; an estimate one cell high aims at
+        # n + 1 on this level, and the move down to n must not land there
+        p = survival_denominator(w("aab" * 7), B(["7/10", "3/10"]))
+        z0 = smallest_positive_root(p, Fraction(1, 10**40)).lower
+        n = math.floor(z0 * 2**level)
+        tol = Fraction(1, n + 1)
+        expected = _outcome(p, tol)
+        with plain_bisection():
+            assert _outcome(p, tol) == expected
+        monkeypatch.setattr(roots, "_estimate", lambda ints: ((n + 1.5) / 2**level - 1, 0))
+        assert _outcome(p, tol) == expected
+
+    def test_a_candidate_root_in_the_landed_cell_is_bisected_below(self):
+        # the smallest root lies 1/(7 2^55) below the candidate 10/7, so the
+        # cell at the stop level holds both, and bisection goes on below 10/7
+        p = poly_mul(poly(-10, 7), poly(1 - 10 * 2**55, 7 * 2**55))
+        candidates = (Fraction(10, 7),)
+        result = smallest_positive_root(p, DEFAULT_TOL, candidates)
+        assert result.upper <= Fraction(10, 7) and result.upper - result.lower < Fraction(1, 2**55)
+        with plain_bisection():
+            assert _outcome(p, DEFAULT_TOL, candidates) == _ends(result)
+
+
+def _ends(result):
+    return result.lower, result.upper
+
+
+def _rate_outcome(p, measure, tol):
+    """The escape-rate enclosure's ends, or the error it raises."""
+    try:
+        result = rate_from_denominator(p, measure, tol)
+    except NoPositiveRootError:
+        return NoPositiveRootError
+    return result.lower, result.upper
