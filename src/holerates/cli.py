@@ -118,12 +118,15 @@ def _tol_from_args(args) -> Fraction:
 
 
 def _emit(args, payload, rows) -> None:
-    """Write JSON (payload) or CSV (rows) to --out or stdout."""
+    """Write JSON (payload) or CSV (rows: a ``_Table``, or dicts with the
+    keys of the first, in order) to --out or stdout."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_table) + "\n"
+    elif isinstance(rows, _Table):
+        text = rows.csv_text()
     else:
         buffer = io.StringIO()
-        writer = csv.writer(buffer)  # every row has the keys of the first, in order
+        writer = csv.writer(buffer)
         writer.writerow(rows[0].keys())
         writer.writerows(map(dict.values, rows))
         text = buffer.getvalue()
@@ -168,31 +171,77 @@ def cmd_rate(args) -> tuple:
     return _record(payload, "denominator")
 
 
-def _table_rows(prefix: dict, table) -> list[dict]:
-    """One row per word; a class's rows share (so keep alive) its measure and
-    RootResult, so its numeric columns are formatted once, keyed by id."""
-    columns: dict[tuple[int, int], dict] = {}
+#: The columns an ordering-table row takes from its class and rank.
+_TAIL_COLUMNS = ("measure", "mu_tilde", "gamma_lower", "gamma_upper", "prime", "min_period", "rank")
+
+
+class _Table:
+    """Ordering-table rows as (head, word, tail): ``head`` holds the sweep
+    point's prefix values, one tuple per point, and ``tail`` the formatted
+    columns of the word's class and its rank, one tuple per (class, rank).
+    Only the word is made per row; JSON sees the rows as dicts."""
+
+    def __init__(self, prefix: tuple[str, ...], rows: list[tuple[tuple, str, tuple]]) -> None:
+        self.columns = (*prefix, "word", *_TAIL_COLUMNS)
+        self.rows = rows
+
+    def dicts(self) -> list[dict]:
+        columns = self.columns
+        return [dict(zip(columns, (*head, word, *tail))) for head, word, tail in self.rows]
+
+    def csv_text(self) -> str:
+        """The table as ``csv.writer`` writes it: each distinct head and tail
+        is written once, and a word whose symbols are all letters or digits
+        needs no quoting, so it goes in as it is."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+
+        def line(values) -> str:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow(values)
+            return buffer.getvalue()
+
+        heads: dict[int, str] = {}
+        tails: dict[int, str] = {}
+        parts = [line(self.columns)]
+        for head, word, tail in self.rows:
+            head_text = heads.get(id(head))
+            if head_text is None:  # the head's fields and the comma before the word
+                head_text = heads[id(head)] = line((*head, ""))[:-2] if head else ""
+            tail_text = tails.get(id(tail))
+            if tail_text is None:  # the comma after the word, the tail's fields, the line end
+                tail_text = tails[id(tail)] = line(("", *tail))
+            parts += head_text, word if word.isalnum() else line((word,))[:-2], tail_text
+        return "".join(parts)
+
+
+def _json_table(value) -> list[dict]:
+    """A ``_Table`` in a JSON payload, as its rows' dicts: built only here."""
+    if not isinstance(value, _Table):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return value.dicts()
+
+
+def _table_rows(head: tuple, table) -> list[tuple[tuple, str, tuple]]:
+    """The ``_Table`` rows of an ordering table.  Every row of a class holds
+    the class's own measure object, so (its id, rank) keys the class's tail,
+    formatted once while the table keeps the measure alive."""
+    tails: dict[tuple[int, int], tuple] = {}
     rows = []
-    for entry in table:
-        key = (id(entry.measure), id(entry.gamma))
-        shared = columns.get(key)
-        if shared is None:
-            shared = columns[key] = {
-                "measure": frac_str(entry.measure),
-                "mu_tilde": frac_str(entry.cycle_weight) if entry.cycle_weight is not None else "",
-                "gamma_lower": float_str(entry.gamma.gamma_lower),
-                "gamma_upper": float_str(entry.gamma.gamma_upper),
-            }
-        rows.append(
-            {
-                **prefix,
-                "word": str(entry.word),
-                **shared,
-                "prime": entry.unbordered,
-                "min_period": entry.min_period,
-                "rank": entry.rank,
-            }
-        )
+    for word, measure, cycle_weight, gamma, unbordered, min_period, rank in table:
+        tail = tails.get((id(measure), rank))
+        if tail is None:
+            tail = tails[id(measure), rank] = (
+                frac_str(measure),
+                frac_str(cycle_weight) if cycle_weight is not None else "",
+                float_str(gamma.gamma_lower),
+                float_str(gamma.gamma_upper),
+                unbordered,
+                min_period,
+                rank,
+            )
+        rows.append((head, str(word), tail))
     return rows
 
 
@@ -207,12 +256,12 @@ def _chain_grid(text: str) -> list[tuple[dict, MarkovChain]]:
             for a, b in itertools.product(_parse_grid(text), repeat=2)]
 
 
-def _sweep_point(job) -> list[dict]:
+def _sweep_point(job) -> list[tuple[tuple, str, tuple]]:
     r, prefix, measure, tol, cap = job
-    return _table_rows(prefix, extremal.ordering_table(r, measure, tol, cap))
+    return _table_rows(tuple(prefix.values()), extremal.ordering_table(r, measure, tol, cap))
 
 
-def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict]:
+def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> _Table:
     """The ordering tables of length ``r`` at every ``(prefix, measure)`` point, in
     point order: serially, or on at most ``n_workers`` processes, one per point and CPU."""
     jobs = [(r, prefix, measure, tol, cap) for prefix, measure in points]
@@ -224,7 +273,7 @@ def _sweep(r: int, points, tol: Fraction, cap: int, n_workers: int) -> list[dict
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             tables = list(pool.map(_sweep_point, jobs))
-    return [row for table in tables for row in table]
+    return _Table(tuple(points[0][0]), [row for table in tables for row in table])
 
 
 def cmd_scan(args) -> tuple:
@@ -238,8 +287,8 @@ def cmd_scan(args) -> tuple:
         points = _chain_grid(args.markov_grid)
     else:
         points = [({}, _measure_from_args(args))]
-    rows = _sweep(args.r, points, tol, args.cap, args.jobs)
-    return rows, rows
+    table = _sweep(args.r, points, tol, args.cap, args.jobs)
+    return table, table
 
 
 def cmd_max(args) -> tuple:
@@ -375,19 +424,19 @@ def cmd_markov_scan(args) -> tuple:
         raise ValueError("markov-scan requires --markov")
     tol = _tol_from_args(args)
     report = extremal.markov_scan(args.r, measure, tol, args.cap)
-    rows = _table_rows({}, report.rows)
+    table = _Table((), _table_rows((), report.rows))
     payload = {
         "r": report.r,
         "second_eigenvalue": frac_str(report.second_eigenvalue),
         "argmax": [str(w) for w in report.argmax],
-        "rows": rows,
+        "rows": table,
     }
     if args.format == "json":  # CSV writes only the rows
         payload["pair_checks"] = [
             {**{k: _json_value(v) for k, v in vars(check).items()}, "holds": check.holds}
             for check in report.pair_checks
         ]
-    return payload, rows
+    return payload, table
 
 
 def cmd_figure(args) -> tuple:

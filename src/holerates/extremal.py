@@ -22,11 +22,14 @@ rate: a class pruned by a root below the leader builds no polynomial.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from operator import attrgetter
+from typing import NamedTuple
 
 from .measures import BernoulliMeasure, MarkovChain, as_fraction
 from .polynomials import _denominator_ints, border_walk, survival_denominator
@@ -329,8 +332,10 @@ def max_rate_bounds(r: int, p: Fraction | int | str) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingRow:
+class OrderingRow(NamedTuple):
+    """One hole of an ordering table; the rows of a class share every field
+    but ``word``, and the rows of equal rates share ``rank``."""
+
     word: Word
     measure: Fraction
     cycle_weight: Fraction | None  # set for Markov chains only
@@ -366,21 +371,25 @@ def ordering_table(
     a rank: the position of the first row with that rate.
 
     The scan runs per correlation class: one denominator per class, one
-    root per distinct denominator, one sort of the distinct roots."""
+    root per distinct denominator, one sort of the distinct roots.  The
+    walk lists each class's words in letter order, so the rows need no sort
+    of their own: a group of equal rates is its one class's run, or the
+    merge of its classes' runs by letters."""
     classes = _hole_classes(r, measure, cap)
     rates = _class_rates(classes, measure, tol)
-    groups = _descending_groups(rates)
-    # letters are distinct, so tuple order never reaches the class or word
-    entries = sorted((groups[i], w.letters, i, w) for i, c in enumerate(classes) for w in c.words)
+    groups: dict[int, list[int]] = {}
+    for i, group in enumerate(_descending_groups(rates)):
+        groups.setdefault(group, []).append(i)
     rows: list[OrderingRow] = []
-    rank = 1
-    for position, (group, _, i, w) in enumerate(entries):
-        if position and group != entries[position - 1][0]:
-            rank = position + 1
-        c = classes[i]
-        rows.append(
-            OrderingRow(w, c.measure, c.cycle_weight, rates[i], c.unbordered, c.min_period, rank)
-        )
+    for group in sorted(groups):
+        rank = len(rows) + 1
+        runs = []
+        for i in groups[group]:
+            c = classes[i]
+            runs.append([OrderingRow(w, c.measure, c.cycle_weight, rates[i], c.unbordered, c.min_period, rank)
+                         for w in c.words])
+        # sorted merges the runs it finds, and letters are distinct
+        rows += runs[0] if len(runs) == 1 else sorted(itertools.chain(*runs), key=attrgetter("word.letters"))
     return rows
 
 

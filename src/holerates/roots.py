@@ -677,6 +677,16 @@ def rate_from_denominator(
         # invariant (no root of the core in (0, lo]) certifies it uncounted.
         if compare_with_rational(result, 1) <= 0:
             raise AssertionError(f"escape-rate root of {poly!r} is not above 1")
+        # From a cell (1, 1 + 2^-s) each narrowing by 1/1024 lands ten levels
+        # deeper.  Go at once to the first such level at which the estimate
+        # z0 - 1 = u 2^e puts lower above 1, once z0 lies below the one before.
+        width, enclosure, jumps = result.rel_width(), result._enclosure, 1
+        u, e = enclosure.core.estimate or (math.nan, 0)
+        if width.numerator == 1 and 0 < u < math.inf:
+            jumps = max(1, math.ceil((-math.log2(u) - e - width.denominator.bit_length() + 1) / 10))
+            if enclosure.compare_with(1 + width / (1 << 10 * jumps - 10)) >= 0:
+                jumps = 1
+        result = refine(result, width / (1 << 10 * jumps))
         while result.lower <= 1:
             result = refine(result, result.rel_width() / 1024)
     return result

@@ -3,14 +3,27 @@
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cmp_to_key
 from unittest import mock
 
 from holerates.extremal import _hole_classes
-from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, markov_weights
+from holerates.measures import BernoulliMeasure, MarkovChain, hole_measure, is_allowed, markov_weights
 from holerates.polynomials import RationalPolynomial, survival_denominator
-from holerates.roots import _Core, _Enclosure, _sign_at, _sturm_chain, _variations, compare, rate_from_denominator
+from holerates.roots import (
+    DEFAULT_TOL,
+    _Core,
+    _Enclosure,
+    _sign_at,
+    _sturm_chain,
+    _variations,
+    compare,
+    escape_rate,
+    rate_from_denominator,
+    refine,
+    smallest_positive_root,
+)
 from holerates.survival import build_automaton
-from holerates.words import DEFAULT_ENUMERATION_CAP
+from holerates.words import DEFAULT_ENUMERATION_CAP, enumerate_words
 
 
 def trinomial(r, m):
@@ -309,6 +322,24 @@ def brute_force_max(r, measure, tol):
     return best, tuple(sorted((w for c in top for w in c.words), key=lambda w: w.letters))
 
 
+def ordering_by_sort(r, measure, tol):
+    """(word, rate, rank) of every allowed word of length r, each rated on
+    its own and all sorted at once: by rate, largest first by ``compare``,
+    ties by letters.  A rank is the position of the first word of its rate."""
+    words = [w for w in enumerate_words(measure.alphabet, r) if is_allowed(w, measure)]
+    rates = {w: escape_rate(w, measure, tol) for w in words}
+
+    def order(a, b):
+        return compare(rates[b], rates[a]) or (a.letters > b.letters) - (a.letters < b.letters)
+
+    words.sort(key=cmp_to_key(order))
+    table = []
+    for i, w in enumerate(words):
+        tied = i and compare(rates[w], rates[words[i - 1]]) == 0
+        table.append((w, rates[w], table[-1][2] if tied else i + 1))
+    return table
+
+
 def bisection_refine(enclosure, tol):
     """``enclosure`` narrowed by plain bisection: ``step`` until the relative
     width is at most tol and the interval lies below the cap.  Quadratic
@@ -323,6 +354,17 @@ def bisection_refine(enclosure, tol):
         )
     ):
         enclosure.step()
+
+
+def rate_by_narrowing(poly, measure, tol=DEFAULT_TOL):
+    """``rate_from_denominator`` by narrowing in steps: while the lower end
+    is not above 1, refine to 1/1024 of the relative width, which from a
+    cell (1, 1 + 2^-s) lands ten levels deeper each time.  Landing at once
+    on the first of those levels with lower > 1 must give the same ends."""
+    result = smallest_positive_root(poly, tol, measure.root_candidates)
+    while result.lower <= 1:
+        result = refine(result, result.rel_width() / 1024)
+    return result
 
 
 @contextmanager

@@ -1,5 +1,7 @@
 import concurrent.futures
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holerates
 from holerates import cli, extremal, polynomials, survival
@@ -18,7 +21,7 @@ from holerates.cli import frac_str, main
 from holerates.measures import BernoulliMeasure
 from holerates.polynomials import RationalPolynomial
 from holerates.roots import escape_rate
-from holerates.words import AB, Word
+from holerates.words import AB, Alphabet, Word
 
 
 def run(capsys, *argv):
@@ -521,6 +524,65 @@ class TestMarkovScanCommand:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["pair_checks"]
+
+
+#: The columns a table row takes from its class and rank, after its word.
+TABLE_TAIL = ["measure", "mu_tilde", "gamma_lower", "gamma_upper", "prime", "min_period", "rank"]
+
+
+class TestTables:
+    """Ordering tables: one row per word, whose shared columns are written
+    once per class; CSV and JSON must hold the same rows."""
+
+    @pytest.mark.parametrize(
+        "argv, prefix, key",
+        [
+            (("scan", "--r", "6", "--p", "7/10"), [], None),
+            (("scan", "--r", "3", "--bernoulli", "3/5,2/5", "--symbols", '"x'), [], None),
+            (("scan", "--r", "3", "--markov-grid", "1/4:3/4:1/4"), ["pi_aa", "pi_bb"], None),
+            (("markov-scan", "--r", "6", "--markov", "3/5,2/5,2/7,5/7"), [], "rows"),
+            (("figure", "fig1", "--grid", "1/2:11/20:1/20"), ["p"], None),
+        ],
+        ids=["scan", "quoted symbols", "markov grid", "markov-scan", "fig1"],
+    )
+    def test_csv_and_json_hold_the_same_rows(self, capsys, argv, prefix, key):
+        code, text, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and next(csv.reader(io.StringIO(text))) == [*prefix, "word", *TABLE_TAIL]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        records = payload if key is None else payload[key]
+        assert code == 0 and records
+        assert list(csv.DictReader(io.StringIO(text))) == [
+            {name: str(value) for name, value in record.items()} for record in records
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_tables_print_the_same_bytes_on_two_workers(self, capsys, monkeypatch, fmt):
+        # each worker pickles its point's rows, with the tails they share
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("scan", "--r", "5", "--grid", "1/2:13/20:1/20", "--format", fmt)
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
+
+    @given(
+        st.lists(st.text(st.sampled_from('ab,"\r\n x1-é'), min_size=1, max_size=2), min_size=2, max_size=3, unique=True),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_csv_text_is_what_the_csv_writer_writes(self, symbols, grid):
+        # a word of letters and digits goes in bare; any other is quoted, or
+        # not, as csv.writer decides
+        measure = BernoulliMeasure.from_rationals(
+            [Fraction(1, len(symbols))] * len(symbols), Alphabet(tuple(symbols))
+        )
+        points = [({"p": "1/2"}, measure), ({"p": "3/4"}, measure)] if grid else [({}, measure)]
+        table = cli._sweep(2, points, Fraction(1, 10**10), 1 << 10, 1)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(table.columns)
+        writer.writerows(record.values() for record in table.dicts())
+        assert table.csv_text() == buffer.getvalue()
 
 
 class TestFigure:

@@ -24,7 +24,7 @@ from holerates.roots import _Core, compare, compare_with_rational, escape_rate
 from holerates.words import AB, Word, enumerate_words
 
 from _reference import border_data as reference_border_data
-from _reference import brute_force_max, brute_period, unbordered
+from _reference import brute_force_max, brute_period, ordering_by_sort, unbordered
 
 B = BernoulliMeasure.from_rationals
 M = MarkovChain.from_rationals
@@ -248,6 +248,36 @@ class TestOrderingTable:
                 best_rank = min(row.rank for row in group)
                 top = [row for row in group if row.rank == best_rank]
                 assert all(row.unbordered for row in top)
+
+    @pytest.mark.parametrize(
+        "r, measure",
+        [
+            (8, B(["1/2", "1/2"])),  # ties between classes of equal measure
+            (5, B(["1/2", "3/10", "1/5"])),
+            # the product measure as a chain: classes that differ only in end
+            # letters share one root, so a group holds several classes
+            (7, M(["1/2", "1/2", "1/2", "1/2"])),
+            (7, M(["3/5", "2/5", "2/7", "5/7"])),
+            (7, M(["0", "1", "1/2", "1/2"])),
+        ],
+        ids=["1/2 r8", "ternary r5", "uniform chain r7", "chain r7", "forbidden aa r7"],
+    )
+    def test_matches_one_sort_of_every_word(self, r, measure):
+        rows = ordering_table(r, measure, TOL)
+        expected = ordering_by_sort(r, measure, TOL)
+        assert [(row.word, row.rank) for row in rows] == [(word, rank) for word, _, rank in expected]
+        assert all(compare(row.gamma, rate) == 0 for row, (_, rate, _) in zip(rows, expected))
+
+    def test_a_group_of_classes_merges_their_runs_by_letters(self, monkeypatch):
+        # classes of equal rate list their words in letter order; with every
+        # class in one group, as if all rates were equal, the merged runs are
+        # every allowed word in letter order, all of rank 1
+        chain = M(["3/5", "2/5", "2/7", "5/7"])
+        monkeypatch.setattr(extremal, "_descending_groups", lambda rates: [0] * len(rates))
+        rows = ordering_table(6, chain, TOL)
+        assert [row.word.letters for row in rows] == [w.letters for w in enumerate_words(AB, 6)]
+        assert {row.rank for row in rows} == {1}
+        assert len({id(row.measure) for row in rows}) > 1
 
     def test_markov_rows_carry_cycle_weight(self):
         rows = ordering_table(3, M(["3/4", "1/4", "1/3", "2/3"]), TOL)

@@ -96,6 +96,10 @@ CASES["rate_ab50_bernoulli"] = ["rate", "--word", "ab" * 50, "--bernoulli", "7/1
 #: counted on the shape of a survival denominator, not on a Sturm chain.
 CASES["rate_aab33a_markov"] = ["rate", "--word", "aab" * 33 + "a", "--markov", "3/4,1/4,1/3,2/3"]
 CASES["rate_ab50_markov"] = ["rate", "--word", "ab" * 50, "--markov", "3/4,1/4,1/3,2/3"]
+#: Symbols that CSV must quote: every word holds a '"' (doubled inside the
+#: quotes) or a ',', and the words made only of the other symbol stay bare.
+CASES["scan_r3_symbols_quote"] = ["scan", "--r", "3", "--bernoulli", "3/5,2/5", "--symbols", '"x']
+CASES["scan_r3_symbols_comma"] = ["scan", "--r", "3", "--bernoulli", "3/5,2/5", "--symbols", "a,"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -106,10 +110,11 @@ def test_output_matches_golden(name, capsys):
 
 
 def _json_record(name):
-    """The golden file's JSON object, or None for a CSV table."""
+    """The golden file's JSON object, or None for a CSV table (or a case
+    whose file is not yet written)."""
     try:
         record = json.loads((GOLDEN / f"{name}.out").read_text())
-    except ValueError:
+    except (OSError, ValueError):
         return None
     return record if isinstance(record, dict) else None
 

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from _reference import (
     plain_bisection,
     poly_add,
     poly_mul,
+    rate_by_narrowing,
     slope_bound,
     trinomial,
 )
@@ -1141,6 +1143,62 @@ class TestLanding:
         assert result.upper <= Fraction(10, 7) and result.upper - result.lower < Fraction(1, 2**55)
         with plain_bisection():
             assert _outcome(p, DEFAULT_TOL, candidates) == _ends(result)
+
+
+def _long_hole_cases(seed):
+    """(word, measure) of the benchmark's long holes at a seed: the four
+    shapes at r = 60 and 100 with four random words each, and a^(r-1) b and
+    a^r at r = 200, under Bernoulli(7/10, 3/10) and a chain."""
+    rng = random.Random(seed)
+    for r in (60, 100, 200):
+        for measure in LONG_MEASURES:
+            texts = ["a" * (r - 1) + "b", ("aab" * r)[:r], ("ab" * r)[:r], "a" * r]
+            if r < 200:
+                texts += ["".join(rng.choice("ab") for _ in range(r)) for _ in range(4)]
+            else:
+                texts = texts[::3]
+            yield from ((text, measure) for text in texts)
+
+
+LONG_MEASURES = [B(["7/10", "3/10"]), MarkovChain.from_rationals(["3/4", "1/4", "1/3", "2/3"])]
+#: Holes whose first enclosure is a cell (1, 1 + 2^-s), which the loop
+#: narrows 1, 6, 4 and 96 times: z0 - 1 from about 2^-53 down to 2^-1000.
+NEAR_ONE = [
+    ("a" * 99 + "b", LONG_MEASURES[0]),
+    ("a" * 199 + "b", LONG_MEASURES[0]),
+    ("a" * 199 + "b", LONG_MEASURES[1]),
+    ("a" * 999 + "b", HALF),
+]
+
+
+class TestLandingAboveOne:
+    """``rate_from_denominator`` lands once on the first level of the
+    narrowing loop whose cell lies above 1: the ends of the loop."""
+
+    @pytest.mark.parametrize("seed", [501, 502])
+    def test_long_holes_match_the_narrowing_loop(self, seed):
+        for text, measure in _long_hole_cases(seed):
+            p = survival_denominator(w(text), measure)
+            assert _ends(rate_from_denominator(p, measure)) == _ends(rate_by_narrowing(p, measure)), text
+
+    @pytest.mark.parametrize(
+        "text, measure", NEAR_ONE, ids=["a^99 b", "a^199 b", "a^199 b chain", "a^999 b at 1/2"]
+    )
+    @pytest.mark.parametrize("scale", [2.0**-25, 2.0**-9, 2.0**9, 2.0**25, math.nan])
+    def test_a_wrong_estimate_gives_the_loop_ends(self, monkeypatch, text, measure, scale):
+        # an estimate too small aims too deep, where z0 is not below the
+        # level before: one step at a time; too large, and the loop goes on
+        p = survival_denominator(w(text), measure)
+        expected = _ends(rate_by_narrowing(p, measure))
+        estimate = roots._estimate
+        monkeypatch.setattr(roots, "_estimate", lambda ints: (estimate(ints)[0] * scale, estimate(ints)[1]))
+        assert _ends(rate_from_denominator(p, measure)) == expected
+
+    def test_a_degree_1000_core_lands_in_few_evaluations(self, monkeypatch):
+        # the loop lands 96 times, ten levels at a time, at 103 evaluations
+        points = _record_points(monkeypatch)
+        result = rate_from_denominator(survival_denominator(w("a" * 999 + "b"), HALF), HALF)
+        assert result.lower == Fraction(2**1000 + 1, 2**1000) and len(points) <= 10
 
 
 def _ends(result):
