@@ -16,8 +16,17 @@ chain's end letters), all a survival denominator depends on: words with
 equal keys share denominator, measure and border pattern, so each is
 computed once per class, the denominator from the class's border data with
 no second walk.  Under a product measure the classes are exactly the
-distinct denominators.  Brute-force maxima build one only for a class they
-rate: a class pruned by a root below the leader builds no polynomial.
+distinct denominators.
+
+Brute-force maxima (product measures only) walk only the holes that can
+still win.  A hole of measure mu has survival denominator at most
+T(z) = mu z^r - z + 1 on [1, inf), the unbordered trinomial of that
+measure, so T(L) < 0 puts its root below L.  With L the certified lower end
+of the heaviest hole's rate, a prefix whose heaviest completion fails
+T(L) >= 0 is cut from the walk, and the classes are rated by decreasing
+measure until one fails it for the leader's lower end.  Only a rated class
+builds a denominator: a class pruned by a root below the leader builds no
+polynomial.
 """
 
 from __future__ import annotations
@@ -239,33 +248,81 @@ def brute_force_gamma_max(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[RootResult, tuple[Word, ...]]:
     """Certified maximum of the escape rate over every word of length r,
-    with the full argmax set in enumeration order.
+    with the full argmax set in enumeration order, under a product measure.
 
-    The maximum is taken over correlation classes (one denominator each,
-    under a product measure), visited by decreasing hole measure (equal
-    measures in class order), since the holes of largest measure tend to
-    leak fastest.  A class whose denominator has a root in the open interval
-    (0, leader.lower) has a smaller rate than the current leader and is
-    dropped, its test read off ``_denominator_ints`` of its border data with
-    no polynomial built; every other class is built, rated and compared with
-    the leader.  The interval is open because a root at leader.lower may be
-    the leader's own exact root, which a tied class shares.  The result is
-    the snapshot, taken when it was rated, of the first enumerated argmax word."""
-    classes = _hole_classes(r, measure, cap)
-    leader: RootResult | None = None
-    top: list[tuple[int, RootResult]] = []  # (class index, snapshot) of the classes tying the leader
-    for i in sorted(range(len(classes)), key=lambda i: classes[i].data[-1], reverse=True):
-        c = classes[i]
-        ints = _denominator_ints(c.data, c.words[0].letters[0], c.words[0].letters[-1], measure)
-        if leader is not None and _Core(ints).root_below(leader.lower):
+    A hole of measure mu has survival denominator mu z^r + (1 - z) C(z),
+    C its correlation polynomial, with C(0) = 1 and coefficients >= 0; so on
+    [1, inf) it lies below the trinomial T(z) = mu z^r - z + 1 of the
+    unbordered hole of that measure.  The proof that T(L) < 0 puts the
+    hole's rate strictly below log L:
+      T is convex with T(1) = mu > 0, so its smallest root z_T lies in (1, L);
+      the denominator is positive on [0, 1] and at most T(z_T) = 0 at z_T,
+      so the hole's root z0 <= z_T < L;
+      T grows with mu, so every lighter hole has z0 < L as well.
+    With L = a/b the test T(L) < 0 reads d^r mu a^r < (a - b) b^(r-1) d^r
+    in integers.
+
+    The heaviest hole, the top letter repeated, is rated first, with no
+    walk: every shift of it is a border.  Its lower end L sets one floor per
+    depth, so ``border_walk`` drops a prefix whose heaviest completion (the
+    top letter to the end) fails T(L) >= 0.  The walk's words are grouped by
+    border data, one denominator per class, and the classes visited by
+    decreasing measure (equal measures in class order), the seed's class
+    first, reusing its rating.  The loop stops at the first class whose
+    measure fails T(leader.lower) >= 0.  A class whose denominator has a
+    root in the open interval (0, leader.lower) is dropped, its test read off
+    ``_denominator_ints`` of its border data with no polynomial built; every
+    other class is built, rated and compared with the leader.  Both tests
+    are strict: a class tying the leader may share its exact root.  The
+    result is the snapshot, taken when it was rated, of the first enumerated
+    argmax word's class; a ``Word`` is made only for a rated class and a
+    witness."""
+    if not isinstance(measure, BernoulliMeasure):
+        raise TypeError(f"brute_force_gamma_max takes a product measure, not {type(measure).__name__}; "
+                        "rank a chain's holes with ordering_table (the markov-scan command)")
+    alphabet = measure.alphabet
+    check_enumeration(alphabet, r, cap)
+    d, nums, _ = measure.integer_factors
+    t = measure.top_two()[0]
+    heavy, scale = nums[t], d**r
+    seed_data = tuple(heavy**j for j in range(r + 1))
+    seed_ints = _denominator_ints(seed_data, t, t, measure)
+    seed_word = Word._in_range((t,) * r, alphabet)
+    seed = rate_from_denominator(survival_denominator(seed_word, measure, ints=seed_ints), measure, tol)
+
+    def need(lower: Fraction) -> tuple[int, int]:
+        # a class of weight m = d^r mu can win only if m * a^r >= (a - b) b^(r-1) d^r
+        a, b = lower.numerator, lower.denominator
+        return a**r, (a - b) * b ** (r - 1) * scale
+
+    ar, bar = need(seed.lower)
+    # the least prefix product of i letters whose completion by the top letter clears the bar
+    floor = [max(1, -(-bar // (heavy ** (r - i) * ar))) for i in range(r + 1)]
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for letters, data in border_walk([range(alphabet.size)] * r, measure, floor):
+        classes.setdefault(data, []).append(letters)
+    groups = list(classes.items())
+    leader, top = seed, []  # (class index, snapshot) of the classes tying the leader
+    for i in sorted(range(len(groups)), key=lambda i: groups[i][0][r], reverse=True):
+        data, words = groups[i]
+        if data == seed_data:  # the first class visited, while the seed still leads
+            top.append((i, seed))
             continue
-        res = rate_from_denominator(survival_denominator(c.words[0], measure, ints=ints), measure, tol)
-        order = 1 if leader is None else compare(res, leader)
+        if data[r] * ar < bar:
+            break
+        ints = _denominator_ints(data, words[0][0], words[0][-1], measure)
+        if _Core(ints).root_below(leader.lower):
+            continue
+        word = Word._in_range(words[0], alphabet)
+        res = rate_from_denominator(survival_denominator(word, measure, ints=ints), measure, tol)
+        order = compare(res, leader)
         if order > 0:
             leader, top = res, [(i, res)]
+            ar, bar = need(res.lower)
         elif order == 0:
             top.append((i, res))
-    return min(top)[1], _in_order([classes[i] for i, _ in top])
+    witnesses = sorted(letters for i, _ in top for letters in groups[i][1])
+    return min(top)[1], tuple(Word._in_range(letters, alphabet) for letters in witnesses)
 
 
 # --------------------------------------------------------------------------

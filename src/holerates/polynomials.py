@@ -135,15 +135,20 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def border_walk(
-    branches: Sequence[Iterable[int]], measure: BernoulliMeasure | MarkovChain
+    branches: Sequence[Iterable[int]],
+    measure: BernoulliMeasure | MarkovChain,
+    floor: Sequence[int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(letters, ``border_data``) of every word whose letter i is taken from
     ``branches[i]``, depth first in branch order; a chain's zero transition
-    prunes its subtree.  Each depth extends its parent's prefix product pp
-    and failure links fail, on an explicit stack so any length works; a leaf
-    sets entry r - L to pp[r] // pp[L] for each border L down its failure links."""
+    prunes its subtree, and so does a prefix of i letters whose product is
+    below ``floor[i]`` (no floor: 1, which only a zero factor misses).  Each
+    depth extends its parent's prefix product pp and failure links fail, on
+    an explicit stack so any length works; a leaf sets entry r - L to
+    pp[r] // pp[L] for each border L down its failure links."""
     r = len(branches)
     _, start, rows = measure.integer_factors
+    floor = floor or [1] * (r + 1)
     w, pp, fail = [0] * r, [1] * (r + 1), [-1] + [0] * r  # fail[0] = -1 ends every chain
     untried = []  # the letter iterators of the depths above i
     i, letters = 0, iter(branches[0])
@@ -154,10 +159,10 @@ def border_walk(
                 return
             i, letters = i - 1, untried.pop()
             continue
-        factor = rows[w[i - 1]][c] if i else start[c]
-        if not factor:
+        weight = pp[i] * (rows[w[i - 1]][c] if i else start[c])
+        if weight < floor[i + 1]:
             continue
-        w[i], pp[i + 1] = c, pp[i] * factor
+        w[i], pp[i + 1] = c, weight
         k = fail[i]
         while k >= 0 and c != w[k]:
             k = fail[k]

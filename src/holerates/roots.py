@@ -24,8 +24,9 @@ rest of the core has no root below it.
 
 An enclosure first lands on the cell where bisection stops: a float
 estimate of t = z0 - 1 (``_estimate``) aims at the stop level s and a cell
-(n, n + 1) / 2^s, and exact signs, p > 0 at its lower end and p < 0 at its
-upper one, with the core's certificate there, decide it (``_land``).
+(n, n + 1) / 2^s, moved by one exact integer Newton step when its signs
+miss, and exact signs, p > 0 at its lower end and p < 0 at its upper one,
+with the core's certificate there, decide it (``_land``).
 Anything less certain leaves the bracket to the probes.
 
 Otherwise the bracket comes from the probes 2, 4, 8, ..., and bisection
@@ -400,10 +401,11 @@ class _Enclosure:
 
         Bisection stops at the least s with floor(z0 2^s) >= least.  The
         estimate aims at s and n; p(n / 2^s) > 0 > p((n + 1) / 2^s) and the
-        certificate at (n + 1) / 2^s put the smallest root alone in the cell,
-        after at most two moves to a neighbour on a sign miss; n then shows s
-        to be the least level.  A cell above the cap is a cell of the same
-        tree, which ``refine`` bisects on until it lies below."""
+        certificate at (n + 1) / 2^s put the smallest root alone in the cell.
+        A sign miss (a float Newton can stall a few cells off) takes one
+        exact Newton step from n, then at most two moves to a neighbour; n
+        then shows s to be the least level.  A cell above the cap is a cell
+        of the same tree, which ``refine`` bisects on until it lies below."""
         estimate, least = self.core.estimate, -(-tol.denominator // tol.numerator)
         if estimate is None or not math.isfinite(estimate[0]):
             return False
@@ -419,7 +421,14 @@ class _Enclosure:
         while cell(s) < least:
             s += 1
         n = cell(s)
-        lo, hi = self._value(n, s, self._lo_val), None
+        lo = self._value(n, s, self._lo_val)
+        hi = self._value(n + 1, s, self._hi_val) if lo[2] > 0 else None
+        if lo[2] < 0 or hi and hi[2] > 0:
+            # a miss: one exact Newton step to floor(n - V / V'), V = 2^(sd) p and
+            # V' = 2^(s(d-1)) p' at n / 2^s, where p falls through its smallest root
+            slope = _dyadic_value([i * c for i, c in enumerate(self.core.ints)][1:], n, s)
+            if slope < 0 and (step := -lo[2] // slope):
+                n, lo, hi = n + step, self._value(n + step, s, None), None
         for moves in range(3):
             if lo[2] > 0:
                 hi = hi or self._value(n + 1, s, self._hi_val)

@@ -114,7 +114,7 @@ def test_criterion_3_regime_table_vs_brute_force():
             assert all(word.letters in witness_set for word in report.witnesses), (r, p)
             if report.regime in (Regime.PRIME_FLAT, Regime.TIE):
                 assert abs(report.gamma.gamma - math.log(1 / float(p))) < 1e-10, (r, p)
-    _report(3, started, 120.0, "600 (r, p) grid points, all 2^r words each")
+    _report(3, started, 120.0, "600 (r, p) grid points, every hole that can beat a^r rated")
 
 
 def test_criterion_4_oracle_equivalence_bernoulli():

@@ -148,9 +148,71 @@ def _brute_force_cases():
     ]
 
 
+#: The longest hole each alphabet size is searched to in the hypothesis tests.
+MAX_R = {2: 8, 3: 5, 4: 4}
+
+
+@st.composite
+def _brute_force_inputs(draw, sizes=(2, 3, 4)):
+    """(r, measure): a product measure over 2 to 4 letters and r up to
+    ``MAX_R`` of its alphabet.  Its probabilities lie over a common
+    denominator up to 100, or share the top one between two letters, or put
+    r/(r+1) on one letter (where a^r has the rational root 1/p, and over two
+    letters ties a^(r-1) b), or 1/1000 on every letter but one."""
+    size = draw(st.sampled_from(sizes))
+    r = draw(st.sampled_from(range(2, MAX_R[size] + 1)))
+    kind = draw(st.sampled_from(["random", "tie", "crossing", "extreme"]))
+    if kind == "extreme":
+        nums, d = [1000 - (size - 1)] + [1] * (size - 1), 1000
+    elif kind == "crossing":
+        nums, d = [r * (size - 1)] + [1] * (size - 1), (r + 1) * (size - 1)
+    else:
+        d = draw(st.integers(size, 100))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=size - 1, max_size=size - 1, unique=True)))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+        if kind == "tie":  # the top two letters share the smaller of their weights
+            nums.sort(reverse=True)
+            nums[0] = nums[1]
+            d = sum(nums)
+    nums = draw(st.permutations(nums))
+    return r, B([Fraction(n, d) for n in nums])
+
+
 class TestPrunedBruteForce:
     """The pruned search returns what rating every class returns, with a
     root isolated only for the classes that can still win."""
+
+    @given(_brute_force_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rating_every_class_on_random_measures(self, case):
+        r, measure = case
+        best, witnesses = brute_force_gamma_max(r, measure, TOL)
+        ref_best, ref_witnesses = brute_force_max(r, measure, TOL)
+        assert (best.lower, best.upper, best.poly) == (ref_best.lower, ref_best.upper, ref_best.poly)
+        assert witnesses == ref_witnesses
+
+    @pytest.mark.parametrize(
+        "r, p, most", [(16, Fraction(7, 10), 17), (10, Fraction(1, 2), 1024)], ids=["r16-7:10", "r10-1:2"]
+    )
+    def test_walk_reaches_only_holes_that_can_win(self, monkeypatch, r, p, most):
+        # at 7/10 only a^16 and the 16 words with one b weigh enough to beat
+        # the rate of a^16; at 1/2 every hole weighs the same and all are walked
+        leaves = []
+        walk = extremal.border_walk
+
+        def counting(*args):
+            for leaf in walk(*args):
+                leaves.append(leaf[0])
+                yield leaf
+
+        monkeypatch.setattr(extremal, "border_walk", counting)
+        brute_force_gamma_max(r, B([p, 1 - p]), TOL)
+        assert len(leaves) == most
+
+    def test_refuses_a_markov_chain(self):
+        # the trinomial bound holds for product measures only
+        with pytest.raises(TypeError, match="ordering_table.*markov-scan"):
+            brute_force_gamma_max(4, M(["3/4", "1/4", "1/3", "2/3"]), TOL)
 
     @pytest.mark.parametrize("r,probs,tol", _brute_force_cases())
     def test_matches_rating_every_class(self, r, probs, tol):
@@ -481,13 +543,15 @@ class TestOneRootPerClass:
         assert len(extremal._hole_classes(r, measure, 1 << 20)) == len(distinct)
 
     def test_brute_force_and_families_run_per_class(self, monkeypatch):
-        # brute force builds a denominator only for a class it rates; a
-        # pruned class's test reads integers off its border data
+        # brute force builds a denominator only for a class it rates, and
+        # rates each class once; a pruned class's test reads integers off
+        # its border data
         measure = B(["3/5", "2/5"])
         builds = self._count(monkeypatch, "survival_denominator")
         isolations = self._count(monkeypatch, "rate_from_denominator")
         brute_force_gamma_max(8, measure, TOL)
         assert [iso[0] for iso in isolations] == [survival_denominator(b[0], measure) for b in builds]
+        assert len({iso[0] for iso in isolations}) == len(isolations)  # the seed's class rated once
         assert len(builds) < len(extremal._hole_classes(8, measure, 1 << 20)) == 62
         builds.clear()
         families(8, measure)
@@ -527,6 +591,17 @@ class TestOrderSwitch:
 
 
 class TestMultiSymbol:
+    @given(_brute_force_inputs(sizes=(3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_of_the_two_families_is_maximal(self, case):
+        # the reduction over three and four letters: a^(r-1) b or a^r reaches
+        # the maximum over all holes of length r
+        r, measure = case
+        best, witnesses = brute_force_gamma_max(r, measure, TOL)
+        report = gamma_max(r, measure, TOL)
+        assert compare(best, report.gamma) == 0
+        assert set(report.witnesses) <= set(witnesses)
+
     def test_small_second_probability(self):
         report = gamma_max(3, B(["7/10", "1/5", "1/10"]), TOL)
         assert report.regime is Regime.MEASURE_MAX

@@ -1061,6 +1061,22 @@ class TestLanding:
         escape_rate(w(text), measure)
         assert landings and all(landings)
 
+    def test_an_estimate_three_cells_off_lands_after_a_newton_step(self, monkeypatch):
+        # the hole aa at p = 99/100, z0 near 9.56: the float Newton stalls
+        # three cells above the stop cell at level 44, beyond two moves; one
+        # exact Newton step lands it on the ends bisection reaches
+        p = survival_denominator(w("aa"), B(["99/100", "1/100"]))
+        assert p.ints == (10000, -100, -99)
+        u, e = roots._estimate(p.ints)
+        aim = math.floor(Fraction(1 + math.ldexp(u, e)) * 2**44)
+        landings = _landed(monkeypatch)
+        lower, upper = _outcome(p)
+        assert landings == [True]
+        assert (lower, upper) == (Fraction(aim - 3, 2**44), Fraction(aim - 2, 2**44))
+        with plain_bisection():
+            assert _outcome(p) == (lower, upper)
+        assert _bisection_reference(p, DEFAULT_TOL) == (lower, upper)
+
     @pytest.mark.parametrize(
         "aim",
         [
